@@ -7,7 +7,6 @@ feed-forward fast path, the ranked block-counting process, beta-splitting
 simulation, and neutrality tests against the Kingman null.
 """
 
-from ._accel import HAS_NUMBA
 from ._common import CapacityError, ValidationError
 from .bcp import bcp_E_distribution, bcp_chain, bcp_dph, bcp_kernel, bcp_states, partition_count
 from .betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats, sample_beta_tree
@@ -72,7 +71,6 @@ from .statespace import StateSpace, diff_encoding, enumerate_states, tier_sizes
 __version__ = "1.0.0"
 
 __all__ = [
-    "HAS_NUMBA",
     "CapacityError",
     "ValidationError",
     "StateSpace",

@@ -2,10 +2,8 @@
 
 Every function here is a pure function of numpy arrays. The state-space,
 tier-block and ViTreebi kernels are whole-array numpy code with one
-implementation for every install. The samplers walk one draw at a time and
-are compiled with numba when it is importable; the jitted and plain-Python
-paths produce identical output for identical input. Randomness enters only
-through pre-drawn uniforms.
+implementation for every install. The samplers advance every draw together,
+one step at a time. Randomness enters only through pre-drawn uniforms.
 
 State keys pack the binary decremental code into an int64: the decremental
 index set D as a bitmask (bits 1..n-2) shifted left by 6, plus the external
@@ -13,8 +11,6 @@ count in the low 6 bits.
 """
 
 import numpy as np
-
-from ._accel import maybe_jit
 
 
 def expand_tier(keys, n, t):
@@ -74,51 +70,28 @@ def keys_to_states(keys, n, t, out):
     out[:, n - 2] = c
 
 
-@maybe_jit
 def sample_paths(indptr, cols, numer, denom, n, uniforms):
     """Draw chain paths; one row of ``uniforms`` (length n-2) per path.
 
     The graph is the global CSR over transient states (0-based); every path
-    starts at state 0. Returns (count, n-1) state indices.
+    starts at state 0. A step from state s takes the first out-edge whose
+    running numerator exceeds u * denom[s], or the row's last edge. The
+    running numerator is an integer, so it exceeds u * denom[s] exactly when
+    it exceeds floor(u * denom[s]); one searchsorted on the global cumsum of
+    ``numer`` finds the edge for every path at once. Returns (count, n-1)
+    state indices.
     """
     count = uniforms.shape[0]
-    out = np.empty((count, n - 1), np.int64)
-    for r in range(count):
-        cur = 0
-        out[r, 0] = 0
-        for t in range(n - 2):
-            target = uniforms[r, t] * denom[cur]
-            acc = 0.0
-            e = indptr[cur]
-            last = indptr[cur + 1] - 1
-            while e < last:
-                acc += numer[e]
-                if acc > target:
-                    break
-                e += 1
-            cur = cols[e]
-            out[r, t + 1] = cur
+    out = np.zeros((count, n - 1), np.int64)
+    cum = np.cumsum(numer, dtype=np.int64)
+    before = np.concatenate(([0], cum))[indptr[:-1]]
+    cur = out[:, 0]
+    for t in range(n - 2):
+        thr = np.floor(uniforms[:, t] * denom[cur]).astype(np.int64)
+        e = np.searchsorted(cum, before[cur] + thr, side="right")
+        cur = cols[np.minimum(e, indptr[cur + 1] - 1)]
+        out[:, t + 1] = cur
     return out
-
-
-@maybe_jit
-def path_stats(paths, states, r_s, r_e, pos_table, n):
-    """Balance summaries per sampled path: S, E, and the non-fixed vector."""
-    m = paths.shape[0]
-    q = (n - 2) * (n - 3) // 2
-    s_out = np.zeros(m, np.int64)
-    e_out = np.zeros(m, np.int64)
-    nf = np.zeros((m, q), np.int32)
-    for r in range(m):
-        for t in range(n - 1):
-            s = paths[r, t]
-            s_out[r] += r_s[s]
-            e_out[r] += r_e[s]
-            j = n - 1 - t
-            if 1 <= j <= n - 3:
-                for i in range(j + 2, n):
-                    nf[r, pos_table[i, j]] += states[s, i - 1]
-    return s_out, e_out, nf
 
 
 def vitreebi_forward(indptr, cols, cost, tier_offsets):
@@ -145,72 +118,45 @@ def argmin_edges(indptr, cols, cost, c_arr, tol):
     return (cs != np.inf) & (cs + cost[cols] <= c_arr[cols] + tol)
 
 
-@maybe_jit
-def beta_sample_stats(n, cumw, uniforms, pos_table):
-    """Sample beta-splitting ranked shapes and their balance summaries.
+def beta_sample_grid(n, cumw, uniforms):
+    """Sample beta-splitting ranked shapes as cumulative edge grids.
 
     cumw[k, i] is the cumulative split law for a block of k leaves
     (cumw[k, k-1] = 1). Each tree consumes one row of ``uniforms``
-    (2(n-1) values: a block pick and a split pick per event). Returns
-    per-tree S, E, and non-fixed entry vectors.
+    (2(n-1) values: a block pick and a split pick per event); the trees
+    advance together, one split event at a time. Returns grid of shape
+    (m, n+3, n+3) where grid[r, a, b] counts the edges of tree r with parent
+    rank <= a and child rank >= b (leaves have rank n+1), so that
+    F_ij = grid[r, j+1, i+2].
     """
     m = uniforms.shape[0]
-    q = (n - 2) * (n - 3) // 2
-    s_out = np.zeros(m, np.int64)
-    e_out = np.zeros(m, np.int64)
-    nf = np.zeros((m, q), np.int32)
-    sizes = np.empty(n + 1, np.int64)
-    parents = np.empty(n + 1, np.int64)
-    grid = np.zeros((n + 3, n + 3), np.int64)
-    for r in range(m):
-        for a in range(n + 3):
-            for b in range(n + 3):
-                grid[a, b] = 0
-        nb = 1
-        sizes[0] = n
-        parents[0] = 0
-        for ev in range(2, n + 1):
-            remaining = n - ev + 1
-            target = uniforms[r, 2 * (ev - 2)] * remaining
-            pick = -1
-            acc = 0.0
-            for b in range(nb):
-                w = sizes[b] - 1
-                if w > 0:
-                    if acc + w > target:
-                        pick = b
-                        break
-                    acc += w
-            if pick < 0:
-                for b in range(nb - 1, -1, -1):
-                    if sizes[b] > 1:
-                        pick = b
-                        break
-            k = sizes[pick]
-            if parents[pick] > 0:
-                grid[parents[pick], ev] += 1
-            u2 = uniforms[r, 2 * (ev - 2) + 1]
-            i = 1
-            while i < k - 1 and u2 >= cumw[k, i]:
-                i += 1
-            sizes[pick] = i
-            parents[pick] = ev
-            sizes[nb] = k - i
-            parents[nb] = ev
-            nb += 1
-        for b in range(nb):
-            grid[parents[b], n + 1] += 1
-        for a in range(2, n + 1):
-            for b in range(n, 1, -1):
-                grid[a, b] += grid[a, b + 1]
-        for a in range(3, n + 1):
-            for b in range(2, n + 2):
-                grid[a, b] += grid[a - 1, b]
-        for j in range(1, n):
-            e_out[r] += grid[j + 1, n + 1]
-        for i in range(3, n):
-            for j in range(1, i - 1):
-                v = grid[j + 1, i + 2]
-                s_out[r] += v
-                nf[r, pos_table[i, j]] += v
-    return s_out, e_out, nf
+    rows = np.arange(m)
+    cols = np.arange(cumw.shape[1])
+    sizes = np.zeros((m, n), np.int64)
+    parents = np.zeros((m, n), np.int64)
+    sizes[:, 0] = n
+    grid = np.zeros((m, n + 3, n + 3), np.int64)
+    for ev in range(2, n + 1):
+        nb = ev - 1
+        # Block b is picked with probability (size_b - 1) / remaining.
+        target = uniforms[:, 2 * (ev - 2)] * (n - ev + 1)
+        hit = np.cumsum(np.maximum(sizes[:, :nb] - 1, 0), axis=1) > target[:, None]
+        pick = hit.argmax(axis=1)
+        miss = ~hit[rows, pick]
+        if miss.any():
+            pick[miss] = nb - 1 - (sizes[miss, nb - 1::-1] > 1).argmax(axis=1)
+        k = sizes[rows, pick]
+        par = parents[rows, pick]
+        inner = par > 0
+        grid[rows[inner], par[inner], ev] += 1
+        # Left part: 1 + #{1 <= i < k-1 : u >= cumw[k, i]}; rows of cumw do
+        # not decrease, so this is where a linear scan would stop.
+        u2 = uniforms[:, 2 * (ev - 2) + 1]
+        below = (u2[:, None] >= cumw[k]) & (cols >= 1) & (cols < k[:, None] - 1)
+        left = 1 + below.sum(axis=1)
+        sizes[rows, pick] = left
+        parents[rows, pick] = ev
+        sizes[:, nb] = k - left
+        parents[:, nb] = ev
+    np.add.at(grid, (rows[:, None], parents, n + 1), 1)
+    return grid[:, :, ::-1].cumsum(axis=2)[:, :, ::-1].cumsum(axis=1)

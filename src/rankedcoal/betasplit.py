@@ -14,8 +14,11 @@ from math import lgamma
 import numpy as np
 
 from ._common import ValidationError
-from ._kernels import beta_sample_stats
-from .fmatrix import FMatrix, nonfixed_index_table
+from ._kernels import beta_sample_grid
+from .fmatrix import FMatrix, nonfixed_positions
+
+# Grid entries per batch of trees: 16 MB of int64.
+GRID_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -56,84 +59,55 @@ def _cumulative_table(beta, n):
     return cumw
 
 
-def _sample_edges(n, beta, rng):
-    """One ranked shape as (parent rank, child rank) edges; leaves rank n+1."""
-    sizes = [n]
-    parents = [0]
-    edges = []
-    for ev in range(2, n + 1):
-        remaining = n - ev + 1
-        target = rng.random() * remaining
-        pick = -1
-        acc = 0.0
-        for b, size in enumerate(sizes):
-            w = size - 1
-            if w > 0:
-                if acc + w > target:
-                    pick = b
-                    break
-                acc += w
-        if pick < 0:
-            pick = max(b for b, size in enumerate(sizes) if size > 1)
-        k = sizes[pick]
-        if parents[pick] > 0:
-            edges.append((parents[pick], ev))
-        # Always consume the split uniform so every event costs exactly two
-        # draws, keeping this stream aligned with the batch kernel's.
-        u_split = rng.random()
-        if k == 2:
-            left = 1
-        else:
-            cum = np.cumsum(split_weights(beta, k))
-            left = 1 + int(np.searchsorted(cum, u_split, side="right"))
-            left = min(left, k - 1)
-        sizes[pick] = left
-        parents[pick] = ev
-        sizes.append(k - left)
-        parents.append(ev)
-    for b in range(len(sizes)):
-        edges.append((parents[b], n + 1))
-    return edges
+def _sample_grids(config, uniforms):
+    """(first row, cumulative edge grids) for successive blocks of rows of
+    ``uniforms``; see ``beta_sample_grid``. Blocks hold about GRID_CELLS
+    grid entries, so memory does not grow with the tree count."""
+    n = config.n
+    cumw = _cumulative_table(config.beta, n)
+    rows = max(1, GRID_CELLS // (n + 3) ** 2)
+    for lo in range(0, len(uniforms), rows):
+        yield lo, beta_sample_grid(n, cumw, uniforms[lo:lo + rows])
 
 
-def _edges_to_fmatrix(n, edges):
-    """F_ij = #edges with parent rank <= j+1 and child rank >= i+2."""
-    grid = np.zeros((n + 3, n + 3), dtype=np.int64)
-    for p, c in edges:
-        grid[p, c] += 1
-    grid = grid[:, ::-1].cumsum(axis=1)[:, ::-1]
-    grid = grid.cumsum(axis=0)
-    entries = np.zeros((n - 1, n - 1), dtype=np.int64)
-    for i in range(1, n):
-        for j in range(1, i + 1):
-            entries[i - 1, j - 1] = grid[j + 1, i + 2]
-    return FMatrix(n=n, entries=entries)
+def _fmatrices(config, uniforms):
+    n = config.n
+    i, j = np.tril_indices(n - 1)
+    out = []
+    for _, grid in _sample_grids(config, uniforms):
+        entries = np.zeros((len(grid), n - 1, n - 1), dtype=np.int64)
+        # F_ij = #edges with parent rank <= j+1 and child rank >= i+2
+        entries[:, i, j] = grid[:, j + 2, i + 3]
+        out.extend(FMatrix(n=n, entries=e) for e in entries)
+    return out
 
 
 def sample_beta_tree(config, rng=None):
     """One F-matrix drawn from the model; deterministic given the seed."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    edges = _sample_edges(config.n, config.beta, rng)
-    return _edges_to_fmatrix(config.n, edges)
+    return _fmatrices(config, rng.random((1, 2 * (config.n - 1))))[0]
 
 
 def sample_beta_fmatrices(config, count):
     """A list of ``count`` F-matrices from one seeded stream."""
     rng = np.random.default_rng(config.seed)
-    return [sample_beta_tree(config, rng=rng) for _ in range(count)]
+    return _fmatrices(config, rng.random((count, 2 * (config.n - 1))))
 
 
 def sample_beta_stats(config, count, rng=None):
-    """(S, E, non-fixed entries) per tree via the batch kernel.
+    """(S, E, non-fixed entries) per tree, without building F-matrices.
 
-    Orders of magnitude faster than materializing F-matrices; the power
-    harness runs on this path.
+    Draws the same stream as ``sample_beta_fmatrices``; the power harness
+    runs on this path.
     """
     n = config.n
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    cumw = _cumulative_table(config.beta, n)
-    uniforms = rng.random((count, 2 * (n - 1)))
-    pos = nonfixed_index_table(n)
-    return beta_sample_stats(n, cumw, uniforms, pos)
+    i, j = np.array(nonfixed_positions(n), dtype=np.int64).reshape(-1, 2).T
+    e = np.zeros(count, np.int64)
+    nf = np.zeros((count, len(i)), np.int32)
+    for lo, grid in _sample_grids(config, rng.random((count, 2 * (n - 1)))):
+        e[lo:lo + len(grid)] = grid[:, 2:n + 1, n + 1].sum(axis=1)
+        nf[lo:lo + len(grid)] = grid[:, j + 1, i + 2]
+    return nf.sum(axis=1, dtype=np.int64), e, nf

@@ -15,7 +15,6 @@ import tempfile
 
 import numpy as np
 
-from ._accel import set_threads
 from ._common import CapacityError, ValidationError, fib, format_number
 
 
@@ -382,8 +381,6 @@ def build_parser():
         description="Ranked coalescent embeddings: state spaces, F-matrices, "
                     "Frechet means, phase-type moments, and neutrality tests.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (default: RANKEDCOAL_THREADS or all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("statespace", help="enumerate ranked-coalescent states")
@@ -471,12 +468,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("RANKEDCOAL_THREADS")
-        if env:
-            set_threads(int(env))
-    else:
-        set_threads(args.threads)
     try:
         return args.func(args)
     except ValidationError as exc:

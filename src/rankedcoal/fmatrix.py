@@ -251,14 +251,6 @@ def nonfixed_vector(fmat):
     )
 
 
-def nonfixed_index_table(n):
-    """Lookup table pos[i, j] -> row-wise index, -1 off the non-fixed set."""
-    table = np.full((n, n), -1, dtype=np.int64)
-    for a, (i, j) in enumerate(nonfixed_positions(n)):
-        table[i, j] = a
-    return table
-
-
 def write_jsonl(path, fmats):
     """Stream F-matrices to a file, one {n, tri} object per line."""
     with open(path, "w", encoding="utf-8") as fh:

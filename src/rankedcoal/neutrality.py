@@ -6,6 +6,7 @@ so the harness never materializes F-matrices.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log, sqrt
 
 import numpy as np
@@ -175,15 +176,19 @@ def test_GE(sample, null_E, K=DEFAULT_K, boxes=None):
     )
 
 
-def test_WF(sample, mean, sigma):
-    """Signed CLT statistic on the mean non-fixed vector."""
+def test_WF(sample, mean, sigma, root=None):
+    """Signed CLT statistic on the mean non-fixed vector.
+
+    ``root``, if given, is ``sym_inv_sqrt(sigma)`` computed beforehand.
+    """
     stats = _coerce_sample(sample)
     mean = _as_float(mean)
     n, m = stats.n, stats.m
     q = (n - 2) * (n - 3) // 2
     if len(mean) != q:
         raise ValidationError(f"mean vector must have length {q}, got {len(mean)}")
-    root = sym_inv_sqrt(sigma)
+    if root is None:
+        root = sym_inv_sqrt(sigma)
     diff = stats.nf_mean - mean
     statistic = sqrt(2 * m / ((n - 2) * (n - 3))) * float((root @ diff).sum())
     p = 2 * float(norm.sf(abs(statistic)))
@@ -195,11 +200,15 @@ def test_WF(sample, mean, sigma):
     )
 
 
-def test_WSE(sample, mu_se, sigma_se):
-    """Signed CLT statistic on the (S, E) pair."""
+def test_WSE(sample, mu_se, sigma_se, root=None):
+    """Signed CLT statistic on the (S, E) pair.
+
+    ``root``, if given, is ``sym_inv_sqrt(sigma_se)`` computed beforehand.
+    """
     stats = _coerce_sample(sample)
     mu_se = _as_float(mu_se)
-    root = sym_inv_sqrt(sigma_se)
+    if root is None:
+        root = sym_inv_sqrt(sigma_se)
     diff = np.array([stats.s_mean, stats.e_mean]) - mu_se
     statistic = sqrt(stats.m / 2) * float((root @ diff).sum())
     p = 2 * float(norm.sf(abs(statistic)))
@@ -211,11 +220,15 @@ def test_WSE(sample, mu_se, sigma_se):
     )
 
 
-def test_hotelling(sample, mean, sigma):
-    """Chi-square baseline m (Fbar - M)' Sigma^{-1} (Fbar - M)."""
+def test_hotelling(sample, mean, sigma, root=None):
+    """Chi-square baseline m (Fbar - M)' Sigma^{-1} (Fbar - M).
+
+    ``root``, if given, is ``sym_inv_sqrt(sigma)`` computed beforehand.
+    """
     stats = _coerce_sample(sample)
     mean = _as_float(mean)
-    root = sym_inv_sqrt(sigma)
+    if root is None:
+        root = sym_inv_sqrt(sigma)
     diff = root @ (stats.nf_mean - mean)
     statistic = stats.m * float(diff @ diff)
     df = len(mean)
@@ -238,6 +251,16 @@ class KingmanNull:
     mu_se: np.ndarray
     sigma_se: np.ndarray
     e_dph: object
+
+    @cached_property
+    def root(self):
+        """Inverse square root of ``sigma``, computed once per null."""
+        return sym_inv_sqrt(self.sigma)
+
+    @cached_property
+    def root_se(self):
+        """Inverse square root of ``sigma_se``, computed once per null."""
+        return sym_inv_sqrt(self.sigma_se)
 
 
 def kingman_null(n):
@@ -269,20 +292,25 @@ def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
         if name == "GE":
             out[name] = test_GE(stats, null.e_dph, K=K, boxes=boxes)
         elif name == "WF":
-            out[name] = test_WF(stats, null.mean, null.sigma)
+            out[name] = test_WF(stats, null.mean, null.sigma, root=null.root)
         elif name == "WSE":
-            out[name] = test_WSE(stats, null.mu_se, null.sigma_se)
+            out[name] = test_WSE(stats, null.mu_se, null.sigma_se, root=null.root_se)
         elif name == "HT":
-            out[name] = test_hotelling(stats, null.mean, null.sigma)
+            out[name] = test_hotelling(stats, null.mean, null.sigma, root=null.root)
         else:
             raise ValidationError(f"unknown test {name!r}")
     return out
 
 
-def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEFAULT_K):
-    """Per-replicate statistics from independent seeded streams."""
+def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEFAULT_K,
+                         boxes=None):
+    """Per-replicate statistics from independent seeded streams.
+
+    ``boxes`` may carry the GE boxes for (null, K, m) built beforehand.
+    """
     n = null.n
-    boxes = e_boxes(null.e_dph, K=K, m=m) if "GE" in tests else None
+    if boxes is None and "GE" in tests:
+        boxes = e_boxes(null.e_dph, K=K, m=m)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(replicates)
@@ -323,10 +351,11 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))
+    boxes = e_boxes(null.e_dph, K=K, m=m) if "GE" in tests else None
     rows = []
     for g, beta in enumerate(beta_grid):
         stats_by_test, boxes = replicate_statistics(
-            null, beta, m, replicates, grid_seeds[g], tests=tests, K=K
+            null, beta, m, replicates, grid_seeds[g], tests=tests, K=K, boxes=boxes
         )
         rejected = _rejections(stats_by_test, null, boxes, alpha)
         for name in tests:

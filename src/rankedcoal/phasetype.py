@@ -165,11 +165,18 @@ def dph_pmf(d, m):
 
 
 def dph_pmf_range(d, upto):
-    """P(tau = m) for m = 1..upto, computed iteratively."""
+    """P(tau = m) for m = 1..upto, computed iteratively.
+
+    Once pi T^k is exactly zero every later term is the same exact zero,
+    so the stepping stops there and the list is padded with that zero.
+    """
     out = []
     w = d.pi
-    for _ in range(upto):
+    while len(out) < upto:
         out.append(w.dot(d.exit))
+        if not np.any(w != 0):
+            out.extend([out[-1]] * (upto - len(out)))
+            break
         w = _vm(w, d.T)
     return out
 

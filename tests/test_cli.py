@@ -277,13 +277,6 @@ def test_power_grid_forms(capsys):
     capsys.readouterr()
 
 
-def test_threads_flag(monkeypatch, capsys):
-    assert main(["--threads", "2", "statespace", "--n", "5"]) == 0
-    monkeypatch.setenv("RANKEDCOAL_THREADS", "1")
-    assert main(["statespace", "--n", "5"]) == 0
-    capsys.readouterr()
-
-
 def test_atomic_overwrite(tmp_path, capsys):
     target = tmp_path / "out.json"
     target.write_text("sentinel")

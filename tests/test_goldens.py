@@ -1,0 +1,27 @@
+"""Seeded CLI outputs, byte for byte, against files recorded before the
+samplers and the phase-type PMF were vectorised."""
+
+from pathlib import Path
+
+import pytest
+
+from rankedcoal.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+GOLDENS = {
+    "power_n8_seed7.csv":
+        ["power", "--n", "8", "--m", "200", "--reps", "10", "--beta-grid=-1:1:0.5", "--seed", "7"],
+    "simulate_beta_n9_seed3.jsonl":
+        ["simulate", "--model", "beta", "--beta", "-1", "--n", "9", "--count", "50", "--seed", "3"],
+    "simulate_kingman_n9_seed3.jsonl":
+        ["simulate", "--model", "kingman", "--n", "9", "--count", "50", "--seed", "3"],
+    "sample_n10_seed5.jsonl": ["sample", "--n", "10", "--count", "20", "--seed", "5"],
+    "bcp_n10.csv": ["bcp", "--n", "10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_cli_output_matches_golden(name, capsys):
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()

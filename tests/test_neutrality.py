@@ -186,3 +186,12 @@ def test_harness_determinism(null5):
     r1 = power_curve([0.0, 1.0], 5, 40, 30, seed=6, null=null5)
     r2 = power_curve([0.0, 1.0], 5, 40, 30, seed=6, null=null5)
     assert r1 == r2
+
+
+def test_null_roots_give_the_same_statistics(null8):
+    s, e, nf = sample_beta_stats(BetaConfig(beta=-0.5, n=8, seed=21), 300)
+    stats = SampleStats.from_arrays(8, s, e, nf)
+    reports = run_tests(stats, null8, tests=("WF", "WSE", "HT"))
+    assert reports["WF"] == wf_report(stats, null8.mean, null8.sigma)
+    assert reports["WSE"] == wse_report(stats, null8.mu_se, null8.sigma_se)
+    assert reports["HT"] == hotelling_report(stats, null8.mean, null8.sigma)

@@ -171,3 +171,20 @@ def test_nonfixed_reward_moments_match_sample_identities(space5, dph5):
             for p, prob in paths
         )
         assert mean == direct
+
+
+@pytest.mark.parametrize("n,mode", [(8, "rational"), (12, "float")])
+def test_pmf_range_stops_early_with_the_same_list(n, mode):
+    from rankedcoal.bcp import bcp_E_distribution
+
+    d = bcp_E_distribution(n, mode=mode)
+    cap = 4 * d.order + 100
+    full = []
+    w = d.pi
+    for _ in range(cap):
+        full.append(w.dot(d.exit))
+        w = phasetype._vm(w, d.T)
+    assert not np.any(w != 0)
+    pmf = dph_pmf_range(d, cap)
+    assert pmf == full
+    assert [type(v) for v in pmf] == [type(v) for v in full]
