@@ -116,20 +116,18 @@ def _cmd_sample(args):
 
 
 def _cmd_simulate(args):
-    from .fmatrix import path_to_fmatrix
-
     if args.model == "beta":
         from .betasplit import BetaConfig, sample_beta_fmatrices
 
         config = BetaConfig(beta=args.beta, n=args.n, seed=args.seed)
         mats = sample_beta_fmatrices(config, args.count)
     elif args.model == "kingman":
+        from .fmatrix import paths_to_fmatrices
         from .kingman import sample_paths
         from .statespace import enumerate_states
 
         space = enumerate_states(args.n)
-        paths = sample_paths(space, args.count, seed=args.seed)
-        mats = [path_to_fmatrix(space, tuple(int(v) for v in p)) for p in paths]
+        mats = paths_to_fmatrices(space, sample_paths(space, args.count, seed=args.seed))
     else:
         raise ValidationError(f"unknown model {args.model!r}")
     lines = [json.dumps({"n": f.n, "tri": f.tri()}) for f in mats]
@@ -183,10 +181,10 @@ def _cmd_frechet(args):
     return 0
 
 
-def _moment_rows_se(space, mode):
+def _moment_rows_se(space, summary):
     from .feedforward import se_moments
 
-    mean, cov = se_moments(space, mode=mode)
+    mean, cov = se_moments(space, summary=summary)
     return [
         ["S", "mean", format_number(mean[0])],
         ["S", "var", format_number(cov[0, 0])],
@@ -196,7 +194,7 @@ def _moment_rows_se(space, mode):
     ]
 
 
-def _moment_rows_f(space, mode, engine):
+def _moment_rows_f(space, mode, engine, summary):
     rows = []
     if engine == "dense":
         from .kingman import tier_blocks
@@ -215,9 +213,6 @@ def _moment_rows_f(space, mode, engine):
                 _, cov = mdph_cross_moment(dph, cols[a], cols[b])
                 rows.append([f"{la}:{labels[b]}", "cov", format_number(cov)])
         return rows
-    from .feedforward import nonfixed_moments
-
-    summary = nonfixed_moments(space, mode=mode)
     for a, (i, j) in enumerate(summary.positions):
         rows.append([f"F({i},{j})", "mean", format_number(summary.mean[a])])
     for a, pa in enumerate(summary.positions):
@@ -232,6 +227,7 @@ def _moment_rows_f(space, mode, engine):
 
 
 def _cmd_moments(args):
+    from .feedforward import nonfixed_moments
     from .statespace import enumerate_states
 
     targets = [t.strip().upper() for t in args.targets.split(",") if t.strip()]
@@ -245,11 +241,15 @@ def _cmd_moments(args):
             f"rational mode refuses n = {n} > 12 for full-covariance jobs; use --mode float"
         )
     space = enumerate_states(n)
+    se = "S" in targets or "E" in targets
+    feedforward_f = "F" in targets and args.engine == "feedforward"
+    # one non-fixed summary serves both the (S, E) rows and the F rows
+    summary = nonfixed_moments(space, mode=mode) if se or feedforward_f else None
     rows = []
-    if "S" in targets or "E" in targets:
-        rows.extend(_moment_rows_se(space, mode))
+    if se:
+        rows.extend(_moment_rows_se(space, summary))
     if "F" in targets:
-        rows.extend(_moment_rows_f(space, mode, args.engine))
+        rows.extend(_moment_rows_f(space, mode, args.engine, summary))
     text = _csv_text(rows, header=["target", "statistic", "value"])
     _emit(args.out, text)
     if args.emit_dph:

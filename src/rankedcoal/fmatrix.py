@@ -61,9 +61,10 @@ class FMatrix:
     def validate_static(self):
         """Diagonal, triangularity, and nonnegativity checks (no state space)."""
         arr = self.entries
-        for i in range(self.n - 1):
-            if arr[i, i] != i + 2:
-                raise ValidationError(f"diagonal F_{i + 1},{i + 1} = {arr[i, i]}, expected {i + 2}")
+        bad = np.flatnonzero(np.diagonal(arr) != np.arange(2, self.n + 1))
+        if len(bad):
+            i = int(bad[0])
+            raise ValidationError(f"diagonal F_{i + 1},{i + 1} = {arr[i, i]}, expected {i + 2}")
         if np.any(np.triu(arr, 1) != 0):
             raise ValidationError("entries above the diagonal must be 0")
         if np.any(arr < 0):
@@ -73,12 +74,19 @@ class FMatrix:
 
 def path_to_fmatrix(space, path):
     """F-matrix whose column n-1-t is the state at step t of the path."""
-    path = validate_path(space, path)
-    n = space.n
-    arr = np.zeros((n - 1, n - 1), dtype=np.int64)
-    for t, idx in enumerate(path):
-        arr[:, n - 2 - t] = space.states[idx - 1]
-    return FMatrix(n, arr)
+    return paths_to_fmatrices(space, [validate_path(space, path)])[0]
+
+
+def paths_to_fmatrices(space, paths):
+    """F-matrices of a (count, n-1) array of 1-based index paths.
+
+    The paths are not checked: pass only paths that ``validate_path``
+    accepts, such as those ``kingman.sample_paths`` draws.
+    """
+    grid = space.states[np.asarray(paths, dtype=np.int64) - 1]
+    # grid[m, t] is the state at step t; F's column n-1-t is that state
+    entries = grid[:, ::-1, :].transpose(0, 2, 1)
+    return [FMatrix(space.n, arr) for arr in entries]
 
 
 def fmatrix_to_path(space, fmat):
@@ -259,16 +267,18 @@ def write_jsonl(path, fmats):
 
 
 def iter_jsonl(path):
-    """Yield F-matrices from a fmat.jsonl file; malformed lines report their number."""
+    """Yield F-matrices from a fmat.jsonl file, each checked by ``validate_static``;
+    malformed lines report their number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                yield FMatrix.from_tri(obj["n"], obj["tri"])
+                fmat = FMatrix.from_tri(obj["n"], obj["tri"]).validate_static()
             except (json.JSONDecodeError, KeyError, TypeError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            yield fmat
 
 
 def read_jsonl(path):

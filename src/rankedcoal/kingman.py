@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
 
 from ._common import CapacityError, ValidationError, binom2
 from ._kernels import expand_tier, sample_paths as _sample_paths_kernel
@@ -36,6 +35,8 @@ class TierBlock:
 
     def csr(self):
         """Float CSR matrix of the transition probabilities."""
+        import scipy.sparse
+
         data = self.numer.astype(np.float64) / self.denom
         return scipy.sparse.csr_matrix(
             (data, self.indices.copy(), self.indptr.copy()), shape=(self.n_rows, self.n_cols)

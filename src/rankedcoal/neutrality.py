@@ -10,7 +10,6 @@ from functools import cached_property
 from math import log, sqrt
 
 import numpy as np
-from scipy.stats import chi2, norm
 
 from ._common import ValidationError
 from .betasplit import BetaConfig, sample_beta_stats
@@ -77,7 +76,37 @@ def _coerce_sample(sample):
 
 
 def _as_float(arr):
-    return np.asarray(arr, dtype=np.float64) if np.asarray(arr).dtype == object else np.asarray(arr, dtype=np.float64)
+    return np.asarray(arr, dtype=np.float64)
+
+
+# Tails and quantiles of the null distributions from the scipy.special
+# ufuncs behind scipy.stats' chi2 and norm, bitwise equal to those. The
+# clip and the 0.0 - keep scipy.stats' value at x < 0 (1.0) and at
+# q = 0.5 (+0.0). scipy is imported here, not at module level, so that
+# CLI calls that run no test do not load it.
+
+def _chi2_sf(x, df):
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, max(x, 0.0)))
+
+
+def _chi2_isf(q, df):
+    from scipy.special import chdtri
+
+    return float(chdtri(df, q))
+
+
+def _norm_sf(x):
+    from scipy.special import ndtr
+
+    return float(ndtr(-x))
+
+
+def _norm_isf(q):
+    from scipy.special import ndtri
+
+    return float(0.0 - ndtri(q))
 
 
 def sym_inv_sqrt(sigma, floor=EIG_FLOOR):
@@ -166,7 +195,7 @@ def test_GE(sample, null_E, K=DEFAULT_K, boxes=None):
         o * log(o / a) for o, a in zip(observed, expected) if o > 0
     )
     df = boxes.K - 1
-    p = float(chi2.sf(statistic, df))
+    p = _chi2_sf(statistic, df)
     return TestReport(
         statistic=float(statistic),
         null_dist=f"chi2({df})",
@@ -191,7 +220,7 @@ def test_WF(sample, mean, sigma, root=None):
         root = sym_inv_sqrt(sigma)
     diff = stats.nf_mean - mean
     statistic = sqrt(2 * m / ((n - 2) * (n - 3))) * float((root @ diff).sum())
-    p = 2 * float(norm.sf(abs(statistic)))
+    p = 2 * _norm_sf(abs(statistic))
     return TestReport(
         statistic=statistic,
         null_dist="normal",
@@ -211,7 +240,7 @@ def test_WSE(sample, mu_se, sigma_se, root=None):
         root = sym_inv_sqrt(sigma_se)
     diff = np.array([stats.s_mean, stats.e_mean]) - mu_se
     statistic = sqrt(stats.m / 2) * float((root @ diff).sum())
-    p = 2 * float(norm.sf(abs(statistic)))
+    p = 2 * _norm_sf(abs(statistic))
     return TestReport(
         statistic=statistic,
         null_dist="normal",
@@ -232,7 +261,7 @@ def test_hotelling(sample, mean, sigma, root=None):
     diff = root @ (stats.nf_mean - mean)
     statistic = stats.m * float(diff @ diff)
     df = len(mean)
-    p = float(chi2.sf(statistic, df))
+    p = _chi2_sf(statistic, df)
     return TestReport(
         statistic=statistic,
         null_dist=f"chi2({df})",
@@ -329,15 +358,15 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
 def _rejections(stats_by_test, null, boxes, alpha):
     n = null.n
     q = (n - 2) * (n - 3) // 2
-    z = norm.isf(alpha / 2)
+    z = _norm_isf(alpha / 2)
     out = {}
     for name, values in stats_by_test.items():
         if name == "GE":
-            out[name] = values > chi2.isf(alpha, boxes.K - 1)
+            out[name] = values > _chi2_isf(alpha, boxes.K - 1)
         elif name in ("WF", "WSE"):
             out[name] = np.abs(values) > z
         else:
-            out[name] = values > chi2.isf(alpha, q)
+            out[name] = values > _chi2_isf(alpha, q)
     return out
 
 

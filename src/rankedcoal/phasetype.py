@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._common import CapacityError, ValidationError
 from .fmatrix import nonfixed_positions
@@ -19,9 +17,14 @@ DENSE_MAX_ORDER = 5000
 SPARSE_MIN_ORDER = 2000
 
 
+def _is_sparse(t_mat):
+    """Whether T is a scipy sparse matrix: every dense T is an ndarray."""
+    return not isinstance(t_mat, np.ndarray)
+
+
 def _vm(w, t_mat):
     """Row-vector times matrix, dispatching on sparsity."""
-    if sp.issparse(t_mat):
+    if _is_sparse(t_mat):
         return w @ t_mat
     return w.dot(t_mat)
 
@@ -61,7 +64,7 @@ class DiscretePhaseType:
             raise ValidationError(f"T must be {p}x{p}, got {self.T.shape}")
         if self.exit is None:
             ones = _ones(p, self.mode)
-            self.exit = ones - (self.T @ ones if sp.issparse(self.T) else self.T.dot(ones))
+            self.exit = ones - (self.T @ ones if _is_sparse(self.T) else self.T.dot(ones))
         tol = 0 if self.mode == "rational" else 1e-9
         if any(v < -tol for v in self.pi) or sum(self.pi) > 1 + tol:
             raise ValidationError("pi must be a (sub)probability vector")
@@ -118,40 +121,19 @@ def _fraction_solve(a, b):
     return b
 
 
-def fundamental_matrix(d):
-    """U = (I - T)^{-1}, the expected-visits matrix."""
+def _solve_resolvent(d, v, left=False):
+    """(I - T)^{-1} v as a column vector, or v (I - T)^{-1} if ``left``."""
     p = d.order
     if d.mode == "rational":
-        eye = _eye(p, d.mode)
-        return _fraction_solve(eye - d.T, eye)
-    if sp.issparse(d.T):
-        if p > DENSE_MAX_ORDER:
-            raise CapacityError(f"dense U of order {p} exceeds cap {DENSE_MAX_ORDER}")
-        return np.linalg.solve(np.eye(p) - d.T.toarray(), np.eye(p))
-    try:
-        return np.linalg.solve(np.eye(p) - d.T, np.eye(p))
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"singular I - T: {exc}") from None
+        a = _eye(p, d.mode) - d.T
+        return _fraction_solve(a.T if left else a, v.copy())
+    if _is_sparse(d.T):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
 
-
-def _pi_U(d):
-    """pi (I - T)^{-1} as a row vector."""
-    p = d.order
-    if d.mode == "rational":
-        return _fraction_solve((_eye(p, d.mode) - d.T).T, d.pi.copy())
-    if sp.issparse(d.T):
-        return spla.spsolve(sp.csr_matrix(sp.eye(p) - d.T).T.tocsr(), d.pi)
-    return np.linalg.solve(np.eye(p) - d.T.T, d.pi)
-
-
-def _U_dot(d, v):
-    """(I - T)^{-1} v as a column vector."""
-    p = d.order
-    if d.mode == "rational":
-        return _fraction_solve(_eye(p, d.mode) - d.T, v.copy())
-    if sp.issparse(d.T):
-        return spla.spsolve(sp.csr_matrix(sp.eye(p) - d.T), v)
-    return np.linalg.solve(np.eye(p) - d.T, v)
+        a = sp.csr_matrix(sp.eye(p) - d.T)
+        return spla.spsolve(a.T.tocsr() if left else a, v)
+    return np.linalg.solve(np.eye(p) - (d.T.T if left else d.T), v)
 
 
 def dph_pmf(d, m):
@@ -190,7 +172,7 @@ def dph_factorial_moment(d, k):
         w = _vm(w, d.T)
     v = _ones(d.order, d.mode)
     for _ in range(k):
-        v = _U_dot(d, v)
+        v = _solve_resolvent(d, v)
     fact = 1
     for i in range(2, k + 1):
         fact *= i
@@ -207,9 +189,9 @@ def dph_mean_var(d):
 def reward_moments(d, r):
     """Mean and variance of the accumulated reward Y = sum r(X_t)."""
     r = _as_mode_vector(r, d.mode)
-    piu = _pi_U(d)
+    piu = _solve_resolvent(d, d.pi, left=True)
     mean = piu.dot(r)
-    chain = _pi_U_after(d, piu * r)
+    chain = _solve_resolvent(d, piu * r, left=True)
     second = 2 * chain.dot(r) - piu.dot(r * r)
     return mean, second - mean * mean
 
@@ -218,24 +200,14 @@ def mdph_cross_moment(d, r_j, r_k):
     """E[Y_j Y_k] and Cov(Y_j, Y_k) for two rewards on one chain."""
     r_j = _as_mode_vector(r_j, d.mode)
     r_k = _as_mode_vector(r_k, d.mode)
-    piu = _pi_U(d)
+    piu = _solve_resolvent(d, d.pi, left=True)
     cross = (
-        _pi_U_after(d, piu * r_j).dot(r_k)
-        + _pi_U_after(d, piu * r_k).dot(r_j)
+        _solve_resolvent(d, piu * r_j, left=True).dot(r_k)
+        + _solve_resolvent(d, piu * r_k, left=True).dot(r_j)
         - piu.dot(r_j * r_k)
     )
     cov = cross - piu.dot(r_j) * piu.dot(r_k)
     return cross, cov
-
-
-def _pi_U_after(d, w):
-    """w (I - T)^{-1} for a row vector w."""
-    p = d.order
-    if d.mode == "rational":
-        return _fraction_solve((_eye(p, d.mode) - d.T).T, w.copy())
-    if sp.issparse(d.T):
-        return spla.spsolve(sp.csr_matrix(sp.eye(p) - d.T).T.tocsr(), w)
-    return np.linalg.solve(np.eye(p) - d.T.T, w)
 
 
 def _as_mode_vector(r, mode):
@@ -262,7 +234,7 @@ def reward_transform(d, r):
     if not pos:
         raise ValidationError("all-zero reward: Y is degenerate at zero, not a DPH")
     mode = d.mode
-    t_full = d.T.toarray() if sp.issparse(d.T) else d.T
+    t_full = d.T.toarray() if _is_sparse(d.T) else d.T
     t_pp = t_full[np.ix_(pos, pos)]
     if zero:
         t_pz = t_full[np.ix_(pos, zero)]
@@ -277,37 +249,26 @@ def reward_transform(d, r):
     else:
         t_cens = t_pp
         pi_cens = d.pi[pos]
-    order = sum(r[j] for j in pos)
-    first = {}
-    last = {}
-    cursor = 0
-    for j in pos:
-        first[j] = cursor
-        last[j] = cursor + r[j] - 1
-        cursor += r[j]
+    # sub-states first[a]..last[a] expand pos[a]; each steps to the next,
+    # and the last one leaves with the censored row of pos[a]
+    last = np.cumsum([r[j] for j in pos]) - 1
+    first = np.concatenate([[0], last[:-1] + 1])
+    order = int(last[-1]) + 1
+    steps = np.setdiff1d(np.arange(order), last)
     pi_new = _zeros(order, mode)
-    for a, j in enumerate(pos):
-        pi_new[first[j]] = pi_cens[a]
+    pi_new[first] = pi_cens
     if mode == "float" and order >= SPARSE_MIN_ORDER:
-        rows, cols, vals = [], [], []
-        for a, j in enumerate(pos):
-            for step in range(first[j], last[j]):
-                rows.append(step)
-                cols.append(step + 1)
-                vals.append(1.0)
-            for b, k in enumerate(pos):
-                if t_cens[a, b] != 0.0:
-                    rows.append(last[j])
-                    cols.append(first[k])
-                    vals.append(t_cens[a, b])
+        import scipy.sparse as sp
+
+        a, b = np.nonzero(t_cens)
+        rows = np.concatenate([steps, last[a]])
+        cols = np.concatenate([steps + 1, first[b]])
+        vals = np.concatenate([np.ones(len(steps)), t_cens[a, b]])
         t_new = sp.csr_matrix((vals, (rows, cols)), shape=(order, order))
         return DiscretePhaseType(pi=pi_new, T=t_new, mode=mode)
     t_new = _zeros((order, order), mode)
-    for a, j in enumerate(pos):
-        for step in range(first[j], last[j]):
-            t_new[step, step + 1] = _one(mode)
-        for b, k in enumerate(pos):
-            t_new[last[j], first[k]] = t_cens[a, b]
+    t_new[steps, steps + 1] = _one(mode)
+    t_new[np.ix_(last, first)] = t_cens
     return DiscretePhaseType(pi=pi_new, T=t_new, mode=mode)
 
 

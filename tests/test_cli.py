@@ -285,3 +285,55 @@ def test_atomic_overwrite(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["n"] == 4
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+
+
+def _malformed_corpus(tmp_path, capsys):
+    """A 20-tree n = 6 corpus whose line 17 has F_5,1 = 99 and F_3,3 = 0."""
+    good = tmp_path / "good.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "6", "--count", "20",
+                 "--seed", "4", "--out", str(good)]) == 0
+    capsys.readouterr()
+    lines = good.read_text().splitlines()
+    bad = json.loads(lines[16])
+    bad["tri"][4][0] = 99
+    bad["tri"][2][2] = 0
+    lines[16] = json.dumps(bad)
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [["test"], ["frechet", "--n", "6", "--sample"], ["balance"]])
+def test_malformed_corpus_is_refused_on_its_line(argv, tmp_path, capsys):
+    corpus = _malformed_corpus(tmp_path, capsys)
+    flag = [] if argv[-1] == "--sample" else ["--in"]
+    assert main(argv + flag + [str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {corpus}:17: diagonal F_3,3 = 0, expected 4\n"
+
+
+def test_rational_calls_do_not_import_scipy():
+    """scipy is imported only where a call's work needs it: importing the
+    CLI, enumerating states and exact moments load none of it."""
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankedcoal.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "for argv in (['statespace', '--n', '3'], ['moments', '--targets', 'S,E,F', '--n', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(loaded())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n[]\n[]\n"

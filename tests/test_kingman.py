@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chisquare
 
 from rankedcoal import CapacityError, ValidationError
+from rankedcoal.fmatrix import fmatrix_to_path, paths_to_fmatrices
 from rankedcoal.kingman import (
     edge_table,
     enumerate_paths,
@@ -142,9 +143,15 @@ def test_sampling_is_deterministic(space5):
         sample_paths(space5, 10, seed=None)
 
 
-def test_sampled_paths_are_feasible(space6):
-    for row in sample_paths(space6, 200, seed=5):
-        validate_path(space6, tuple(int(v) for v in row))
+def test_sampled_paths_are_feasible():
+    """The sampler draws only feasible paths, so their F-matrices may be
+    gathered without re-validation; each must invert to its path."""
+    for n in (5, 6, 10, 25):
+        space = enumerate_states(n)
+        paths = sample_paths(space, 200, seed=5)
+        for row, fmat in zip(paths, paths_to_fmatrices(space, paths)):
+            path = validate_path(space, row)
+            assert fmatrix_to_path(space, fmat) == path
 
 
 def test_n4_cherry_frequency(space4):

@@ -195,3 +195,41 @@ def test_null_roots_give_the_same_statistics(null8):
     assert reports["WF"] == wf_report(stats, null8.mean, null8.sigma)
     assert reports["WSE"] == wse_report(stats, null8.mu_se, null8.sigma_se)
     assert reports["HT"] == hotelling_report(stats, null8.mean, null8.sigma)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_tails_and_quantiles_equal_scipy_stats():
+    """The scipy.special tails behind the p-values and critical values are
+    bitwise scipy.stats' chi2 and norm, including x < 0 and q = 0.5."""
+    from scipy.stats import chi2, norm
+
+    from rankedcoal.neutrality import _chi2_isf, _chi2_sf, _norm_isf, _norm_sf
+
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([[-1.0, -1e-15, 0.0, 1e-300, np.inf], rng.exponential(40.0, 300),
+                         np.linspace(0.0, 400.0, 201)])
+    qs = np.concatenate([[0.0, 1e-300, 0.025, 0.5, 1.0], rng.random(200),
+                         np.logspace(-300, 0, 61)])
+    for df in (1, 2, 5, 9, 28, 55, 253):
+        assert all(_bits(_chi2_sf(x, df)) == _bits(chi2.sf(x, df)) for x in xs)
+        assert all(_bits(_chi2_isf(q, df)) == _bits(chi2.isf(q, df)) for q in qs)
+    zs = np.abs(np.concatenate([xs, rng.normal(0.0, 3.0, 300)]))
+    assert all(_bits(_norm_sf(z)) == _bits(norm.sf(z)) for z in zs)
+    assert all(_bits(_norm_isf(q)) == _bits(norm.isf(q)) for q in qs)
+
+
+def test_report_p_values_equal_scipy_stats(null8):
+    from scipy.stats import chi2, norm
+
+    config = BetaConfig(beta=-0.5, n=8, seed=3)
+    for m in (30, 300):
+        reports = run_tests(sample_beta_fmatrices(config, m), null8)
+        for name, rep in reports.items():
+            if rep.null_dist == "normal":
+                want = 2 * float(norm.sf(abs(rep.statistic)))
+            else:
+                want = float(chi2.sf(rep.statistic, int(rep.null_dist[5:-1])))
+            assert _bits(rep.p_value) == _bits(want), name

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -143,12 +144,62 @@ def test_sparse_transform_agrees_with_dense(space6, monkeypatch):
     dense = reward_transform(d, r)
     monkeypatch.setattr(phasetype, "SPARSE_MIN_ORDER", 1)
     sparse = reward_transform(d, r)
-    assert phasetype.sp.issparse(sparse.T)
-    assert not phasetype.sp.issparse(dense.T)
+    assert scipy.sparse.issparse(sparse.T)
+    assert not scipy.sparse.issparse(dense.T)
     np.testing.assert_allclose(
         dph_pmf_range(sparse, 15), dph_pmf_range(dense, 15), atol=1e-13
     )
     np.testing.assert_allclose(dph_mean_var(sparse), dph_mean_var(dense), rtol=1e-12)
+
+
+def _sparse_transform_loop(d, r):
+    """The former element-by-element build of the sparse transform's T,
+    kept as the reference for the array version."""
+    r = [int(v) for v in r]
+    pos = [j for j in range(d.order) if r[j] > 0]
+    zero = [j for j in range(d.order) if r[j] == 0]
+    t_full = d.T
+    t_pp = t_full[np.ix_(pos, pos)]
+    if zero:
+        resolvent = np.linalg.solve(
+            np.eye(len(zero)) - t_full[np.ix_(zero, zero)], t_full[np.ix_(zero, pos)]
+        )
+        t_cens = t_pp + t_full[np.ix_(pos, zero)].dot(resolvent)
+    else:
+        t_cens = t_pp
+    first, last, cursor = {}, {}, 0
+    for j in pos:
+        first[j], last[j] = cursor, cursor + r[j] - 1
+        cursor += r[j]
+    rows, cols, vals = [], [], []
+    for a, j in enumerate(pos):
+        for step in range(first[j], last[j]):
+            rows.append(step)
+            cols.append(step + 1)
+            vals.append(1.0)
+        for b, k in enumerate(pos):
+            if t_cens[a, b] != 0.0:
+                rows.append(last[j])
+                cols.append(first[k])
+                vals.append(t_cens[a, b])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(cursor, cursor))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_sparse_transform_matches_the_loop(n, monkeypatch):
+    from rankedcoal.statespace import enumerate_states
+
+    space = enumerate_states(n)
+    d = coalescent_dph(space, mode="float")
+    rewards = build_rewards(space)
+    monkeypatch.setattr(phasetype, "SPARSE_MIN_ORDER", 1)
+    for label in ("S", "E", "F(4,1)", f"F({n - 1},{n - 3})"):
+        r = rewards.column(label)
+        got = reward_transform(d, r).T
+        want = _sparse_transform_loop(d, r)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (label, name)
 
 
 def test_float_mode_tracks_rational(space5, dph5):
