@@ -28,6 +28,15 @@ def binom2(m):
     return m * (m - 1) // 2
 
 
+def zeros(shape, mode):
+    """Zero array: Fraction(0) objects in rational mode, float64 otherwise."""
+    if mode == "rational":
+        out = np.empty(shape, dtype=object)
+        out[...] = Fraction(0)
+        return out
+    return np.zeros(shape)
+
+
 def as_fraction_array(num, denom):
     """Integer numerators over a common denominator, as an object array."""
     out = np.empty(len(num), dtype=object)

@@ -1,9 +1,10 @@
-"""Array kernels shared by the state-space builder, samplers, and ViTreebi.
+"""Array kernels shared by the state-space builder, the tier blocks and the
+beta-splitting sampler.
 
-Every function here is a pure function of numpy arrays. The state-space,
-tier-block and ViTreebi kernels are whole-array numpy code with one
-implementation for every install. The samplers advance every draw together,
-one step at a time. Randomness enters only through pre-drawn uniforms.
+Every function here is a pure function of numpy arrays, whole-array numpy
+code with one implementation for every install. The sampler advances every
+draw together, one step at a time. Randomness enters only through pre-drawn
+uniforms.
 
 State keys pack the binary decremental code into an int64: the decremental
 index set D as a bitmask (bits 1..n-2) shifted left by 6, plus the external
@@ -68,54 +69,6 @@ def keys_to_states(keys, n, t, out):
         if k >= top:
             out[:, k - 1] = run + c
     out[:, n - 2] = c
-
-
-def sample_paths(indptr, cols, numer, denom, n, uniforms):
-    """Draw chain paths; one row of ``uniforms`` (length n-2) per path.
-
-    The graph is the global CSR over transient states (0-based); every path
-    starts at state 0. A step from state s takes the first out-edge whose
-    running numerator exceeds u * denom[s], or the row's last edge. The
-    running numerator is an integer, so it exceeds u * denom[s] exactly when
-    it exceeds floor(u * denom[s]); one searchsorted on the global cumsum of
-    ``numer`` finds the edge for every path at once. Returns (count, n-1)
-    state indices.
-    """
-    count = uniforms.shape[0]
-    out = np.zeros((count, n - 1), np.int64)
-    cum = np.cumsum(numer, dtype=np.int64)
-    before = np.concatenate(([0], cum))[indptr[:-1]]
-    cur = out[:, 0]
-    for t in range(n - 2):
-        thr = np.floor(uniforms[:, t] * denom[cur]).astype(np.int64)
-        e = np.searchsorted(cum, before[cur] + thr, side="right")
-        cur = cols[np.minimum(e, indptr[cur + 1] - 1)]
-        out[:, t + 1] = cur
-    return out
-
-
-def vitreebi_forward(indptr, cols, cost, tier_offsets):
-    """Cheapest-cost forward pass over the tier DAG, one source tier at a time.
-
-    Every edge leaves tier t for tier t+1, so a tier's costs are final
-    before its out-edges are relaxed. Float min does not depend on the
-    order of its operands, so the result matches a state-by-state sweep.
-    """
-    c_arr = np.full(len(indptr) - 1, np.inf)
-    c_arr[0] = cost[0]
-    for t in range(len(tier_offsets) - 1):
-        lo, hi = tier_offsets[t], tier_offsets[t + 1]
-        src = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
-        dst = cols[indptr[lo]:indptr[hi]]
-        np.minimum.at(c_arr, dst, c_arr[src] + cost[dst])
-    return c_arr
-
-
-def argmin_edges(indptr, cols, cost, c_arr, tol):
-    """Mark edges lying on some forward path that is optimal within ``tol``."""
-    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    cs = c_arr[src]
-    return (cs != np.inf) & (cs + cost[cols] <= c_arr[cols] + tol)
 
 
 def beta_sample_grid(n, cumw, uniforms):

@@ -148,10 +148,11 @@ def _cmd_balance(args):
 
 def _cmd_frechet(args):
     from .fmatrix import path_to_fmatrix, read_jsonl
-    from .frechet import mean_matrix_exact, mean_matrix_sample, vitreebi
-    from .kingman import edge_table, tier_blocks
+    from .frechet import check_path_cap, mean_matrix_exact, mean_matrix_sample, vitreebi
+    from .kingman import tier_blocks
     from .statespace import enumerate_states
 
+    check_path_cap(args.path_cap)
     space = enumerate_states(args.n)
     blocks = tier_blocks(space)
     if args.sample:
@@ -161,9 +162,7 @@ def _cmd_frechet(args):
         mean = mean_matrix_sample(mats)
     else:
         mean = mean_matrix_exact(space, blocks=blocks)
-    min_cost, paths = vitreebi(
-        space, mean, path_cap=args.path_cap, table=edge_table(space, blocks)
-    )
+    min_cost, paths = vitreebi(space, mean, path_cap=args.path_cap, blocks=blocks)
     cost_text = format_number(min_cost)
     print(cost_text)
     for p in paths:

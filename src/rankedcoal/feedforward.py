@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError
+from ._common import ValidationError, zeros
 from .fmatrix import nonfixed_positions
 
 RATIONAL_MAX_N = 12
@@ -49,19 +49,11 @@ def _tier_sizes(blocks):
     return sizes
 
 
-def _zeros(shape, mode):
-    if mode == "rational":
-        out = np.empty(shape, dtype=object)
-        out[...] = Fraction(0)
-        return out
-    return np.zeros(shape)
-
-
 def _left_step(blk, w, mat=None):
     """w T restricted to the next tier, for w on blk.from_tier."""
     if mat is not None:
         return w @ mat
-    out = _zeros(blk.n_cols, "rational")
+    out = zeros(blk.n_cols, "rational")
     for row in range(blk.n_rows):
         wv = w[row]
         if wv == 0:
@@ -79,23 +71,32 @@ def _right_step(blk, v, mat=None):
     if mat is not None:
         return mat @ v
     shape = (blk.n_rows,) + v.shape[1:]
-    out = _zeros(shape, "rational")
+    out = zeros(shape, "rational")
     for row in range(blk.n_rows):
         for e in range(blk.indptr[row], blk.indptr[row + 1]):
             out[row] = out[row] + Fraction(int(blk.numer[e]), blk.denom) * v[blk.indices[e]]
     return out
 
 
-def left_products(blocks, pi=None, mode="rational"):
-    """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier."""
+def _csr_blocks(blocks, mode):
+    """Float CSR matrices of the blocks in float mode, None per block otherwise."""
+    return [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
+
+
+def left_products(blocks, pi=None, mode="rational", mats=None):
+    """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier.
+
+    ``mats`` is ``_csr_blocks(blocks, mode)`` when the caller has it already.
+    """
     sizes = _tier_sizes(blocks)
     n = len(sizes) + 1
     if pi is None:
-        pi = _zeros(sizes[0], mode)
+        pi = zeros(sizes[0], mode)
         pi[0] = Fraction(1) if mode == "rational" else 1.0
     else:
         pi = np.asarray(pi) if mode == "rational" else np.asarray(pi, dtype=np.float64)
-    mats = [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
+    if mats is None:
+        mats = _csr_blocks(blocks, mode)
     out = [TieredVector(n=n, tier=0, values=pi)]
     w = pi
     for k, blk in enumerate(blocks):
@@ -137,7 +138,7 @@ def right_products(blocks, r, mode="rational"):
             v[i] = val if isinstance(val, Fraction) else Fraction(int(val))
     else:
         v = seg.astype(np.float64)
-    mats = [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
+    mats = _csr_blocks(blocks, mode)
     out = [TieredVector(n=n, tier=tau, values=v)]
     for k in range(1, tau + 1):
         v = _right_step(blocks[tau - k], v, mats[tau - k])
@@ -149,7 +150,7 @@ def assemble(blocks, tiered, mode="rational"):
     """Full state-indexed vector from tier segments (zeros elsewhere)."""
     sizes = _tier_sizes(blocks)
     offs = np.concatenate([[0], np.cumsum(sizes)])
-    out = _zeros(int(offs[-1]), mode)
+    out = zeros(int(offs[-1]), mode)
     for tv in tiered:
         out[offs[tv.tier]:offs[tv.tier + 1]] = tv.values
     return out
@@ -185,19 +186,24 @@ def nonfixed_means(space, blocks=None, mode=None):
     piu = left_products(blocks, mode=mode)
     positions = nonfixed_positions(n)
     index = {pos: a for a, pos in enumerate(positions)}
-    mean = _zeros(len(positions), mode)
+    mean = zeros(len(positions), mode)
     for j in range(1, n - 2):
         tau = n - 1 - j
         sl = space.tier_slice(tau)
-        for i in range(j + 2, n):
-            col = space.states[sl][:, i - 1]
-            if mode == "rational":
+        if mode == "float":
+            # One numpy reduction per column tier, pairwise along each
+            # contiguous column: unlike a BLAS dot, its summation order
+            # does not depend on the thread count.
+            cols = np.ascontiguousarray(space.states[sl][:, j + 1:].T, dtype=np.float64)
+            col_means = (cols * piu[tau].values).sum(axis=1)
+            for c, i in enumerate(range(j + 2, n)):
+                mean[index[(i, j)]] = col_means[c]
+        else:
+            for i in range(j + 2, n):
                 acc = Fraction(0)
-                for w, v in zip(piu[tau].values, col):
+                for w, v in zip(piu[tau].values, space.states[sl][:, i - 1]):
                     acc += w * int(v)
-            else:
-                acc = float(piu[tau].values.dot(col.astype(np.float64)))
-            mean[index[(i, j)]] = acc
+                mean[index[(i, j)]] = acc
     return positions, mean
 
 
@@ -216,17 +222,9 @@ def nonfixed_moments(space, blocks=None, mode=None):
         mode = _default_mode(n)
     if blocks is None:
         blocks = tier_blocks(space)
-    mats = [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
-    work = 0
-
-    piu = []
-    w = _zeros(1, mode)
-    w[0] = Fraction(1) if mode == "rational" else 1.0
-    piu.append(w)
-    for k, blk in enumerate(blocks):
-        w = _left_step(blk, w, mats[k])
-        piu.append(w)
-        work += blk.nnz
+    mats = _csr_blocks(blocks, mode)
+    piu = [tv.values for tv in left_products(blocks, mode=mode, mats=mats)]
+    work = sum(blk.nnz for blk in blocks)
 
     # Non-fixed columns j share the supporting tier n-1-j; chain each
     # column's reward block once and slice per row index i.
@@ -254,8 +252,8 @@ def nonfixed_moments(space, blocks=None, mode=None):
     positions = nonfixed_positions(n)
     index = {pos: a for a, pos in enumerate(positions)}
     q = len(positions)
-    mean = _zeros(q, mode)
-    cov = _zeros((q, q), mode)
+    mean = zeros(q, mode)
+    cov = zeros((q, q), mode)
 
     for j, rows in cols.items():
         tau = n - 1 - j
@@ -299,17 +297,17 @@ def se_moments(space, blocks=None, mode=None, summary=None):
     n = summary.n
     mode = summary.mode
     q = len(summary.positions)
-    a_s = _zeros(q, mode)
-    a_e = _zeros(q, mode)
+    a_s = zeros(q, mode)
+    a_e = zeros(q, mode)
     one = Fraction(1) if mode == "rational" else 1.0
     for a, (i, j) in enumerate(summary.positions):
         a_s[a] = one
         if i == n - 1:
             a_e[a] = one
-    mean = _zeros(2, mode)
+    mean = zeros(2, mode)
     mean[0] = summary.mean.dot(a_s)
     mean[1] = summary.mean.dot(a_e) + (2 * n - 2)
-    cov = _zeros((2, 2), mode)
+    cov = zeros((2, 2), mode)
     cov[0, 0] = a_s.dot(summary.cov.dot(a_s))
     cov[0, 1] = cov[1, 0] = a_s.dot(summary.cov.dot(a_e))
     cov[1, 1] = a_e.dot(summary.cov.dot(a_e))

@@ -59,16 +59,49 @@ class FMatrix:
         return cls(n, arr)
 
     def validate_static(self):
-        """Diagonal, triangularity, and nonnegativity checks (no state space)."""
+        """Check that the matrix is the F-matrix of a chain path, without a state space.
+
+        Fixed diagonal and subdiagonal, zeros above the diagonal, no negative
+        entry, each column a state (entries below the diagonal fall by 0 or
+        1 per row), and each column one Kingman coalescence after the column
+        to its right.
+        """
         arr = self.entries
-        bad = np.flatnonzero(np.diagonal(arr) != np.arange(2, self.n + 1))
+        n = self.n
+        bad = np.flatnonzero(np.diagonal(arr) != np.arange(2, n + 1))
         if len(bad):
             i = int(bad[0])
             raise ValidationError(f"diagonal F_{i + 1},{i + 1} = {arr[i, i]}, expected {i + 2}")
+        bad = np.flatnonzero(np.diagonal(arr, -1) != np.arange(1, n - 1))
+        if len(bad):
+            j = int(bad[0])
+            raise ValidationError(f"subdiagonal F_{j + 2},{j + 1} = {arr[j + 1, j]}, expected {j + 1}")
         if np.any(np.triu(arr, 1) != 0):
             raise ValidationError("entries above the diagonal must be 0")
         if np.any(arr < 0):
             raise ValidationError("negative entry")
+        # fall[k, c] = F_{k+1,c+1} - F_{k+2,c+1}; on and below the diagonal
+        # it is the 0/1 decremental code of column c+1, above it <= 0.
+        fall = arr[:-1] - arr[1:]
+        bad = np.argwhere(np.tril((fall < 0) | (fall > 1)))
+        if len(bad):
+            k, c = (int(v) for v in bad[0])
+            raise ValidationError(
+                f"column {c + 1}: F_{k + 2},{c + 1} = {arr[k + 1, c]} is not "
+                f"F_{k + 1},{c + 1} = {arr[k, c]} or one less"
+            )
+        # Column c+1 follows column c+2 when their codes (decremental bits,
+        # then the external count) differ by the merged pair minus the new
+        # lineage, whose decremental index is c+1. A code sums to its
+        # column's lineage count, so the difference always sums to two; it
+        # is a merge exactly when no unit of it is negative.
+        code = np.vstack([np.maximum(fall, 0), arr[-1:]])
+        diff = code[:, 1:] - code[:, :-1]
+        diff[np.arange(n - 2), np.arange(n - 2)] += 1
+        bad = np.flatnonzero(np.any(diff < 0, axis=0))
+        if len(bad):
+            c = int(bad[-1])
+            raise ValidationError(f"column {c + 1}: infeasible transition from column {c + 2}")
         return self
 
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from ._kernels import argmin_edges, vitreebi_forward
 from .fmatrix import nonfixed_positions
 
 EXACT_MAX_N = 16
 DEFAULT_PATH_CAP = 10 ** 6
+# A state has fewer than n^2 < 2^12 in-edges (n <= 58), and every count
+# summed into it is at most the cap, so path counts stay far inside int64.
+MAX_PATH_CAP = 2 ** 50
 DEFAULT_TIE_TOL = 1e-9
 
 
@@ -151,123 +153,129 @@ def state_costs(space, mean):
     return costs
 
 
-def _forward_exact(table, costs):
-    num = len(costs)
-    c_arr = [None] * num
-    c_arr[0] = costs[0]
-    for s in range(num):
-        cs = c_arr[s]
-        for e in range(table.indptr[s], table.indptr[s + 1]):
-            d = int(table.cols[e])
-            cand = cs + costs[d]
-            if c_arr[d] is None or cand < c_arr[d]:
-                c_arr[d] = cand
-    return c_arr
+def check_path_cap(path_cap):
+    """Refuse a path cap the int64 path count cannot honour."""
+    if not 1 <= path_cap <= MAX_PATH_CAP:
+        raise ValidationError(f"path cap must be in 1..{MAX_PATH_CAP}, got {path_cap}")
 
 
-def _optimal_edges(table, costs, c_arr, exact, tie_tol):
-    if exact:
-        mask = np.zeros(len(table.cols), dtype=bool)
-        for s in range(len(c_arr)):
-            for e in range(table.indptr[s], table.indptr[s + 1]):
-                d = int(table.cols[e])
-                if c_arr[s] + costs[d] == c_arr[d]:
-                    mask[e] = True
-        return mask
-    return argmin_edges(table.indptr, table.cols, costs, c_arr, tie_tol)
+def _forward(space, blocks, costs):
+    """Cheapest cost of a path from state 1 to each state, one tier at a time.
 
-
-def _analyze(space, costs, table, tie_tol):
-    """Forward pass plus the optimal-edge mask and final argmin states."""
-    from .kingman import edge_table
-
-    if table is None:
-        table = edge_table(space)
-    exact = costs.dtype == object
-    if exact:
-        c_arr = _forward_exact(table, costs)
-    else:
-        c_arr = vitreebi_forward(table.indptr, table.cols, costs, space.tier_offsets)
-    mask = _optimal_edges(table, costs, c_arr, exact, tie_tol)
-    sl = space.tier_slice(space.num_tiers - 1)
-    final = range(sl.start, sl.stop)
-    if exact:
-        best = min(c_arr[f] for f in final)
-        finals = [f for f in final if c_arr[f] == best]
-    else:
-        best = min(c_arr[f] for f in final)
-        finals = [f for f in final if c_arr[f] <= best + tie_tol]
-    return table, c_arr, mask, best, finals
-
-
-def _predecessors(space, table, mask):
-    """0-based predecessor lists along optimal edges, ascending."""
-    src = np.repeat(np.arange(space.num_states), np.diff(table.indptr))
-    keep = mask.astype(bool)
-    dst = table.cols[keep]
-    srck = src[keep]
-    order = np.argsort(dst, kind="stable")
-    dst = dst[order]
-    srck = srck[order]
-    preds = [[] for _ in range(space.num_states)]
-    for s, d in zip(srck, dst):
-        preds[int(d)].append(int(s))
-    return preds
-
-
-def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, tie_tol=DEFAULT_TIE_TOL,
-             costs=None, table=None):
-    """All cheapest chain paths under the squared deviation from ``mean``.
-
-    Returns (min_cost, paths); paths are 1-based index tuples sorted
-    lexicographically. Exceeding ``path_cap`` optimal paths raises
-    CapacityError before any path is materialized.
+    min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
+    so this holds bit for bit in float64 as well as for Fractions.
     """
+    c = costs.copy()
+    for blk in blocks:
+        src = space.tier_slice(blk.from_tier)
+        dst = space.tier_slice(blk.from_tier + 1)
+        best = np.full(blk.n_cols, np.inf, dtype=costs.dtype)
+        np.minimum.at(best, blk.indices, np.repeat(c[src], np.diff(blk.indptr)))
+        c[dst] = costs[dst] + best
+    return c
+
+
+def _optimal_edges(space, blk, c, costs, tie_tol, into=None):
+    """Edges (src, dst), local to their tiers, on a path that is optimal to dst.
+
+    That is c[src] + cost[dst] == c[dst], or within ``tie_tol`` for float
+    costs. With ``into``, only edges whose target is marked in it are kept.
+    Edges come in row order: by source, then by target.
+    """
+    edges = np.arange(blk.nnz) if into is None else np.flatnonzero(into[blk.indices])
+    s = np.searchsorted(blk.indptr, edges, side="right") - 1
+    d = blk.indices[edges]
+    src = space.tier_offsets[blk.from_tier] + s
+    dst = space.tier_offsets[blk.from_tier + 1] + d
+    lhs, rhs = c[src] + costs[dst], c[dst]
+    keep = lhs == rhs if costs.dtype == object else lhs <= rhs + tie_tol
+    return s[keep], d[keep]
+
+
+def _solve(space, mean, costs, blocks):
+    """Per-state costs, cumulative costs and tier blocks of one ViTreebi problem.
+
+    Costs are Fractions for an exact mean up to EXACT_MAX_N, float64 otherwise.
+    """
+    from .kingman import tier_blocks
+
     if costs is None:
         if mean.n != space.n:
             raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {space.n}")
         costs = state_costs(space, mean)
         if costs.dtype == object and space.n > EXACT_MAX_N:
             costs = costs.astype(np.float64)
-    table, c_arr, mask, best, finals = _analyze(space, costs, table, tie_tol)
-    preds = _predecessors(space, table, mask)
+    if costs.dtype != object:
+        costs = np.asarray(costs, dtype=np.float64)
+    if blocks is None:
+        blocks = tier_blocks(space)
+    return costs, _forward(space, blocks, costs), blocks
 
-    counts = [0] * space.num_states
-    counts[0] = 1
-    for d in range(1, space.num_states):
-        counts[d] = sum(counts[s] for s in preds[d])
-    total = sum(counts[f] for f in finals)
+
+def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, tie_tol=DEFAULT_TIE_TOL,
+             costs=None, blocks=None):
+    """All cheapest chain paths under the squared deviation from ``mean``.
+
+    Returns (min_cost, paths); paths are 1-based index tuples sorted
+    lexicographically. Exceeding ``path_cap`` optimal paths raises
+    CapacityError before any path is materialized.
+    """
+    check_path_cap(path_cap)
+    costs, c, blocks = _solve(space, mean, costs, blocks)
+    last = c[space.tier_slice(space.num_tiers - 1)]
+    best = last.min()
+    alive = last == best if costs.dtype == object else last <= best + tie_tol
+    finals = np.flatnonzero(alive)
+
+    # Backtrack: keep the optimal edges into states that reach a final one.
+    kept = []
+    for blk in reversed(blocks):
+        s, d = _optimal_edges(space, blk, c, costs, tie_tol, into=alive)
+        kept.append((s, d))
+        alive = np.zeros(blk.n_rows, dtype=bool)
+        alive[s] = True
+    kept.reverse()
+
+    # Every kept state lies on an optimal path, so a count above the cap
+    # anywhere means the total is above it too.
+    count = np.ones(1, dtype=np.int64)
+    for blk, (s, d) in zip(blocks, kept):
+        count, prev = np.zeros(blk.n_cols, dtype=np.int64), count
+        np.add.at(count, d, prev[s])
+        if count.max() > path_cap:
+            raise CapacityError(f"more than {path_cap} optimal paths")
+    total = sum(int(v) for v in count[finals])
     if total > path_cap:
         raise CapacityError(f"{total} optimal paths exceed cap {path_cap}")
 
-    paths = []
-    for f in finals:
-        stack = [(f, (f,))]
-        while stack:
-            node, suffix = stack.pop()
-            if node == 0:
-                paths.append(tuple(s + 1 for s in suffix))
-                continue
-            for p in preds[node]:
-                stack.append((p, (p,) + suffix))
-    paths.sort()
-    return best, paths
+    # Extending each prefix, in order, by its successors in ascending order
+    # keeps the paths sorted.
+    paths = np.zeros((1, 1), dtype=np.int64)
+    for blk, (s, d) in zip(blocks, kept):
+        out_deg = np.bincount(s, minlength=blk.n_rows)
+        first = np.cumsum(out_deg) - out_deg
+        reps = out_deg[paths[:, -1]]
+        start = np.repeat(first[paths[:, -1]] - (np.cumsum(reps) - reps), reps)
+        paths = np.column_stack([np.repeat(paths, reps, axis=0), d[start + np.arange(len(start))]])
+    paths += space.tier_offsets[:-1] + 1
+    return best, [tuple(p) for p in paths.tolist()]
 
 
-def cost_matrix(space, mean, tie_tol=DEFAULT_TIE_TOL, costs=None, table=None):
+def cost_matrix(space, mean, tie_tol=DEFAULT_TIE_TOL, costs=None, blocks=None):
     """The dense DP table with off-tier sentinels and antecedent sets."""
-    if costs is None:
-        costs = state_costs(space, mean)
-        if costs.dtype == object and space.n > EXACT_MAX_N:
-            costs = costs.astype(np.float64)
-    table, c_arr, mask, _, _ = _analyze(space, costs, table, tie_tol)
-    preds = _predecessors(space, table, mask)
+    costs, c, blocks = _solve(space, mean, costs, blocks)
     n = space.n
     dense = np.full((space.num_states, n - 1), np.inf)
-    for i in range(space.num_states):
-        dense[i, space.tier_of[i]] = float(c_arr[i])
-    ante = [tuple(p + 1 for p in preds[i]) for i in range(space.num_states)]
-    return CostMatrix(n=n, C=dense, antecedents=ante)
+    dense[np.arange(space.num_states), space.tier_of] = c.astype(np.float64)
+    preds = [[] for _ in range(space.num_states)]
+    for blk in blocks:
+        s, d = _optimal_edges(space, blk, c, costs, tie_tol)
+        s = s + space.tier_offsets[blk.from_tier] + 1
+        d = d + space.tier_offsets[blk.from_tier + 1]
+        # edges come by source, so each list is ascending
+        for a, b in zip(s.tolist(), d.tolist()):
+            preds[b].append(a)
+    return CostMatrix(n=n, C=dense, antecedents=[tuple(p) for p in preds])
 
 
 def frechet_variance(space, blocks=None, mean=None, engine=None):

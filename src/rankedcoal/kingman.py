@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2
-from ._kernels import expand_tier, sample_paths as _sample_paths_kernel
-from .statespace import RankedState, diff_encoding
+from ._kernels import expand_tier
+from .statespace import RankedState, _tier_rank, diff_encoding
 
 PATH_ENUM_MAX_N = 12
 
@@ -112,30 +112,38 @@ def transition_prob(x, y, mode="rational"):
     return Fraction(numer, denom) if mode == "rational" else numer / denom
 
 
+def _tier_rows(space, t, rows=None):
+    """Out-edges of the tier-t states ``rows`` (canonical local indices; all if None).
+
+    Returns (indptr, cols, numer) over ``rows`` in the given order, each row
+    ordered by target column (canonical local index in tier t+1).
+    """
+    keys = space._tier_keys_canon[t]
+    if rows is not None:
+        keys = keys[rows]
+    src, dst, numer = expand_tier(keys, space.n, t)
+    cols = space._tier_canonical[t + 1][_tier_rank(space.n, t + 1, dst)]
+    # src is already grouped; one stable sort on (src, col) orders each row.
+    order = np.argsort(src * space.tier_size(t + 1) + cols, kind="stable")
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(keys)), out=indptr[1:])
+    return indptr, cols[order], numer[order]
+
+
 def tier_blocks(space):
     """All blocks T_{0,1}, ..., T_{n-3,n-2} of the Kingman kernel."""
     n = space.n
     blocks = []
     for t in range(n - 2):
-        keys = space._tier_keys_canon[t]
-        src, dst, numer = expand_tier(keys, n, t)
-        nxt_sorted = space._tier_keys[t + 1]
-        nxt_canon = space._tier_canonical[t + 1]
-        pos = np.searchsorted(nxt_sorted, dst)
-        cols = nxt_canon[pos]
-        # src is already grouped; one stable sort on (src, col) orders each row.
-        order = np.argsort(src * len(nxt_sorted) + cols, kind="stable")
-        src, cols, numer = src[order], cols[order], numer[order]
-        indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=len(keys)), out=indptr[1:])
+        indptr, cols, numer = _tier_rows(space, t)
         blocks.append(
             TierBlock(
                 from_tier=t,
-                n_rows=len(keys),
-                n_cols=len(nxt_sorted),
+                n_rows=space.tier_size(t),
+                n_cols=space.tier_size(t + 1),
                 indptr=indptr,
                 indices=cols,
-                numer=numer.astype(np.int64),
+                numer=numer,
                 denom=binom2(n - t),
             )
         )
@@ -144,7 +152,7 @@ def tier_blocks(space):
 
 @dataclass
 class EdgeTable:
-    """Global CSR over all transient states, for samplers and ViTreebi."""
+    """Global CSR over all transient states, for path probabilities and enumeration."""
 
     n: int
     num_states: int
@@ -258,20 +266,38 @@ def enumerate_paths(space, blocks=None):
     return results
 
 
-def sample_paths(space, count, seed, blocks=None, table=None):
+def _walk_paths(space, uniforms):
+    """Chain paths driven by ``uniforms``, one row of n-2 values per path.
+
+    A step from a tier-t state takes the first out-edge whose running
+    numerator exceeds floor(u * C(n-t, 2)), or the row's last edge. Only
+    the rows of the states some path stands on are built. Returns
+    (count, n-1) 1-based state indices.
+    """
+    n = space.n
+    count = uniforms.shape[0]
+    out = np.ones((count, n - 1), np.int64)
+    cur = np.zeros(count, np.int64)
+    for t in range(n - 2):
+        rows, inv = np.unique(cur, return_inverse=True)
+        indptr, cols, numer = _tier_rows(space, t, rows)
+        cum = np.cumsum(numer)
+        before = np.concatenate(([0], cum))[indptr[inv]]
+        thr = np.floor(uniforms[:, t] * binom2(n - t)).astype(np.int64)
+        e = np.searchsorted(cum, before + thr, side="right")
+        cur = cols[np.minimum(e, indptr[inv + 1] - 1)]
+        out[:, t + 1] = cur + space.tier_offsets[t + 1] + 1
+    return out
+
+
+def sample_paths(space, count, seed):
     """Draw ``count`` paths with the Kingman kernel; deterministic given seed."""
     if seed is None:
         raise ValidationError("an explicit seed is required")
-    if table is None:
-        table = edge_table(space, blocks)
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((count, space.n - 2))
-    out = _sample_paths_kernel(
-        table.indptr, table.cols, table.numer, table.denom_state, space.n, uniforms
-    )
-    return out + 1
+    return _walk_paths(space, rng.random((count, space.n - 2)))
 
 
-def sample_path(space, seed, blocks=None, table=None):
+def sample_path(space, seed):
     """One sampled path as a 1-based index tuple."""
-    return tuple(int(v) for v in sample_paths(space, 1, seed, blocks, table)[0])
+    return tuple(int(v) for v in sample_paths(space, 1, seed)[0])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import CapacityError, ValidationError
+from ._common import CapacityError, ValidationError, zeros
 from .fmatrix import nonfixed_positions
 
 DENSE_MAX_ORDER = 5000
@@ -35,14 +35,6 @@ def _zero(mode):
 
 def _one(mode):
     return Fraction(1) if mode == "rational" else 1.0
-
-
-def _zeros(shape, mode):
-    if mode == "rational":
-        out = np.empty(shape, dtype=object)
-        out[...] = Fraction(0)
-        return out
-    return np.zeros(shape)
 
 
 @dataclass
@@ -91,7 +83,7 @@ def _ones(p, mode):
 
 def _eye(p, mode):
     if mode == "rational":
-        out = _zeros((p, p), mode)
+        out = zeros((p, p), mode)
         for i in range(p):
             out[i, i] = Fraction(1)
         return out
@@ -255,7 +247,7 @@ def reward_transform(d, r):
     first = np.concatenate([[0], last[:-1] + 1])
     order = int(last[-1]) + 1
     steps = np.setdiff1d(np.arange(order), last)
-    pi_new = _zeros(order, mode)
+    pi_new = zeros(order, mode)
     pi_new[first] = pi_cens
     if mode == "float" and order >= SPARSE_MIN_ORDER:
         import scipy.sparse as sp
@@ -266,7 +258,7 @@ def reward_transform(d, r):
         vals = np.concatenate([np.ones(len(steps)), t_cens[a, b]])
         t_new = sp.csr_matrix((vals, (rows, cols)), shape=(order, order))
         return DiscretePhaseType(pi=pi_new, T=t_new, mode=mode)
-    t_new = _zeros((order, order), mode)
+    t_new = zeros((order, order), mode)
     t_new[steps, steps + 1] = _one(mode)
     t_new[np.ix_(last, first)] = t_cens
     return DiscretePhaseType(pi=pi_new, T=t_new, mode=mode)
@@ -332,7 +324,7 @@ def dph_from_blocks(blocks, mode="rational"):
     p = int(offsets[-1])
     if p > DENSE_MAX_ORDER:
         raise CapacityError(f"dense DPH of order {p} exceeds cap {DENSE_MAX_ORDER}")
-    t_mat = _zeros((p, p), mode)
+    t_mat = zeros((p, p), mode)
     for k, blk in enumerate(blocks):
         row0 = int(offsets[k])
         col0 = int(offsets[k + 1])
@@ -344,7 +336,7 @@ def dph_from_blocks(blocks, mode="rational"):
                     else int(blk.numer[e]) / blk.denom
                 )
                 t_mat[row0 + rr, col0 + int(blk.indices[e])] = val
-    pi = _zeros(p, mode)
+    pi = zeros(p, mode)
     pi[0] = _one(mode)
     return DiscretePhaseType(pi=pi, T=t_mat, mode=mode)
 

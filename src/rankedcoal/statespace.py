@@ -16,6 +16,10 @@ from ._common import CapacityError, ValidationError, fib
 from ._kernels import keys_to_states
 
 DEFAULT_MAX_N = 30
+# A packed key holds bits 1..n-2 of the decremental mask above a 6-bit
+# external count, so bit n+4 is its top bit and n = 58 the last n whose
+# keys fit an int64.
+KEY_MAX_N = 58
 
 
 def diff_encoding(x):
@@ -168,6 +172,57 @@ def _tier_keys(n, t):
     return (masks << 6) | (n - t - sizes)
 
 
+def _rank_tables(n, t):
+    """Lookup tables of ``_tier_rank`` for tier t >= 1 of X_n.
+
+    Returns (low, before, row, below). The subset ``sub`` of bits
+    n-t..n-2 is a (t-1)-bit number with popcount <= room = n-t-1, split
+    into its ``low`` low bits and its high half h. before[h] counts the
+    valid subsets whose high half is below h; below[r, l] counts the low
+    halves below l with popcount <= r, and row[h] is the r that high half h
+    leaves. Each table has about 2^((t-1)/2) entries.
+    """
+    width = t - 1
+    room = n - t - 1
+    # the low half is the shorter one: below has up to room + 1 rows
+    low = max(width - 1, 0) // 2
+    high = width - low
+    pc_lo, pc_hi = _popcounts(low), _popcounts(high)
+    below = np.zeros((min(room, low) + 1, 1 << low), np.int64)
+    for r in range(below.shape[0]):
+        np.cumsum(pc_lo[:-1] <= r, out=below[r, 1:])
+    # low halves with popcount <= r, for r = 0..low; none for r < 0
+    fits = np.concatenate(([0], np.cumsum(np.bincount(pc_lo, minlength=low + 1))))
+    before = np.zeros(1 << high, np.int64)
+    np.cumsum(fits[np.clip(room - pc_hi[:-1], -1, low) + 1], out=before[1:])
+    row = np.clip(room - pc_hi, 0, below.shape[0] - 1)
+    return low, before, row, below
+
+
+def _popcounts(bits):
+    """Popcount of every integer below 2^bits."""
+    pc = np.zeros(1 << bits, np.int64)
+    for b in range(bits):
+        pc[1 << b:2 << b] = pc[:1 << b] + 1
+    return pc
+
+
+def _tier_rank(n, t, keys):
+    """Inverse of ``_tier_keys``: the position of each tier-t code in it.
+
+    A tier-t code is fixed by sub = key >> (6 + n - t), and the codes
+    ascend with sub, so the rank of a code is the number of valid subsets
+    below its sub: the smaller high halves, then the smaller low halves
+    that still fit the popcount bound. ``keys`` must be codes of tier t.
+    """
+    if t == 0:
+        return np.zeros(len(keys), np.int64)
+    low, before, row, below = _rank_tables(n, t)
+    sub = keys >> (6 + n - t)
+    hi = sub >> low
+    return before[hi] + below[row[hi], sub & ((1 << low) - 1)]
+
+
 def _sort_tier(key_arr, n, t):
     """Canonical (lex-descending on x) order for one tier of packed keys."""
     vecs = np.empty((len(key_arr), n - 1), dtype=np.int8)
@@ -184,9 +239,10 @@ def enumerate_states(n, max_n=DEFAULT_MAX_N):
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
-    if n > max_n:
+    cap = min(max_n, KEY_MAX_N)
+    if n > cap:
         raise CapacityError(
-            f"n = {n} exceeds the cap {max_n}; X_{n} has Fib({n + 1}) = {fib(n + 1)} states"
+            f"n = {n} exceeds the cap {cap}; X_{n} has Fib({n + 1}) = {fib(n + 1)} states"
         )
     tier_key_arrays = []
     tier_vec_arrays = []

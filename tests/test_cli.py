@@ -43,6 +43,9 @@ def test_statespace_emit(tmp_path, capsys):
 def test_statespace_exit_codes(capsys):
     assert main(["statespace", "--n", "40"]) == 3
     assert capsys.readouterr().err.startswith("capacity:")
+    # packed keys would overflow int64: refused before anything is built
+    assert main(["statespace", "--n", "60", "--max-n", "100"]) == 3
+    assert capsys.readouterr().err.startswith("capacity:")
     assert main(["statespace", "--n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
@@ -143,6 +146,29 @@ def test_frechet_sample_corpus(tmp_path, capsys):
     assert main(["frechet", "--n", "6", "--sample", str(corpus)]) == 2
     assert main(["frechet", "--n", "6", "--path-cap", "1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", str(2 ** 50 + 1)])
+def test_frechet_refuses_path_caps_the_count_cannot_hold(cap, capsys):
+    assert main(["frechet", "--n", "25", "--path-cap", cap]) == 2
+    assert capsys.readouterr().err.startswith("error: path cap must be in 1..")
+
+
+def test_frechet_n25_does_not_depend_on_the_blas_thread_count():
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    outs = [
+        subprocess.run([sys.executable, "-m", "rankedcoal.cli", "frechet", "--n", "25"],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    assert [res.returncode for res in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_moments_se(capsys):
@@ -287,30 +313,46 @@ def test_atomic_overwrite(tmp_path, capsys):
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 
 
-def _malformed_corpus(tmp_path, capsys):
-    """A 20-tree n = 6 corpus whose line 17 has F_5,1 = 99 and F_3,3 = 0."""
+def _malformed_corpus(tmp_path, capsys, edits):
+    """A 20-tree n = 6 corpus whose line 17 has the (row, column, value) edits."""
     good = tmp_path / "good.jsonl"
     assert main(["simulate", "--model", "kingman", "--n", "6", "--count", "20",
                  "--seed", "4", "--out", str(good)]) == 0
     capsys.readouterr()
     lines = good.read_text().splitlines()
     bad = json.loads(lines[16])
-    bad["tri"][4][0] = 99
-    bad["tri"][2][2] = 0
+    for i, j, value in edits:
+        bad["tri"][i - 1][j - 1] = value
     lines[16] = json.dumps(bad)
     path = tmp_path / "malformed.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-@pytest.mark.parametrize("argv", [["test"], ["frechet", "--n", "6", "--sample"], ["balance"]])
-def test_malformed_corpus_is_refused_on_its_line(argv, tmp_path, capsys):
-    corpus = _malformed_corpus(tmp_path, capsys)
+REFUSED = ["test"], ["frechet", "--n", "6", "--sample"], ["balance"]
+
+
+def _refusal(argv, corpus, capsys):
     flag = [] if argv[-1] == "--sample" else ["--in"]
     assert main(argv + flag + [str(corpus)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {corpus}:17: diagonal F_3,3 = 0, expected 4\n"
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_malformed_corpus_is_refused_on_its_line(argv, tmp_path, capsys):
+    corpus = _malformed_corpus(tmp_path, capsys, [(5, 1, 99), (3, 3, 0)])
+    err = _refusal(argv, corpus, capsys)
+    assert err == f"error: {corpus}:17: diagonal F_3,3 = 0, expected 4\n"
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_infeasible_column_is_refused_on_its_line(argv, tmp_path, capsys):
+    # the diagonal is intact; only column 1 is no state of the chain
+    corpus = _malformed_corpus(tmp_path, capsys, [(5, 1, 99)])
+    err = _refusal(argv, corpus, capsys)
+    assert err == f"error: {corpus}:17: column 1: F_5,1 = 99 is not F_4,1 = 1 or one less\n"
 
 
 def test_rational_calls_do_not_import_scipy():

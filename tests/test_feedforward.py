@@ -159,6 +159,13 @@ def test_float_mode_tracks_rational(space6):
     )
 
 
+@pytest.mark.parametrize("n", [12, 25])
+def test_float_means_match_closed_form(n):
+    """E[F_ij] = j(j+1)/i; the float reduction keeps it to rounding."""
+    positions, mean = nonfixed_means(enumerate_states(n), mode="float")
+    np.testing.assert_allclose(mean, [j * (j + 1) / i for i, j in positions], rtol=1e-13)
+
+
 def test_small_n_rejected():
     space = enumerate_states(3)
     with pytest.raises(ValidationError):

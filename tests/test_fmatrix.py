@@ -226,3 +226,30 @@ def test_validate_static_errors():
     bad[3, 0] = -1
     with pytest.raises(ValidationError):
         FMatrix(5, bad).validate_static()
+    bad = np.array(FIG_N5[(1, 2, 3, 5)])
+    bad[2, 1] = 1
+    with pytest.raises(ValidationError, match="subdiagonal F_3,2 = 1, expected 2"):
+        FMatrix(5, bad).validate_static()
+
+
+def test_validate_static_accepts_exactly_the_shapes(space6):
+    """Every change of one lower-triangular entry of an n = 6 shape to a
+    value in -1..7 is accepted exactly when the result is again one of
+    the 16 shapes."""
+    shapes = [path_to_fmatrix(space6, p).entries for p, _ in enumerate_paths(space6)]
+    known = {arr.tobytes() for arr in shapes}
+    accepted = 0
+    for arr in shapes:
+        for i, j in zip(*np.tril_indices(5)):
+            for value in range(-1, 8):
+                changed = arr.copy()
+                changed[i, j] = value
+                try:
+                    FMatrix(6, changed).validate_static()
+                    ok = True
+                except ValidationError:
+                    ok = False
+                assert ok == (changed.tobytes() in known), changed
+                accepted += ok
+    # the unchanged shapes, and some one-entry moves between shapes
+    assert accepted > 16 * 15

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from rankedcoal import CapacityError, ValidationError
 from rankedcoal.fmatrix import nonfixed_positions, path_to_fmatrix
 from rankedcoal.frechet import (
+    DEFAULT_TIE_TOL,
+    MAX_PATH_CAP,
+    MeanMatrix,
     cost_matrix,
     frechet_variance,
     mean_matrix_exact,
@@ -19,7 +22,7 @@ from rankedcoal.frechet import (
     state_costs,
     vitreebi,
 )
-from rankedcoal.kingman import edge_table, enumerate_paths
+from rankedcoal.kingman import edge_table, enumerate_paths, sample_paths
 from rankedcoal.statespace import enumerate_states
 
 F = Fraction
@@ -212,3 +215,71 @@ def test_variance_engines_agree(space6):
     assert enum == mom
     with pytest.raises(ValidationError):
         frechet_variance(space6, engine="bogus")
+
+
+def loop_vitreebi(space, costs, tie_tol):
+    """ViTreebi as it was before the per-tier walk, kept as an oracle: a
+    state-by-state loop over the global edge table, predecessor lists over
+    every optimal edge, and a depth-first enumeration of the paths.
+    Returns (min_cost, paths, cumulative costs, predecessor lists)."""
+    table = edge_table(space)
+    exact = costs.dtype == object
+    num = space.num_states
+    c = [None] * num
+    c[0] = costs[0]
+    for s in range(num):
+        for e in range(table.indptr[s], table.indptr[s + 1]):
+            d = int(table.cols[e])
+            if c[d] is None or c[s] + costs[d] < c[d]:
+                c[d] = c[s] + costs[d]
+    preds = [[] for _ in range(num)]
+    for s in range(num):
+        for e in range(table.indptr[s], table.indptr[s + 1]):
+            d = int(table.cols[e])
+            if (c[s] + costs[d] == c[d]) if exact else (c[s] + costs[d] <= c[d] + tie_tol):
+                preds[d].append(s)
+    final = range(*space.tier_slice(space.num_tiers - 1).indices(num))
+    best = min(c[f] for f in final)
+    finals = [f for f in final if (c[f] == best if exact else c[f] <= best + tie_tol)]
+    paths = []
+    stack = [(f, (f + 1,)) for f in finals]
+    while stack:
+        node, suffix = stack.pop()
+        if node == 0:
+            paths.append(suffix)
+        for p in preds[node]:
+            stack.append((p, (p + 1,) + suffix))
+    return best, sorted(paths), c, preds
+
+
+def _tie_heavy_mean(space, seed, exact):
+    """The mean of two sampled shapes: every entry where they differ sits
+    halfway between two state values, so paths mixing the two tie."""
+    paths = sample_paths(space, 2, seed=seed)
+    mean = mean_matrix_sample([path_to_fmatrix(space, p) for p in paths])
+    return mean if exact else MeanMatrix(n=space.n, M=mean.M.astype(float))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", range(6, 13))
+def test_per_tier_walk_matches_loop_oracle(n, exact):
+    space = enumerate_states(n)
+    for seed in range(3):
+        mean = _tie_heavy_mean(space, seed, exact)
+        costs = state_costs(space, mean)
+        best, paths, c, preds = loop_vitreebi(space, costs, DEFAULT_TIE_TOL)
+        assert vitreebi(space, mean) == (best, paths)
+        cm = cost_matrix(space, mean)
+        assert cm.C[np.arange(space.num_states), space.tier_of].tolist() == [float(v) for v in c]
+        assert cm.antecedents == [tuple(p + 1 for p in ps) for ps in preds]
+        vitreebi(space, mean, path_cap=len(paths))
+        if len(paths) > 1:
+            with pytest.raises(CapacityError):
+                vitreebi(space, mean, path_cap=len(paths) - 1)
+
+
+def test_path_cap_bounds(space6):
+    mean = mean_matrix_exact(space6)
+    for cap in (0, MAX_PATH_CAP + 1):
+        with pytest.raises(ValidationError):
+            vitreebi(space6, mean, path_cap=cap)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rankedcoal import kingman
 from rankedcoal.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -23,5 +24,16 @@ GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_cli_output_matches_golden(name, capsys):
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["sample_n10_seed5.jsonl", "simulate_kingman_n9_seed3.jsonl"])
+def test_path_sampling_builds_only_the_rows_it_visits(name, capsys, monkeypatch):
+    def whole_kernel(*args, **kwargs):
+        raise AssertionError("the sampler built the whole kernel")
+
+    monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
+    monkeypatch.setattr(kingman, "edge_table", whole_kernel)
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()

@@ -1,17 +1,18 @@
 """The whole-array samplers against the per-draw loops they replaced.
 
 The two loop kernels below are kept only as oracles: they walk one tree or
-path at a time, exactly as the samplers used to. The vectorised kernels
-must reproduce them bit for bit from the same uniforms, including uniforms
-of exactly 0, just below 1 and exactly 1 (which reaches the fallback block
-pick and the cumw[k, k-1] = 1 end of a split law).
+path at a time, the path loop over the whole edge table, exactly as the
+samplers used to. The vectorised samplers must reproduce them bit for bit
+from the same uniforms, including uniforms of exactly 0, just below 1 and
+exactly 1 (which reaches the fallback block pick and the cumw[k, k-1] = 1
+end of a split law).
 """
 
 import numpy as np
 import pytest
 
 from rankedcoal import betasplit
-from rankedcoal._kernels import beta_sample_grid, sample_paths
+from rankedcoal._kernels import beta_sample_grid
 from rankedcoal.betasplit import (
     BetaConfig,
     _cumulative_table,
@@ -19,7 +20,7 @@ from rankedcoal.betasplit import (
     sample_beta_stats,
 )
 from rankedcoal.fmatrix import nonfixed_positions
-from rankedcoal.kingman import edge_table
+from rankedcoal.kingman import _walk_paths, edge_table
 from rankedcoal.statespace import enumerate_states
 
 JUST_BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -148,8 +149,8 @@ def test_sample_paths_matches_loop_kernel(n):
     table = edge_table(space)
     rng = np.random.default_rng(n)
     uniforms = _uniforms(rng, 400, n - 2)
-    args = (table.indptr, table.cols, table.numer, table.denom_state, n, uniforms)
-    assert np.array_equal(sample_paths(*args), loop_sample_paths(*args))
+    expected = loop_sample_paths(table.indptr, table.cols, table.numer, table.denom_state, n, uniforms)
+    assert np.array_equal(_walk_paths(space, uniforms), expected + 1)
 
 
 def test_sample_beta_stats_matches_loop_kernel_across_batches(monkeypatch):

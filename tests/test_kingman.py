@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chisquare
 
 from rankedcoal import CapacityError, ValidationError
+from rankedcoal._kernels import expand_tier
 from rankedcoal.fmatrix import fmatrix_to_path, paths_to_fmatrices
 from rankedcoal.kingman import (
     edge_table,
@@ -83,6 +84,29 @@ def test_rows_are_stochastic(n):
     space = enumerate_states(n)
     for blk in tier_blocks(space):
         assert all(s == 1 for s in blk.row_sums())
+
+
+def searchsorted_blocks(space):
+    """The tier blocks as (indptr, indices, numer), each successor key found
+    by binary search in the sorted next tier, as before the closed-form rank."""
+    out = []
+    for t in range(space.n - 2):
+        src, dst, numer = expand_tier(space._tier_keys_canon[t], space.n, t)
+        cols = space._tier_canonical[t + 1][np.searchsorted(space._tier_keys[t + 1], dst)]
+        order = np.lexsort((cols, src))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=space.tier_size(t)))))
+        out.append((indptr, cols[order], numer[order]))
+    return out
+
+
+def test_blocks_match_searchsorted_oracle():
+    for n in range(3, 26):
+        space = enumerate_states(n)
+        for blk, (indptr, indices, numer) in zip(tier_blocks(space), searchsorted_blocks(space)):
+            assert np.array_equal(blk.indptr, indptr)
+            assert np.array_equal(blk.indices, indices)
+            assert np.array_equal(blk.numer, numer)
+            assert blk.denom == (n - blk.from_tier) * (n - blk.from_tier - 1) // 2
 
 
 def test_blocks_agree_with_pairwise_probabilities(space6, blocks6):

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from rankedcoal import CapacityError, ValidationError
 from rankedcoal._kernels import expand_tier
-from rankedcoal.statespace import diff_encoding, enumerate_states, tier_sizes
+from rankedcoal.statespace import (
+    KEY_MAX_N,
+    _rank_tables,
+    _tier_keys,
+    _tier_rank,
+    diff_encoding,
+    enumerate_states,
+    tier_sizes,
+)
 
 # Transient states of X_5 in canonical (tier-major, lex-descending) order,
 # worked out by hand from the definition.
@@ -66,6 +74,19 @@ def test_closed_form_tiers_are_the_successors_of_the_previous_tier(n):
     for t in range(n - 2):
         _, dst, _ = expand_tier(space._tier_keys[t], n, t)
         assert np.array_equal(space._tier_keys[t + 1], np.unique(dst))
+
+
+@pytest.mark.parametrize("n", range(3, 23))
+def test_tier_rank_inverts_tier_keys(n):
+    for t in range(n - 1):
+        keys = _tier_keys(n, t)
+        assert np.array_equal(_tier_rank(n, t, keys), np.arange(len(keys)))
+
+
+def test_rank_tables_stay_small_at_the_default_cap():
+    # a direct lookup on the subset would need 2^27 entries at n = 30
+    for t in range(1, 29):
+        assert max(table.size for table in _rank_tables(30, t)[1:]) <= 2 ** 14
 
 
 @pytest.mark.parametrize("n", range(3, 21))
@@ -137,6 +158,13 @@ def test_capacity_guard_names_the_count():
     with pytest.raises(CapacityError) as err:
         enumerate_states(40, max_n=30)
     assert "40" in str(err.value)
+
+
+def test_capacity_guard_keeps_keys_inside_int64():
+    # refused before anything is allocated, whatever max_n allows
+    with pytest.raises(CapacityError) as err:
+        enumerate_states(KEY_MAX_N + 1, max_n=100)
+    assert f"cap {KEY_MAX_N}" in str(err.value)
 
 
 def test_index_of_rejects_non_states(space5):
