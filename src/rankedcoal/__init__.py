@@ -10,7 +10,7 @@ simulation, and neutrality tests against the Kingman null.
 from ._common import CapacityError, ValidationError
 from .bcp import bcp_E_distribution, bcp_chain, bcp_dph, bcp_kernel, bcp_states, partition_count
 from .betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats, sample_beta_tree
-from .feedforward import nonfixed_moments, se_moments
+from .feedforward import frechet_variance, nonfixed_moments, se_moments
 from .fmatrix import (
     FMatrix,
     balance_E,
@@ -30,7 +30,6 @@ from .frechet import (
     CostMatrix,
     MeanMatrix,
     cost_matrix,
-    frechet_variance,
     mean_matrix_exact,
     mean_matrix_sample,
     state_costs,

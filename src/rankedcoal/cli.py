@@ -149,20 +149,18 @@ def _cmd_balance(args):
 def _cmd_frechet(args):
     from .fmatrix import path_to_fmatrix, read_jsonl
     from .frechet import check_path_cap, mean_matrix_exact, mean_matrix_sample, vitreebi
-    from .kingman import tier_blocks
     from .statespace import enumerate_states
 
     check_path_cap(args.path_cap)
-    space = enumerate_states(args.n)
-    blocks = tier_blocks(space)
     if args.sample:
         mats = read_jsonl(args.sample)
-        if mats and mats[0].n != args.n:
+        if not mats:
+            raise ValidationError(f"{args.sample}: empty corpus")
+        if mats[0].n != args.n:
             raise ValidationError(f"corpus has n = {mats[0].n}, expected {args.n}")
-        mean = mean_matrix_sample(mats)
-    else:
-        mean = mean_matrix_exact(space, blocks=blocks)
-    min_cost, paths = vitreebi(space, mean, path_cap=args.path_cap, blocks=blocks)
+    space = enumerate_states(args.n)
+    mean = mean_matrix_sample(mats) if args.sample else mean_matrix_exact(space)
+    min_cost, paths = vitreebi(space, mean, path_cap=args.path_cap)
     cost_text = format_number(min_cost)
     print(cost_text)
     for p in paths:

@@ -312,3 +312,38 @@ def se_moments(space, blocks=None, mode=None, summary=None):
     cov[0, 1] = cov[1, 0] = a_s.dot(summary.cov.dot(a_e))
     cov[1, 1] = a_e.dot(summary.cov.dot(a_e))
     return mean, cov
+
+
+def frechet_variance(space, blocks=None, mean=None, engine=None):
+    """E ||F - M||^2 under Kingman: the dispersion around ``mean``.
+
+    Enumeration below n = 13 gives the exact rational value; above, the
+    moment identity tr(Sigma) + ||mean_vec - M_vec||^2 is used.
+    """
+    from .frechet import mean_matrix_exact, state_costs
+    from .kingman import enumerate_paths, tier_blocks
+
+    n = space.n
+    if blocks is None:
+        blocks = tier_blocks(space)
+    if mean is None:
+        mean = mean_matrix_exact(space)
+    if engine is None:
+        engine = "enumeration" if n <= 12 else "moments"
+    if engine == "enumeration":
+        # a path's ||F - M||^2 is the sum of its states' costs
+        costs = state_costs(space, mean)
+        return sum(prob * costs[np.asarray(path) - 1].sum()
+                   for path, prob in enumerate_paths(space, blocks))
+    if engine != "moments":
+        raise ValidationError(f"unknown engine {engine!r}")
+    summary = nonfixed_moments(space, blocks=blocks)
+    exact = summary.mode == "rational" and mean.mode == "rational"
+    acc = Fraction(0) if exact else 0.0
+    for a, (i, j) in enumerate(nonfixed_positions(n)):
+        acc += summary.cov[a, a] if exact else float(summary.cov[a, a])
+        diff = summary.mean[a] - mean.M[i - 1, j - 1]
+        if not exact:
+            diff = float(diff)
+        acc += diff * diff
+    return acc

@@ -1,11 +1,13 @@
 """ViTreebi: cost recursion, exhaustive backtracking, Frechet means.
 
-The forward pass is exact rational whenever the mean matrix is rational
-and n is small enough for big-denominator arithmetic; otherwise float64
-with a tie window wide enough to keep exact ties and tight enough to
-exclude genuinely distinct costs.
+A rational mean M is solved at every n in integer state costs
+K(x) = sum_i (D x_i^2 - 2 x_i N_ij), with D the lcm of the non-fixed
+denominators and N = D M: int64 when every path sum fits, Python ints
+otherwise. The minimum is K_min / D + sum M^2 exactly and ties compare
+with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ import numpy as np
 from ._common import CapacityError, ValidationError
 from .fmatrix import nonfixed_positions
 
-EXACT_MAX_N = 16
 DEFAULT_PATH_CAP = 10 ** 6
 # A state has fewer than n^2 < 2^12 in-edges (n <= 58), and every count
 # summed into it is at most the cap, so path counts stay far inside int64.
@@ -55,27 +56,11 @@ class CostMatrix:
     antecedents: list
 
 
-def mean_matrix_exact(space, blocks=None, mode=None):
-    """Kingman mean matrix: fixed entries forced, non-fixed from moments."""
-    from .feedforward import nonfixed_means
-
+def mean_matrix_exact(space):
+    """Kingman mean matrix, E[F_ij] = j(j+1)/i, as Fractions."""
     n = space.n
-    if mode is None:
-        mode = "rational" if n <= 12 else "float"
-    if mode == "rational":
-        m_arr = np.empty((n - 1, n - 1), dtype=object)
-        m_arr[...] = Fraction(0)
-    else:
-        m_arr = np.zeros((n - 1, n - 1))
-    for j in range(1, n):
-        m_arr[j - 1, j - 1] = Fraction(j + 1) if mode == "rational" else float(j + 1)
-        if j + 1 <= n - 1:
-            m_arr[j, j - 1] = Fraction(j) if mode == "rational" else float(j)
-    if n >= 4:
-        positions, mean = nonfixed_means(space, blocks=blocks, mode=mode)
-        for a, (i, j) in enumerate(positions):
-            m_arr[i - 1, j - 1] = mean[a]
-    return MeanMatrix(n=n, M=m_arr)
+    rows = [[Fraction(j * (j + 1) if j <= i else 0, i) for j in range(1, n)] for i in range(1, n)]
+    return MeanMatrix(n=n, M=np.array(rows, dtype=object))
 
 
 def mean_matrix_sample(matrices, weights=None):
@@ -118,38 +103,53 @@ def mean_matrix_sample(matrices, weights=None):
     return MeanMatrix(n=n, M=m_arr)
 
 
+def _tier_columns(space, mean):
+    """(tier, states, mean entries) over the non-fixed rows i = j+2..n-1 of
+    each tier's column j = n-1-t; tiers 0 and 1 have no such rows."""
+    n = space.n
+    if mean.n != n:
+        raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {n}")
+    return [(t, space.states[space.tier_slice(t), n - t:], mean.M[n - t:, n - 2 - t])
+            for t in range(2, space.num_tiers)]
+
+
+def _scaled_costs(space, mean):
+    """Integer costs K of a rational mean, their scale D and the per-tier
+    constants S[t] = sum_i M_ij^2: c(x) = K(x) / D + S[t]. A path takes one
+    state per tier, so S adds the same to every path."""
+    tiers = [(t, x, [Fraction(v) for v in m]) for t, x, m in _tier_columns(space, mean)]
+    scale = math.lcm(*(v.denominator for _, _, m in tiers for v in m))
+    num = [[int(v * scale) for v in m] for _, _, m in tiers]
+    # A path sums one K per tier, so the tiers' largest |K| bound every path
+    # sum. Counting each x_i as at least 1 makes D and 2N fit as well.
+    bound = 0
+    for (_, x, _), nums in zip(tiers, num):
+        for a, b in zip(x.max(axis=0, initial=1).tolist(), nums):
+            bound += a * (scale * a + 2 * abs(b))
+    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+    costs = np.zeros(space.num_states, dtype=dtype)
+    const = np.full(space.num_tiers, Fraction(0), dtype=object)
+    for (t, x, m), nums in zip(tiers, num):
+        x = x.astype(dtype)
+        costs[space.tier_slice(t)] = (x * (scale * x - 2 * np.array(nums, dtype=dtype))).sum(axis=1)
+        const[t] = sum(v * v for v in m)
+    return costs, scale, const
+
+
 def state_costs(space, mean):
     """Per-state cost c(x) = sum_k (x_k - M_{k, n-1-t(x)})^2.
 
     Only non-fixed positions can contribute: every state agrees with the
-    forced diagonal and subdiagonal of its column.
+    forced diagonal and subdiagonal of its column. A rational mean gives
+    Fractions, built from the integer costs ViTreebi runs on.
     """
-    n = space.n
-    if mean.n != n:
-        raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {n}")
-    exact = mean.mode == "rational"
-    if exact:
-        costs = np.empty(space.num_states, dtype=object)
-        costs[...] = Fraction(0)
-    else:
-        costs = np.zeros(space.num_states)
-    for t in range(2, space.num_tiers):
-        j = n - 1 - t
-        rows = list(range(j + 2, n))
-        sl = space.tier_slice(t)
-        block = space.states[sl][:, [i - 1 for i in rows]].astype(np.int64)
-        if exact:
-            mcol = [mean.M[i - 1, j - 1] for i in rows]
-            for local in range(block.shape[0]):
-                acc = Fraction(0)
-                for c, mv in enumerate(mcol):
-                    diff = int(block[local, c]) - mv
-                    acc += diff * diff
-                costs[sl.start + local] = acc
-        else:
-            mcol = np.array([mean.M[i - 1, j - 1] for i in rows], dtype=np.float64)
-            diff = block.astype(np.float64) - mcol[None, :]
-            costs[sl] = (diff * diff).sum(axis=1)
+    if mean.mode == "rational":
+        costs, scale, const = _scaled_costs(space, mean)
+        return costs.astype(object) * Fraction(1, scale) + const[space.tier_of]
+    costs = np.zeros(space.num_states)
+    for t, x, m in _tier_columns(space, mean):
+        diff = x - m.astype(np.float64)
+        costs[space.tier_slice(t)] = (diff * diff).sum(axis=1)
     return costs
 
 
@@ -159,61 +159,65 @@ def check_path_cap(path_cap):
         raise ValidationError(f"path cap must be in 1..{MAX_PATH_CAP}, got {path_cap}")
 
 
+def _ties(lhs, rhs):
+    """Where ``lhs`` attains ``rhs``: exactly, or within DEFAULT_TIE_TOL for float costs."""
+    return lhs <= rhs + DEFAULT_TIE_TOL if lhs.dtype.kind == "f" else lhs == rhs
+
+
 def _forward(space, blocks, costs):
     """Cheapest cost of a path from state 1 to each state, one tier at a time.
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
-    so this holds bit for bit in float64 as well as for Fractions.
+    so this holds bit for bit in float64 as well as in exact arithmetic.
     """
     c = costs.copy()
     for blk in blocks:
         src = space.tier_slice(blk.from_tier)
         dst = space.tier_slice(blk.from_tier + 1)
-        best = np.full(blk.n_cols, np.inf, dtype=costs.dtype)
-        np.minimum.at(best, blk.indices, np.repeat(c[src], np.diff(blk.indptr)))
+        reach = np.repeat(c[src], np.diff(blk.indptr))
+        # every state has an in-edge, so each entry is lowered to its minimum
+        best = np.full(blk.n_cols, reach.max(), dtype=costs.dtype)
+        np.minimum.at(best, blk.indices, reach)
         c[dst] = costs[dst] + best
     return c
 
 
-def _optimal_edges(space, blk, c, costs, tie_tol, into=None):
-    """Edges (src, dst), local to their tiers, on a path that is optimal to dst.
-
-    That is c[src] + cost[dst] == c[dst], or within ``tie_tol`` for float
-    costs. With ``into``, only edges whose target is marked in it are kept.
-    Edges come in row order: by source, then by target.
+def _optimal_edges(space, blk, c, costs, into=None):
+    """Edges (src, dst), local to their tiers, on a path that is optimal to dst:
+    c[src] + cost[dst] ties c[dst]. With ``into``, only edges whose target is
+    marked in it are kept. Edges come in row order: by source, then by target.
     """
     edges = np.arange(blk.nnz) if into is None else np.flatnonzero(into[blk.indices])
     s = np.searchsorted(blk.indptr, edges, side="right") - 1
     d = blk.indices[edges]
     src = space.tier_offsets[blk.from_tier] + s
     dst = space.tier_offsets[blk.from_tier + 1] + d
-    lhs, rhs = c[src] + costs[dst], c[dst]
-    keep = lhs == rhs if costs.dtype == object else lhs <= rhs + tie_tol
+    keep = _ties(c[src] + costs[dst], c[dst])
     return s[keep], d[keep]
 
 
 def _solve(space, mean, costs, blocks):
     """Per-state costs, cumulative costs and tier blocks of one ViTreebi problem.
 
-    Costs are Fractions for an exact mean up to EXACT_MAX_N, float64 otherwise.
+    Without given ``costs``, a rational mean runs on the integer costs of
+    ``_scaled_costs``; the last item is then (D, cumulative S per tier),
+    which turns a cumulative cost c at tier t into c / D + S_cum[t].
+    Otherwise it is None and the costs are true costs.
     """
     from .kingman import tier_blocks
 
-    if costs is None:
-        if mean.n != space.n:
-            raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {space.n}")
+    scale = None
+    if costs is None and mean.mode == "rational":
+        costs, denom, const = _scaled_costs(space, mean)
+        scale = denom, np.cumsum(const)
+    elif costs is None:
         costs = state_costs(space, mean)
-        if costs.dtype == object and space.n > EXACT_MAX_N:
-            costs = costs.astype(np.float64)
-    if costs.dtype != object:
-        costs = np.asarray(costs, dtype=np.float64)
     if blocks is None:
         blocks = tier_blocks(space)
-    return costs, _forward(space, blocks, costs), blocks
+    return costs, _forward(space, blocks, costs), blocks, scale
 
 
-def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, tie_tol=DEFAULT_TIE_TOL,
-             costs=None, blocks=None):
+def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
     """All cheapest chain paths under the squared deviation from ``mean``.
 
     Returns (min_cost, paths); paths are 1-based index tuples sorted
@@ -221,16 +225,16 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, tie_tol=DEFAULT_TIE_TOL,
     CapacityError before any path is materialized.
     """
     check_path_cap(path_cap)
-    costs, c, blocks = _solve(space, mean, costs, blocks)
+    costs, c, blocks, scale = _solve(space, mean, costs, blocks)
     last = c[space.tier_slice(space.num_tiers - 1)]
     best = last.min()
-    alive = last == best if costs.dtype == object else last <= best + tie_tol
+    alive = _ties(last, best)
     finals = np.flatnonzero(alive)
 
     # Backtrack: keep the optimal edges into states that reach a final one.
     kept = []
     for blk in reversed(blocks):
-        s, d = _optimal_edges(space, blk, c, costs, tie_tol, into=alive)
+        s, d = _optimal_edges(space, blk, c, costs, into=alive)
         kept.append((s, d))
         alive = np.zeros(blk.n_rows, dtype=bool)
         alive[s] = True
@@ -258,65 +262,28 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, tie_tol=DEFAULT_TIE_TOL,
         start = np.repeat(first[paths[:, -1]] - (np.cumsum(reps) - reps), reps)
         paths = np.column_stack([np.repeat(paths, reps, axis=0), d[start + np.arange(len(start))]])
     paths += space.tier_offsets[:-1] + 1
+    if scale is not None:
+        denom, const = scale
+        best = Fraction(int(best), denom) + const[-1]
     return best, [tuple(p) for p in paths.tolist()]
 
 
-def cost_matrix(space, mean, tie_tol=DEFAULT_TIE_TOL, costs=None, blocks=None):
+def cost_matrix(space, mean, costs=None, blocks=None):
     """The dense DP table with off-tier sentinels and antecedent sets."""
-    costs, c, blocks = _solve(space, mean, costs, blocks)
+    costs, c, blocks, scale = _solve(space, mean, costs, blocks)
     n = space.n
+    true = c
+    if scale is not None:
+        denom, const = scale
+        true = c.astype(object) * Fraction(1, denom) + const[space.tier_of]
     dense = np.full((space.num_states, n - 1), np.inf)
-    dense[np.arange(space.num_states), space.tier_of] = c.astype(np.float64)
+    dense[np.arange(space.num_states), space.tier_of] = true.astype(np.float64)
     preds = [[] for _ in range(space.num_states)]
     for blk in blocks:
-        s, d = _optimal_edges(space, blk, c, costs, tie_tol)
+        s, d = _optimal_edges(space, blk, c, costs)
         s = s + space.tier_offsets[blk.from_tier] + 1
         d = d + space.tier_offsets[blk.from_tier + 1]
         # edges come by source, so each list is ascending
         for a, b in zip(s.tolist(), d.tolist()):
             preds[b].append(a)
     return CostMatrix(n=n, C=dense, antecedents=[tuple(p) for p in preds])
-
-
-def frechet_variance(space, blocks=None, mean=None, engine=None):
-    """E ||F - M||^2 under Kingman: the dispersion around ``mean``.
-
-    Enumeration below n = 13 gives the exact rational value; above, the
-    moment identity tr(Sigma) + ||mean_vec - M_vec||^2 is used.
-    """
-    from .feedforward import nonfixed_moments
-    from .kingman import enumerate_paths, tier_blocks
-
-    n = space.n
-    if blocks is None:
-        blocks = tier_blocks(space)
-    if mean is None:
-        mean = mean_matrix_exact(space, blocks=blocks)
-    if engine is None:
-        engine = "enumeration" if n <= 12 else "moments"
-    positions = nonfixed_positions(n)
-    if engine == "enumeration":
-        from .fmatrix import path_to_fmatrix
-
-        exact = mean.mode == "rational"
-        total = Fraction(0) if exact else 0.0
-        for path, prob in enumerate_paths(space, blocks):
-            fmat = path_to_fmatrix(space, path)
-            dev = Fraction(0) if exact else 0.0
-            for i, j in positions:
-                diff = int(fmat.entries[i - 1, j - 1]) - mean.M[i - 1, j - 1]
-                dev += diff * diff
-            total += (prob if exact else float(prob)) * dev
-        return total
-    if engine != "moments":
-        raise ValidationError(f"unknown engine {engine!r}")
-    summary = nonfixed_moments(space, blocks=blocks)
-    exact = summary.mode == "rational" and mean.mode == "rational"
-    acc = Fraction(0) if exact else 0.0
-    for a, (i, j) in enumerate(positions):
-        acc += summary.cov[a, a] if exact else float(summary.cov[a, a])
-        diff = summary.mean[a] - mean.M[i - 1, j - 1]
-        if not exact:
-            diff = float(diff)
-        acc += diff * diff
-    return acc

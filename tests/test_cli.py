@@ -134,7 +134,9 @@ def test_frechet_kingman_n6(tmp_path, capsys):
     assert payload["fmatrices"][0]["n"] == 6
 
 
-def test_frechet_sample_corpus(tmp_path, capsys):
+def test_frechet_sample_corpus(tmp_path, capsys, monkeypatch):
+    from rankedcoal import statespace
+
     corpus = tmp_path / "one.jsonl"
     assert main(["simulate", "--model", "kingman", "--n", "5", "--count", "1",
                  "--seed", "5", "--out", str(corpus)]) == 0
@@ -146,6 +148,18 @@ def test_frechet_sample_corpus(tmp_path, capsys):
     assert main(["frechet", "--n", "6", "--sample", str(corpus)]) == 2
     assert main(["frechet", "--n", "6", "--path-cap", "1"]) == 3
     capsys.readouterr()
+
+    # the corpus is checked before the chain is built
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain was built before the corpus was checked")
+
+    monkeypatch.setattr(statespace, "enumerate_states", no_chain)
+    assert main(["frechet", "--n", "25", "--sample", str(corpus)]) == 2
+    assert capsys.readouterr().err == "error: corpus has n = 5, expected 25\n"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["frechet", "--n", "25", "--sample", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-5", str(2 ** 50 + 1)])
@@ -357,7 +371,7 @@ def test_infeasible_column_is_refused_on_its_line(argv, tmp_path, capsys):
 
 def test_rational_calls_do_not_import_scipy():
     """scipy is imported only where a call's work needs it: importing the
-    CLI, enumerating states and exact moments load none of it."""
+    CLI, enumerating states, exact moments and Frechet means load none of it."""
     import subprocess
     import sys
 
@@ -370,7 +384,8 @@ def test_rational_calls_do_not_import_scipy():
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(loaded())\n"
-        "for argv in (['statespace', '--n', '3'], ['moments', '--targets', 'S,E,F', '--n', '8']):\n"
+        "for argv in (['statespace', '--n', '3'], ['moments', '--targets', 'S,E,F', '--n', '8'],\n"
+        "             ['frechet', '--n', '25']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
         "    print(loaded())\n"
@@ -378,4 +393,4 @@ def test_rational_calls_do_not_import_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n[]\n[]\n"
+    assert res.stdout == "[]\n[]\n[]\n[]\n"

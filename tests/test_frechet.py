@@ -10,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankedcoal import CapacityError, ValidationError
+from rankedcoal.feedforward import frechet_variance
 from rankedcoal.fmatrix import nonfixed_positions, path_to_fmatrix
 from rankedcoal.frechet import (
     DEFAULT_TIE_TOL,
     MAX_PATH_CAP,
     MeanMatrix,
+    _scaled_costs,
     cost_matrix,
-    frechet_variance,
     mean_matrix_exact,
     mean_matrix_sample,
     state_costs,
@@ -276,6 +277,26 @@ def test_per_tier_walk_matches_loop_oracle(n, exact):
         if len(paths) > 1:
             with pytest.raises(CapacityError):
                 vitreebi(space, mean, path_cap=len(paths) - 1)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_integer_costs_match_fraction_costs_on_sampled_means(n):
+    space = enumerate_states(n)
+    mean = _tie_heavy_mean(space, 0, exact=True)
+    assert vitreebi(space, mean) == vitreebi(space, mean, costs=state_costs(space, mean))
+
+
+def test_huge_denominator_falls_back_to_python_ints(space6):
+    # 2^61 - 1 is prime: every non-fixed entry gets that denominator, and
+    # D x^2 alone leaves int64 for x >= 3
+    p = 2 ** 61 - 1
+    m_arr = mean_matrix_exact(space6).M.copy()
+    for i, j in nonfixed_positions(6):
+        m_arr[i - 1, j - 1] = F(int(m_arr[i - 1, j - 1] * p), p)
+    mean = MeanMatrix(n=6, M=m_arr)
+    costs, scale, _ = _scaled_costs(space6, mean)
+    assert scale == p and costs.dtype == object
+    assert vitreebi(space6, mean) == _brute_force(space6, mean)
 
 
 def test_path_cap_bounds(space6):

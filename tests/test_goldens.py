@@ -1,5 +1,6 @@
-"""Seeded CLI outputs, byte for byte, against files recorded before the
-samplers and the phase-type PMF were vectorised."""
+"""CLI outputs, byte for byte, against recorded files: seeded runs recorded
+before the samplers and the phase-type PMF were vectorised, and the exact
+Frechet minimum and mean paths at n = 25."""
 
 from pathlib import Path
 
@@ -19,6 +20,7 @@ GOLDENS = {
         ["simulate", "--model", "kingman", "--n", "9", "--count", "50", "--seed", "3"],
     "sample_n10_seed5.jsonl": ["sample", "--n", "10", "--count", "20", "--seed", "5"],
     "bcp_n10.csv": ["bcp", "--n", "10"],
+    "frechet_n25.txt": ["frechet", "--n", "25"],
 }
 
 
