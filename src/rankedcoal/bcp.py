@@ -3,6 +3,7 @@ ranked coalescent that is small enough for dense phase-type work at any
 n of interest. Tracks only how many branches carry i descendants."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -178,6 +179,40 @@ def bcp_dph(n, mode=None):
 def reward_E_bcp(n):
     """Singleton counts per transient state, the BCP reward for E."""
     return np.array([s.singletons for s in bcp_states(n)], dtype=np.int64)
+
+
+def e_law(n):
+    """Exact law of E as Fractions, ``pmf[v] = P(E = v + 1)``.
+
+    Backwards in time the chain on (lineages k, singletons s) starts at
+    (n, n) and merges a uniform pair per step, and E adds up s over
+    k = n..2. Weights are Python ints over prod_k C(k, 2), in an array
+    W[s, e] over the (s, e) box the chain has reached: a step combines
+    the rows s' + 2, s' + 1 and s' into row s', then shifts row s' right
+    by s' (laid out with row stride width + 1 in a flat buffer).
+    """
+    if n < 3:
+        raise ValidationError(f"e_law requires n >= 3, got {n}")
+    W = np.full((1, 1), 1, dtype=object)
+    s_lo, e_lo = n, n
+    denom = 1
+    for k in range(n, 2, -1):
+        denom *= binom2(k)
+        rows, width = W.shape
+        lo, hi = max(s_lo - 2, 0), min(s_lo + rows - 1, k - 1)
+        padded = np.zeros((hi - lo + 3, width), dtype=object)
+        padded[s_lo - lo:s_lo - lo + rows] = W
+        s = np.arange(lo, hi + 1)
+        ways = [binom2(s + 2), (s + 1) * (k - s - 1), binom2(k - s)]
+        U = sum(padded[d:d + len(s)] * w.astype(object)[:, None]
+                for d, w in zip((2, 1, 0), ways))
+        rows, wide = len(s), width + len(s) - 1
+        flat = np.zeros(rows * (wide + 1), dtype=object)
+        flat.reshape(rows, wide + 1)[:, :width] = U
+        W = flat[:rows * wide].reshape(rows, wide)
+        s_lo, e_lo = lo, e_lo + lo
+    weights = np.trim_zeros(W.sum(axis=0), "b")
+    return [Fraction(0)] * (e_lo - 1) + [Fraction(int(w), denom) for w in weights]
 
 
 def bcp_E_distribution(n, mode=None):

@@ -295,11 +295,11 @@ def _cmd_bcp(args):
 
 def _cmd_test(args):
     from .fmatrix import iter_jsonl, nonfixed_vector
-    from .neutrality import SampleStats, kingman_null, run_tests
+    from .neutrality import SampleStats, kingman_null, parse_tests, run_tests
 
     if args.null != "kingman":
         raise ValidationError(f"unknown null {args.null!r}")
-    tests = [t.strip().upper() for t in args.tests.split(",") if t.strip()]
+    tests = parse_tests(args.tests)
     n = None
     m = 0
     nf_sum = None
@@ -355,13 +355,11 @@ def _parse_grid(text):
 
 
 def _cmd_power(args):
-    from .neutrality import power_curve
+    from .neutrality import parse_tests, power_curve
 
+    tests = parse_tests(args.tests)
     grid = _parse_grid(args.beta_grid)
-    rows = power_curve(
-        grid, args.n, args.m, args.reps, args.seed,
-        alpha=args.alpha, tests=tuple(t.strip().upper() for t in args.tests.split(",")),
-    )
+    rows = power_curve(grid, args.n, args.m, args.reps, args.seed, alpha=args.alpha, tests=tests)
     table = [
         [r["beta"], r["test"], r["m"], r["replicates"],
          format_number(r["rejection_rate"]), format_number(r["mc_se"])]

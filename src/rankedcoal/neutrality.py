@@ -2,22 +2,35 @@
 baseline, plus the Monte-Carlo level/power harness they are judged by.
 
 All statistics depend on a sample only through its means and E-counts,
-so the harness never materializes F-matrices.
+so the harness never materializes F-matrices. The Kingman null they are
+tested against is built from closed forms, with no state space, kernel
+or block-counting chain: the first two moments of the non-fixed entries
+as int64 fractions, the (S, E) moments as exact sums of those, and the
+exact law of E from ``bcp.e_law``. The tier engine of ``feedforward`` and
+the BCP stay the oracles for these in the tests.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import log, sqrt
 
 import numpy as np
 
-from ._common import ValidationError
+from ._common import CapacityError, ValidationError
 from .betasplit import BetaConfig, sample_beta_stats
-from .fmatrix import nonfixed_vector
+from .fmatrix import nonfixed_positions, nonfixed_vector
 
 DEFAULT_K = 10
 MIN_EXPECTED = 5.0
 EIG_FLOOR = 1e-12
+# Peak bytes per entry of the q x q covariance while the null is built and
+# inverted: at most seven 8-byte q x q arrays are alive at once (at n = 60,
+# computing the inverse root peaked at 6.4 of them). The budget first
+# refuses n = 82; below it the int64 sums of covariance numerators, under
+# q^2 n^4, stay far inside int64.
+NULL_BYTES_PER_PAIR = 56
+NULL_MAX_BYTES = 512 << 20
 
 
 @dataclass
@@ -137,21 +150,16 @@ class BoxScheme:
         return np.bincount(idx, minlength=self.K)
 
 
-def e_boxes(null_E, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
-    """Equiprobable boxes from the null E-distribution, merged until
-    every expected count m p_k reaches ``min_expected``."""
-    from .phasetype import dph_pmf_range
-
+def e_boxes(e_pmf, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
+    """Equiprobable boxes from the null E-distribution ``e_pmf`` (with
+    ``e_pmf[v]`` = P(E = v + 1)), merged until every expected count
+    m p_k reaches ``min_expected``."""
     if K < 2:
         raise ValidationError(f"need at least 2 boxes, got K = {K}")
     if m is None or m < 1:
         raise ValidationError("sample size m required for expected counts")
-    cap = 4 * null_E.order + 100
-    pmf = np.array([float(v) for v in dph_pmf_range(null_E, cap)])
-    total = pmf.sum()
-    if total < 1 - 1e-8:
-        raise ValidationError(f"E PMF sums to {total}; support cap too small")
-    pmf = pmf / total
+    pmf = np.asarray(e_pmf, dtype=np.float64)
+    pmf = pmf / pmf.sum()
     support = np.nonzero(pmf > 1e-15)[0]
     lo, hi = int(support[0]), int(support[-1])
     uppers = []
@@ -184,11 +192,11 @@ def e_boxes(null_E, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
     return BoxScheme(uppers=uppers, probs=probs)
 
 
-def test_GE(sample, null_E, K=DEFAULT_K, boxes=None):
+def test_GE(sample, e_pmf, K=DEFAULT_K, boxes=None):
     """Likelihood-ratio test of the E distribution against its null."""
     stats = _coerce_sample(sample)
     if boxes is None:
-        boxes = e_boxes(null_E, K=K, m=stats.m)
+        boxes = e_boxes(e_pmf, K=K, m=stats.m)
     observed = boxes.counts(stats.e_values)
     expected = stats.m * boxes.probs
     statistic = 2.0 * sum(
@@ -272,14 +280,18 @@ def test_hotelling(sample, mean, sigma, root=None):
 
 @dataclass
 class KingmanNull:
-    """Everything the tests need under the Kingman null, as floats."""
+    """Everything the tests need under the Kingman null, as floats.
+
+    ``e_pmf[v]`` is P(E = v + 1), each value the correctly rounded float
+    of the exact law.
+    """
 
     n: int
     mean: np.ndarray
     sigma: np.ndarray
     mu_se: np.ndarray
     sigma_se: np.ndarray
-    e_dph: object
+    e_pmf: np.ndarray
 
     @cached_property
     def root(self):
@@ -292,25 +304,101 @@ class KingmanNull:
         return sym_inv_sqrt(self.sigma_se)
 
 
-def kingman_null(n):
-    from .bcp import bcp_E_distribution
-    from .feedforward import nonfixed_moments, se_moments
-    from .statespace import enumerate_states
+def _check_null_capacity(n):
+    """Refuse a null whose q x q covariance arrays would exceed the byte budget."""
+    q = (n - 2) * (n - 3) // 2
+    need = NULL_BYTES_PER_PAIR * q * q
+    if need > NULL_MAX_BYTES:
+        raise CapacityError(
+            f"the Kingman null at n = {n} needs about {need >> 20} MiB for its "
+            f"{q} x {q} covariance, over the budget of {NULL_MAX_BYTES >> 20} MiB"
+        )
 
-    space = enumerate_states(n)
-    summary = nonfixed_moments(space)
-    mu_se, sigma_se = se_moments(space, summary=summary)
+
+def kingman_moment_terms(n):
+    """E[F] and Cov(F, F) of the non-fixed entries as exact int64 fractions.
+
+    Forward in time, the split that takes row r to row r+1 (r+1 to r+2
+    lineages) removes one of the F_rj unsplit lineages of column j with
+    probability F_rj / (r+1), so E[F_ij] = j(j+1)/i, and for j <= k <= r,
+    r(r-1) E[F_rj F_rk] grows by j(j+1) from each row to the next, and
+    E[F_Mk | row e] = F_ek e/M for k <= e <= M. For positions (a, j),
+    (b, k) with j <= k this gives
+
+        Cov = j(j+1) x(x-1) / (e(e-1) M),  e = min(a, b), M = max(a, b),
+                                           x = max(e - k, 0).
+
+    Returns ``(mean_num, mean_den, cov_num, cov_key, den_of_key)`` in
+    ``nonfixed_positions`` order: the covariance denominator of a pair
+    is ``den_of_key[cov_key]``, with key e n + M. Numerators stay below
+    n^4 and denominators below n^3.
+    """
+    i, j = np.array(nonfixed_positions(n), dtype=np.int64).T
+    e = np.minimum.outer(i, i)
+    x = e - np.maximum.outer(j, j)
+    np.maximum(x, 0, out=x)
+    x *= x - 1
+    lo = np.minimum.outer(j, j)
+    x *= lo * (lo + 1)
+    del lo
+    e *= n
+    e += np.maximum.outer(i, i)
+    rows = np.arange(n, dtype=np.int64)
+    den_of_key = (rows * (rows - 1))[:, None] * rows[None, :]
+    return j * (j + 1), i, x, e, den_of_key.ravel()
+
+
+def _exact_sum(num, key, den_of_key):
+    """sum num / den_of_key[key] as a Fraction: numerators are added per
+    key in int64, then the few distinct fractions in Python ints."""
+    acc = np.zeros(len(den_of_key), dtype=np.int64)
+    np.add.at(acc, key.ravel(), num.ravel())
+    return sum((Fraction(int(a), int(den_of_key[k])) for k, a in enumerate(acc) if a),
+               Fraction(0))
+
+
+def kingman_null(n):
+    """The Kingman null from closed forms: the moments of
+    ``kingman_moment_terms``, the (S, E) moments as exact sums of them
+    (E adds the fixed last-row entries n and n-2 to the last row's
+    non-fixed part), and the exact law of E."""
+    from .bcp import e_law
+
+    if n < 4:
+        raise ValidationError("non-fixed moments require n >= 4")
+    _check_null_capacity(n)
+    mean_num, mean_den, cov_num, cov_key, den_of_key = kingman_moment_terms(n)
+    last = slice(len(mean_num) - (n - 3), None)
+    # a mean's denominator is its row i, which also serves as its key
+    row_den = np.arange(n, dtype=np.int64)
+    s_mean = _exact_sum(mean_num, mean_den, row_den)
+    e_mean = _exact_sum(mean_num[last], mean_den[last], row_den) + 2 * n - 2
+    var_s = _exact_sum(cov_num, cov_key, den_of_key)
+    cov_se = _exact_sum(cov_num[:, last], cov_key[:, last], den_of_key)
+    var_e = _exact_sum(cov_num[last, last], cov_key[last, last], den_of_key)
     return KingmanNull(
         n=n,
-        mean=_as_float(summary.mean),
-        sigma=_as_float(summary.cov),
-        mu_se=_as_float(mu_se),
-        sigma_se=_as_float(sigma_se),
-        e_dph=bcp_E_distribution(n, mode="float"),
+        mean=mean_num / mean_den,
+        sigma=cov_num / den_of_key[cov_key],
+        mu_se=np.array([float(s_mean), float(e_mean)]),
+        sigma_se=np.array([[float(var_s), float(cov_se)], [float(cov_se), float(var_e)]]),
+        e_pmf=np.array([float(p) for p in e_law(n)]),
     )
 
 
 ALL_TESTS = ("GE", "WF", "WSE", "HT")
+
+
+def parse_tests(text):
+    """Test names from a comma list such as "GE,WF", in order and without
+    repeats; an empty list or an unknown name is refused."""
+    names = [t.strip().upper() for t in text.split(",") if t.strip()]
+    if not names:
+        raise ValidationError(f"no test named; choose from {','.join(ALL_TESTS)}")
+    bad = [t for t in names if t not in ALL_TESTS]
+    if bad:
+        raise ValidationError(f"unknown tests {bad}; choose from {','.join(ALL_TESTS)}")
+    return tuple(dict.fromkeys(names))
 
 
 def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
@@ -319,7 +407,7 @@ def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
     out = {}
     for name in tests:
         if name == "GE":
-            out[name] = test_GE(stats, null.e_dph, K=K, boxes=boxes)
+            out[name] = test_GE(stats, null.e_pmf, K=K, boxes=boxes)
         elif name == "WF":
             out[name] = test_WF(stats, null.mean, null.sigma, root=null.root)
         elif name == "WSE":
@@ -339,7 +427,7 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
     """
     n = null.n
     if boxes is None and "GE" in tests:
-        boxes = e_boxes(null.e_dph, K=K, m=m)
+        boxes = e_boxes(null.e_pmf, K=K, m=m)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(replicates)
@@ -377,10 +465,16 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     Deterministic given the seed: stream g of the grid uses the g-th
     spawned child sequence.
     """
+    if replicates < 1:
+        raise ValidationError(f"need at least one replicate, got {replicates}")
+    if m < 1:
+        raise ValidationError(f"need at least one tree per sample, got m = {m}")
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))
-    boxes = e_boxes(null.e_dph, K=K, m=m) if "GE" in tests else None
+    boxes = e_boxes(null.e_pmf, K=K, m=m) if "GE" in tests else None
     rows = []
     for g, beta in enumerate(beta_grid):
         stats_by_test, boxes = replicate_statistics(

@@ -276,8 +276,18 @@ def test_test_subcommand_subset_and_errors(tmp_path, capsys):
     assert main(["test", "--in", str(corpus), "--tests", "WF,WSE"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["tests"]) == {"WF", "WSE"}
+    assert main(["test", "--in", str(corpus), "--tests", "wf, WSE,WF"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["tests"]) == ["WF", "WSE"]
     assert main(["test", "--in", str(corpus), "--tests", "WF,XX"]) == 2
     assert main(["test", "--in", str(corpus), "--null", "yule"]) == 2
+    capsys.readouterr()
+    # test names are checked before the corpus is opened or the null built
+    missing = str(tmp_path / "missing.jsonl")
+    for names, message in (("", "no test named"), (" , ", "no test named"),
+                           ("WF,XX", "unknown tests ['XX']")):
+        assert main(["test", "--in", missing, "--tests", names]) == 2
+        assert message in capsys.readouterr().err
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["test", "--in", str(empty)]) == 2
@@ -303,6 +313,31 @@ def test_power_curve_csv(tmp_path, capsys):
     assert main(args[:-1] + [str(again)]) == 0
     capsys.readouterr()
     assert target.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--reps", "0"], "replicate"),
+    (["--reps", "-2"], "replicate"),
+    (["--reps", "2", "--alpha", "1.5"], "alpha"),
+    (["--reps", "2", "--alpha", "0"], "alpha"),
+    (["--reps", "2", "--m", "0", "--tests", "WF"], "tree per sample"),
+    (["--reps", "2", "--m", "-3"], "tree per sample"),
+    (["--reps", "2", "--tests", "GE,XX"], "unknown tests"),
+    (["--reps", "2", "--tests", ""], "no test named"),
+])
+def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
+    from rankedcoal import neutrality
+
+    def no_null(n):
+        raise AssertionError("the null was built")
+
+    monkeypatch.setattr(neutrality, "kingman_null", no_null)
+    target = tmp_path / "power.csv"
+    assert main(["power", "--n", "6", "--m", "40", "--beta-grid=0", "--seed", "1",
+                 "--out", str(target)] + flags) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not target.exists()
 
 
 def test_power_grid_forms(capsys):
@@ -394,3 +429,28 @@ def test_rational_calls_do_not_import_scipy():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n[]\n[]\n[]\n"
+
+
+def test_test_at_n25_loads_scipy_special_but_not_sparse(tmp_path):
+    """The closed-form Kingman null needs no sparse matrix: only the
+    chi-square and normal tails load scipy."""
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    corpus = tmp_path / "n25.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "25",
+                 "--count", "100", "--seed", "8", "--out", str(corpus)]) == 0
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankedcoal.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['test', '--in', {str(corpus)!r}]) == 0\n"
+        "print('scipy.special' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True False\n"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rankedcoal import kingman
+from rankedcoal import bcp, feedforward, kingman, statespace
 from rankedcoal.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -37,5 +37,18 @@ def test_path_sampling_builds_only_the_rows_it_visits(name, capsys, monkeypatch)
 
     monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
     monkeypatch.setattr(kingman, "edge_table", whole_kernel)
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_power_null_builds_no_chain(capsys, monkeypatch):
+    """The power golden's Kingman null comes from closed forms alone."""
+    def chain(*args, **kwargs):
+        raise AssertionError("the Kingman null built the chain or the BCP")
+
+    for module, name in ((statespace, "enumerate_states"), (kingman, "tier_blocks"),
+                         (feedforward, "nonfixed_moments"), (bcp, "bcp_chain")):
+        monkeypatch.setattr(module, name, chain)
+    name = "power_n8_seed7.csv"
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()

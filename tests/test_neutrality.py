@@ -1,22 +1,31 @@
-"""Neutrality statistics: null moments, box construction, exact zeros,
-calibration of levels, and the Monte-Carlo harness determinism."""
+"""Neutrality statistics: the closed-form null against the moment engine
+and the BCP, box construction, exact zeros, calibration of levels, and the
+Monte-Carlo harness determinism."""
+
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from rankedcoal._common import ValidationError
+from rankedcoal import bcp, feedforward, kingman, statespace
+from rankedcoal._common import CapacityError, ValidationError
 from rankedcoal.betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats
+from rankedcoal.cli import main
 from rankedcoal.neutrality import (
     ALL_TESTS,
     SampleStats,
+    _exact_sum,
     e_boxes,
+    kingman_moment_terms,
     kingman_null,
     power_curve,
     replicate_statistics,
     run_tests,
     sym_inv_sqrt,
 )
+from rankedcoal.phasetype import dph_pmf_range
 from rankedcoal.neutrality import test_WF as wf_report
 from rankedcoal.neutrality import test_WSE as wse_report
 from rankedcoal.neutrality import test_hotelling as hotelling_report
@@ -56,6 +65,103 @@ def test_kingman_null_n5_goldens(null5):
         null5.sigma_se, [[11 / 9, 5 / 6], [5 / 6, 2 / 3]], rtol=1e-15)
 
 
+def _floats(arr):
+    return np.array([float(v) for v in np.ravel(arr)]).reshape(np.shape(arr))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_closed_form_null_equals_the_rational_engine(n):
+    """Each null float is the correctly rounded value of the exact engine's."""
+    space = statespace.enumerate_states(n)
+    summary = feedforward.nonfixed_moments(space, mode="rational")
+    mu_se, sigma_se = feedforward.se_moments(space, summary=summary)
+    null = kingman_null(n)
+    for got, want in ((null.mean, summary.mean), (null.sigma, summary.cov),
+                      (null.mu_se, mu_se), (null.sigma_se, sigma_se)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == _floats(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 25])
+def test_closed_form_null_matches_the_float_engine(n):
+    space = statespace.enumerate_states(n)
+    summary = feedforward.nonfixed_moments(space, mode="float")
+    mu_se, sigma_se = feedforward.se_moments(space, summary=summary)
+    null = kingman_null(n)
+    np.testing.assert_allclose(null.mean, summary.mean, rtol=1e-12)
+    # entries that are exactly zero come out of the float engine as ~1e-13
+    np.testing.assert_allclose(null.sigma, summary.cov, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(null.mu_se, mu_se, rtol=1e-12)
+    np.testing.assert_allclose(null.sigma_se, sigma_se, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_e_law_equals_the_rational_bcp(n):
+    law = bcp.e_law(n)
+    dph = bcp.bcp_E_distribution(n, mode="rational")
+    assert law[-1] != 0
+    assert dph_pmf_range(dph, len(law) + 5) == law + [Fraction(0)] * 5
+
+
+def test_e_pmf_is_the_correctly_rounded_law():
+    null = kingman_null(10)
+    assert null.e_pmf.tolist() == [float(p) for p in bcp.e_law(10)]
+    assert null.e_pmf[0] == 0.0 and null.e_pmf[-1] > 0.0
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_closed_form_moments_of_E_equal_its_law(n):
+    mean_num, mean_den, cov_num, cov_key, den_of_key = kingman_moment_terms(n)
+    last = slice(len(mean_num) - (n - 3), None)
+    mean_e = _exact_sum(mean_num[last], mean_den[last], np.arange(n)) + 2 * n - 2
+    var_e = _exact_sum(cov_num[last, last], cov_key[last, last], den_of_key)
+    law = bcp.e_law(n)
+    law_mean = sum(v * p for v, p in enumerate(law, start=1))
+    law_var = sum(v * v * p for v, p in enumerate(law, start=1)) - law_mean ** 2
+    assert mean_e == law_mean == Fraction(n * (n + 1), 3)
+    assert var_e == law_var
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the Kingman null built the chain or the BCP")
+
+
+def test_test_command_builds_no_chain_at_n25(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "n25.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "25",
+                 "--count", "120", "--seed", "2", "--out", str(corpus)]) == 0
+    for module, name in ((statespace, "enumerate_states"), (kingman, "tier_blocks"),
+                         (feedforward, "nonfixed_moments"), (bcp, "bcp_chain")):
+        monkeypatch.setattr(module, name, _must_not_run)
+    assert main(["test", "--in", str(corpus)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 25 and set(payload["tests"]) == set(ALL_TESTS)
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_test_and_power_run_past_the_bcp_cap(n, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "0", "--n", str(n),
+                 "--count", "60", "--seed", "3", "--out", str(corpus)]) == 0
+    assert main(["test", "--in", str(corpus)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == n and set(payload["tests"]) == set(ALL_TESTS)
+    assert main(["power", "--n", str(n), "--m", "40", "--reps", "2",
+                 "--beta-grid", "0", "--seed", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(ALL_TESTS)
+
+
+def test_null_capacity_is_refused_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(bcp, "e_law", _must_not_run)
+    with pytest.raises(CapacityError, match="MiB"):
+        kingman_null(10 ** 4)
+    assert main(["power", "--n", "10000", "--m", "40", "--reps", "2",
+                 "--beta-grid", "0", "--seed", "1"]) == 3
+    assert "capacity:" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        kingman_null(3)
+
+
 def test_sym_inv_sqrt_inverts(null5):
     root = sym_inv_sqrt(null5.sigma)
     np.testing.assert_allclose(root, root.T, atol=1e-12)
@@ -88,7 +194,7 @@ def test_wf_rejects_wrong_length(null5):
 
 
 def test_box_scheme(null8):
-    boxes = e_boxes(null8.e_dph, K=8, m=2000)
+    boxes = e_boxes(null8.e_pmf, K=8, m=2000)
     assert boxes.K >= 2
     assert boxes.probs.sum() == pytest.approx(1.0)
     assert (2000 * boxes.probs >= 5.0).all()
@@ -103,11 +209,11 @@ def test_box_scheme(null8):
 
 def test_box_errors(null5):
     with pytest.raises(ValidationError):
-        e_boxes(null5.e_dph, K=1, m=100)
+        e_boxes(null5.e_pmf, K=1, m=100)
     with pytest.raises(ValidationError):
-        e_boxes(null5.e_dph, K=4, m=None)
+        e_boxes(null5.e_pmf, K=4, m=None)
     with pytest.raises(ValidationError, match="degenerated"):
-        e_boxes(kingman_null(4).e_dph, K=10, m=6)
+        e_boxes(kingman_null(4).e_pmf, K=10, m=6)
 
 
 def test_sample_stats_agreement():
