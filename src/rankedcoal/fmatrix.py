@@ -5,6 +5,7 @@ F_jj = j+1 and subdiagonal F_{j+1,j} = j are fixed, and the non-fixed
 entries {F_ij : 1 <= j <= n-3, j+2 <= i <= n-1} carry all randomness.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ class FMatrix:
 
     def tri(self):
         """Lower triangle row by row, for the fmat.jsonl format."""
-        return [[int(self.entries[i, j]) for j in range(i + 1)] for i in range(self.n - 1)]
+        return [row[:i + 1] for i, row in enumerate(self.entries.tolist())]
 
     @classmethod
     def from_tri(cls, n, tri):
@@ -285,11 +286,18 @@ def nonfixed_positions(n):
     return [(i, j) for i in range(3, n) for j in range(1, i - 1)]
 
 
+@functools.lru_cache(maxsize=64)
+def _nonfixed_index(n):
+    """0-based (rows, cols) of the non-fixed positions, row-wise."""
+    index = np.array(nonfixed_positions(n), dtype=np.intp).reshape(-1, 2).T - 1
+    index.setflags(write=False)
+    return index[0], index[1]
+
+
 def nonfixed_vector(fmat):
     """Non-fixed entries in row-wise order."""
-    return np.array(
-        [fmat.entries[i - 1, j - 1] for i, j in nonfixed_positions(fmat.n)], dtype=np.int64
-    )
+    rows, cols = _nonfixed_index(fmat.n)
+    return fmat.entries[rows, cols]
 
 
 def write_jsonl(path, fmats):

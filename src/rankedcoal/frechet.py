@@ -5,6 +5,11 @@ K(x) = sum_i (D x_i^2 - 2 x_i N_ij), with D the lcm of the non-fixed
 denominators and N = D M: int64 when every path sum fits, Python ints
 otherwise. The minimum is K_min / D + sum M^2 exactly and ties compare
 with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
+
+The forward pass never builds the kernel. It takes each tier's successors
+from ``kingman.tier_edges`` in chunks of ``kingman.ROW_CHUNK`` source rows
+and keeps per tier only the edges that end up optimal, from which the
+backtrack, the path count and ``cost_matrix`` work.
 """
 
 import math
@@ -15,6 +20,7 @@ import numpy as np
 
 from ._common import CapacityError, ValidationError
 from .fmatrix import nonfixed_positions
+from .kingman import tier_edges
 
 DEFAULT_PATH_CAP = 10 ** 6
 # A state has fewer than n^2 < 2^12 in-edges (n <= 58), and every count
@@ -164,60 +170,59 @@ def _ties(lhs, rhs):
     return lhs <= rhs + DEFAULT_TIE_TOL if lhs.dtype.kind == "f" else lhs == rhs
 
 
-def _forward(space, blocks, costs):
-    """Cheapest cost of a path from state 1 to each state, one tier at a time.
+def _forward(space, costs):
+    """Cheapest cost of a path from state 1 to each state, one tier at a time,
+    and the edges (src, dst) on a path optimal to dst, per tier.
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
     so this holds bit for bit in float64 as well as in exact arithmetic.
+    The kernel comes in row chunks from ``tier_edges``. best[d] only falls
+    from chunk to chunk, so an edge that ties the final c[d] also tied
+    cost[d] + best[d] right after its own chunk: the edges kept then hold
+    every optimal one, and the exact test runs on them once the tier is
+    done. Edges come by source, then target.
     """
     c = costs.copy()
-    for blk in blocks:
-        src = space.tier_slice(blk.from_tier)
-        dst = space.tier_slice(blk.from_tier + 1)
-        reach = np.repeat(c[src], np.diff(blk.indptr))
+    optimal = []
+    for t in range(space.num_tiers - 1):
+        here = c[space.tier_slice(t)]
+        cost = costs[space.tier_slice(t + 1)]
         # every state has an in-edge, so each entry is lowered to its minimum
-        best = np.full(blk.n_cols, reach.max(), dtype=costs.dtype)
-        np.minimum.at(best, blk.indices, reach)
-        c[dst] = costs[dst] + best
-    return c
+        best = np.full(len(cost), here.max(), dtype=costs.dtype)
+        found = []
+        for s, d in tier_edges(space, t):
+            reach = here[s]
+            np.minimum.at(best, d, reach)
+            keep = _ties(reach + cost[d], cost[d] + best[d])
+            found.append((s[keep], d[keep]))
+        there = c[space.tier_slice(t + 1)] = cost + best
+        s, d = (np.concatenate(parts) for parts in zip(*found))
+        keep = _ties(here[s] + cost[d], there[d])
+        s, d = s[keep], d[keep]
+        order = np.lexsort((d, s))
+        optimal.append((s[order], d[order]))
+    return c, optimal
 
 
-def _optimal_edges(space, blk, c, costs, into=None):
-    """Edges (src, dst), local to their tiers, on a path that is optimal to dst:
-    c[src] + cost[dst] ties c[dst]. With ``into``, only edges whose target is
-    marked in it are kept. Edges come in row order: by source, then by target.
-    """
-    edges = np.arange(blk.nnz) if into is None else np.flatnonzero(into[blk.indices])
-    s = np.searchsorted(blk.indptr, edges, side="right") - 1
-    d = blk.indices[edges]
-    src = space.tier_offsets[blk.from_tier] + s
-    dst = space.tier_offsets[blk.from_tier + 1] + d
-    keep = _ties(c[src] + costs[dst], c[dst])
-    return s[keep], d[keep]
-
-
-def _solve(space, mean, costs, blocks):
-    """Per-state costs, cumulative costs and tier blocks of one ViTreebi problem.
+def _solve(space, mean, costs):
+    """Per-state costs, cumulative costs and per-tier optimal edges of one
+    ViTreebi problem.
 
     Without given ``costs``, a rational mean runs on the integer costs of
     ``_scaled_costs``; the last item is then (D, cumulative S per tier),
     which turns a cumulative cost c at tier t into c / D + S_cum[t].
     Otherwise it is None and the costs are true costs.
     """
-    from .kingman import tier_blocks
-
     scale = None
     if costs is None and mean.mode == "rational":
         costs, denom, const = _scaled_costs(space, mean)
         scale = denom, np.cumsum(const)
     elif costs is None:
         costs = state_costs(space, mean)
-    if blocks is None:
-        blocks = tier_blocks(space)
-    return costs, _forward(space, blocks, costs), blocks, scale
+    return (costs, *_forward(space, costs), scale)
 
 
-def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
+def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     """All cheapest chain paths under the squared deviation from ``mean``.
 
     Returns (min_cost, paths); paths are 1-based index tuples sorted
@@ -225,7 +230,7 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
     CapacityError before any path is materialized.
     """
     check_path_cap(path_cap)
-    costs, c, blocks, scale = _solve(space, mean, costs, blocks)
+    costs, c, optimal, scale = _solve(space, mean, costs)
     last = c[space.tier_slice(space.num_tiers - 1)]
     best = last.min()
     alive = _ties(last, best)
@@ -233,18 +238,18 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
 
     # Backtrack: keep the optimal edges into states that reach a final one.
     kept = []
-    for blk in reversed(blocks):
-        s, d = _optimal_edges(space, blk, c, costs, into=alive)
-        kept.append((s, d))
-        alive = np.zeros(blk.n_rows, dtype=bool)
-        alive[s] = True
+    for t, (s, d) in reversed(list(enumerate(optimal))):
+        keep = alive[d]
+        kept.append((s[keep], d[keep]))
+        alive = np.zeros(space.tier_size(t), dtype=bool)
+        alive[s[keep]] = True
     kept.reverse()
 
     # Every kept state lies on an optimal path, so a count above the cap
     # anywhere means the total is above it too.
     count = np.ones(1, dtype=np.int64)
-    for blk, (s, d) in zip(blocks, kept):
-        count, prev = np.zeros(blk.n_cols, dtype=np.int64), count
+    for t, (s, d) in enumerate(kept):
+        count, prev = np.zeros(space.tier_size(t + 1), dtype=np.int64), count
         np.add.at(count, d, prev[s])
         if count.max() > path_cap:
             raise CapacityError(f"more than {path_cap} optimal paths")
@@ -255,8 +260,8 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
     # Extending each prefix, in order, by its successors in ascending order
     # keeps the paths sorted.
     paths = np.zeros((1, 1), dtype=np.int64)
-    for blk, (s, d) in zip(blocks, kept):
-        out_deg = np.bincount(s, minlength=blk.n_rows)
+    for t, (s, d) in enumerate(kept):
+        out_deg = np.bincount(s, minlength=space.tier_size(t))
         first = np.cumsum(out_deg) - out_deg
         reps = out_deg[paths[:, -1]]
         start = np.repeat(first[paths[:, -1]] - (np.cumsum(reps) - reps), reps)
@@ -268,9 +273,9 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None, blocks=None):
     return best, [tuple(p) for p in paths.tolist()]
 
 
-def cost_matrix(space, mean, costs=None, blocks=None):
+def cost_matrix(space, mean, costs=None):
     """The dense DP table with off-tier sentinels and antecedent sets."""
-    costs, c, blocks, scale = _solve(space, mean, costs, blocks)
+    costs, c, optimal, scale = _solve(space, mean, costs)
     n = space.n
     true = c
     if scale is not None:
@@ -279,10 +284,9 @@ def cost_matrix(space, mean, costs=None, blocks=None):
     dense = np.full((space.num_states, n - 1), np.inf)
     dense[np.arange(space.num_states), space.tier_of] = true.astype(np.float64)
     preds = [[] for _ in range(space.num_states)]
-    for blk in blocks:
-        s, d = _optimal_edges(space, blk, c, costs)
-        s = s + space.tier_offsets[blk.from_tier] + 1
-        d = d + space.tier_offsets[blk.from_tier + 1]
+    for t, (s, d) in enumerate(optimal):
+        s = s + space.tier_offsets[t] + 1
+        d = d + space.tier_offsets[t + 1]
         # edges come by source, so each list is ascending
         for a, b in zip(s.tolist(), d.tolist()):
             preds[b].append(a)

@@ -15,6 +15,8 @@ from ._kernels import expand_tier
 from .statespace import RankedState, _tier_rank, diff_encoding
 
 PATH_ENUM_MAX_N = 12
+# Source rows per chunk of ``tier_edges``.
+ROW_CHUNK = 4096
 
 
 @dataclass
@@ -112,22 +114,43 @@ def transition_prob(x, y, mode="rational"):
     return Fraction(numer, denom) if mode == "rational" else numer / denom
 
 
+def _successors(space, t, rows):
+    """Coalescence successors of the tier-t states ``rows`` (canonical local
+    indices, a slice or an index array; all if None).
+
+    Returns (src, cols, numer): src indexes ``rows`` and is grouped, cols is
+    the canonical local index of the target in tier t+1.
+    """
+    keys = space._tier_keys_canon[t]
+    if rows is not None:
+        keys = keys[rows]
+    src, dst, numer = expand_tier(keys, space.n, t)
+    return src, space._tier_canonical[t + 1][_tier_rank(space.n, t + 1, dst)], numer
+
+
 def _tier_rows(space, t, rows=None):
     """Out-edges of the tier-t states ``rows`` (canonical local indices; all if None).
 
     Returns (indptr, cols, numer) over ``rows`` in the given order, each row
     ordered by target column (canonical local index in tier t+1).
     """
-    keys = space._tier_keys_canon[t]
-    if rows is not None:
-        keys = keys[rows]
-    src, dst, numer = expand_tier(keys, space.n, t)
-    cols = space._tier_canonical[t + 1][_tier_rank(space.n, t + 1, dst)]
+    src, cols, numer = _successors(space, t, rows)
+    num_rows = space.tier_size(t) if rows is None else len(rows)
     # src is already grouped; one stable sort on (src, col) orders each row.
     order = np.argsort(src * space.tier_size(t + 1) + cols, kind="stable")
-    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(keys)), out=indptr[1:])
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_rows), out=indptr[1:])
     return indptr, cols[order], numer[order]
+
+
+def tier_edges(space, t):
+    """The edges of tier t as (src, dst) local indices, ROW_CHUNK source rows
+    at a time, without building the tier's block. Rows come in order; the
+    targets of a row are not sorted."""
+    size = space.tier_size(t)
+    for lo in range(0, size, ROW_CHUNK):
+        src, dst, _ = _successors(space, t, slice(lo, min(lo + ROW_CHUNK, size)))
+        yield src + lo, dst
 
 
 def tier_blocks(space):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankedcoal import CapacityError, ValidationError
+from rankedcoal import CapacityError, ValidationError, kingman
 from rankedcoal.feedforward import frechet_variance
 from rankedcoal.fmatrix import nonfixed_positions, path_to_fmatrix
 from rankedcoal.frechet import (
@@ -23,7 +23,7 @@ from rankedcoal.frechet import (
     state_costs,
     vitreebi,
 )
-from rankedcoal.kingman import edge_table, enumerate_paths, sample_paths
+from rankedcoal.kingman import ROW_CHUNK, edge_table, enumerate_paths, sample_paths
 from rankedcoal.statespace import enumerate_states
 
 F = Fraction
@@ -263,20 +263,37 @@ def _tie_heavy_mean(space, seed, exact):
 
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("n", range(6, 13))
-def test_per_tier_walk_matches_loop_oracle(n, exact):
+def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
+    """Also in chunks of 1 and 3 rows, where tied edges into one state fall
+    into different chunks of the streamed kernel."""
     space = enumerate_states(n)
     for seed in range(3):
         mean = _tie_heavy_mean(space, seed, exact)
         costs = state_costs(space, mean)
         best, paths, c, preds = loop_vitreebi(space, costs, DEFAULT_TIE_TOL)
-        assert vitreebi(space, mean) == (best, paths)
-        cm = cost_matrix(space, mean)
-        assert cm.C[np.arange(space.num_states), space.tier_of].tolist() == [float(v) for v in c]
-        assert cm.antecedents == [tuple(p + 1 for p in ps) for ps in preds]
+        for chunk in (1, 3, ROW_CHUNK):
+            monkeypatch.setattr(kingman, "ROW_CHUNK", chunk)
+            assert vitreebi(space, mean) == (best, paths)
+            cm = cost_matrix(space, mean)
+            assert cm.C[np.arange(space.num_states), space.tier_of].tolist() == [float(v) for v in c]
+            assert cm.antecedents == [tuple(p + 1 for p in ps) for ps in preds]
         vitreebi(space, mean, path_cap=len(paths))
         if len(paths) > 1:
             with pytest.raises(CapacityError):
                 vitreebi(space, mean, path_cap=len(paths) - 1)
+
+
+def test_cost_matrix_builds_no_kernel(monkeypatch):
+    space = enumerate_states(10)
+    mean = _tie_heavy_mean(space, 0, exact=True)
+    _, _, _, preds = loop_vitreebi(space, state_costs(space, mean), DEFAULT_TIE_TOL)
+
+    def whole_kernel(*args, **kwargs):
+        raise AssertionError("ViTreebi built the whole kernel")
+
+    monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
+    monkeypatch.setattr(kingman, "edge_table", whole_kernel)
+    assert cost_matrix(space, mean).antecedents == [tuple(p + 1 for p in ps) for ps in preds]
 
 
 @pytest.mark.parametrize("n", range(17, 21))

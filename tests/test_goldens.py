@@ -41,6 +41,18 @@ def test_path_sampling_builds_only_the_rows_it_visits(name, capsys, monkeypatch)
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+def test_frechet_builds_no_kernel(capsys, monkeypatch):
+    """ViTreebi streams the kernel in row chunks and never builds it whole."""
+    def whole_kernel(*args, **kwargs):
+        raise AssertionError("ViTreebi built the whole kernel")
+
+    monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
+    monkeypatch.setattr(kingman, "edge_table", whole_kernel)
+    name = "frechet_n25.txt"
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_power_null_builds_no_chain(capsys, monkeypatch):
     """The power golden's Kingman null comes from closed forms alone."""
     def chain(*args, **kwargs):
