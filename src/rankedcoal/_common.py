@@ -1,8 +1,19 @@
-"""Shared plumbing: exceptions, Fibonacci numbers, rational helpers."""
+"""Shared plumbing: the exactness cut-off, exceptions, Fibonacci numbers,
+rational helpers."""
 
 from fractions import Fraction
 
 import numpy as np
+
+
+# Results are exact Fractions through this n and float64 above it, unless
+# the caller asks for a mode
+RATIONAL_MAX_N = 12
+
+
+def default_mode(n):
+    """The arithmetic used at n when the caller names none."""
+    return "rational" if n <= RATIONAL_MAX_N else "float"
 
 
 class ValidationError(ValueError):
@@ -35,14 +46,6 @@ def zeros(shape, mode):
         out[...] = Fraction(0)
         return out
     return np.zeros(shape)
-
-
-def as_fraction_array(num, denom):
-    """Integer numerators over a common denominator, as an object array."""
-    out = np.empty(len(num), dtype=object)
-    for i, p in enumerate(num):
-        out[i] = Fraction(int(p), denom)
-    return out
 
 
 def format_number(value):

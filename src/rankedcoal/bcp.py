@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError, binom2
+from ._common import ValidationError, binom2, default_mode
 from .kingman import TierBlock
 from .phasetype import DiscretePhaseType, dph_from_blocks, reward_transform
 
@@ -171,7 +171,7 @@ def bcp_chain(n):
 def bcp_dph(n, mode=None):
     """The ranked BCP as a dense discrete phase-type chain."""
     if mode is None:
-        mode = "rational" if n <= 12 else "float"
+        mode = default_mode(n)
     chain = bcp_chain(n)
     return dph_from_blocks(chain.blocks, mode=mode)
 
@@ -220,5 +220,5 @@ def bcp_E_distribution(n, mode=None):
     if n < 3:
         raise ValidationError(f"bcp_E_distribution requires n >= 3, got {n}")
     if mode is None:
-        mode = "rational" if n <= 12 else "float"
+        mode = default_mode(n)
     return reward_transform(bcp_dph(n, mode=mode), reward_E_bcp(n))

@@ -15,6 +15,7 @@ import tempfile
 
 import numpy as np
 
+from ._common import RATIONAL_MAX_N, default_mode
 from ._common import CapacityError, ValidationError, fib, format_number
 
 
@@ -47,13 +48,6 @@ def _csv_text(rows, header=None):
     return buf.getvalue()
 
 
-def _pick_mode(args, n):
-    mode = getattr(args, "mode", None)
-    if mode is None:
-        return "rational" if n <= 12 else "float"
-    return mode
-
-
 def _cmd_statespace(args):
     from .statespace import enumerate_states
 
@@ -80,7 +74,7 @@ def _cmd_kernel(args):
     from .statespace import enumerate_states
 
     space = enumerate_states(args.n)
-    mode = _pick_mode(args, args.n)
+    mode = args.mode or default_mode(args.n)
     payload = {"n": args.n, "blocks": []}
     for blk in tier_blocks(space):
         row0 = int(space.tier_offsets[blk.from_tier])
@@ -232,10 +226,11 @@ def _cmd_moments(args):
     if bad:
         raise ValidationError(f"unknown targets {bad}; expected S, E, F")
     n = args.n
-    mode = _pick_mode(args, n)
-    if mode == "rational" and n > 12 and "F" in targets:
+    mode = args.mode or default_mode(n)
+    if mode == "rational" and n > RATIONAL_MAX_N and "F" in targets:
         raise ValidationError(
-            f"rational mode refuses n = {n} > 12 for full-covariance jobs; use --mode float"
+            f"rational mode refuses n = {n} > {RATIONAL_MAX_N} for full-covariance jobs; "
+            "use --mode float"
         )
     space = enumerate_states(n)
     se = "S" in targets or "E" in targets

@@ -3,19 +3,23 @@
 Because T only moves mass one tier forward, pi T^k is supported exactly
 on tier k and T^k Delta(r) e on tier tau - k where tau is the reward's
 supporting tier. All means and covariances of the non-fixed entries then
-reduce to per-tier products, with no dense inversion anywhere. Rationals
-are used through n = 12, float64 above.
+reduce to per-tier products, with no dense inversion anywhere. Rational
+mode multiplies Python-int numerators over per-tier denominators, L_k =
+prod_{t<k} C(n-t, 2) for pi T^k, and makes one ``Fraction`` per output
+entry at the end; float mode multiplies scipy CSR blocks.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError, zeros
+from ._common import ValidationError, default_mode, zeros
 from .fmatrix import nonfixed_positions
 
-RATIONAL_MAX_N = 12
+# Fraction(p, q) entry by entry, broadcast over arrays of Python ints
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass
@@ -39,8 +43,9 @@ class MomentSummary:
     work: int
 
 
-def _default_mode(n):
-    return "rational" if n <= RATIONAL_MAX_N else "float"
+def _ratio(mode):
+    """num, den -> value: Fractions in rational mode; float values carry no denominator."""
+    return _fractions if mode == "rational" else (lambda num, den: num)
 
 
 def _tier_sizes(blocks):
@@ -49,33 +54,36 @@ def _tier_sizes(blocks):
     return sizes
 
 
+def _tier_denominators(blocks):
+    """L_0, ..., L_{n-2} with L_k = prod_{t<k} C(n-t, 2), the denominator of pi T^k."""
+    return np.cumprod([1] + [blk.denom for blk in blocks], dtype=object)
+
+
 def _left_step(blk, w, mat=None):
-    """w T restricted to the next tier, for w on blk.from_tier."""
+    """w T restricted to the next tier, for w on blk.from_tier.
+
+    Without ``mat``, on integer numerators: the denominator gains blk.denom.
+    """
     if mat is not None:
         return w @ mat
-    out = zeros(blk.n_cols, "rational")
-    for row in range(blk.n_rows):
-        wv = w[row]
-        if wv == 0:
-            continue
-        for e in range(blk.indptr[row], blk.indptr[row + 1]):
-            out[blk.indices[e]] += wv * Fraction(int(blk.numer[e]), blk.denom)
+    src = np.repeat(np.arange(blk.n_rows), np.diff(blk.indptr))
+    out = np.zeros(blk.n_cols, dtype=object)
+    np.add.at(out, blk.indices, w[src] * blk.numer.astype(object))
     return out
 
 
 def _right_step(blk, v, mat=None):
     """T v restricted to the previous tier, v on blk.from_tier + 1.
 
-    v may carry several reward columns at once.
+    v may carry several reward columns at once. Without ``mat``, on integer
+    numerators: the denominator gains blk.denom.
     """
     if mat is not None:
         return mat @ v
-    shape = (blk.n_rows,) + v.shape[1:]
-    out = zeros(shape, "rational")
-    for row in range(blk.n_rows):
-        for e in range(blk.indptr[row], blk.indptr[row + 1]):
-            out[row] = out[row] + Fraction(int(blk.numer[e]), blk.denom) * v[blk.indices[e]]
-    return out
+    # every state below the last tier has a successor: no empty segment
+    assert np.all(np.diff(blk.indptr) > 0)
+    numer = blk.numer.astype(object).reshape((-1,) + (1,) * (v.ndim - 1))
+    return np.add.reduceat(numer * v[blk.indices], blk.indptr[:-1], axis=0)
 
 
 def _csr_blocks(blocks, mode):
@@ -83,26 +91,20 @@ def _csr_blocks(blocks, mode):
     return [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
 
 
-def left_products(blocks, pi=None, mode="rational", mats=None):
-    """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier.
-
-    ``mats`` is ``_csr_blocks(blocks, mode)`` when the caller has it already.
-    """
-    sizes = _tier_sizes(blocks)
-    n = len(sizes) + 1
-    if pi is None:
-        pi = zeros(sizes[0], mode)
-        pi[0] = Fraction(1) if mode == "rational" else 1.0
-    else:
-        pi = np.asarray(pi) if mode == "rational" else np.asarray(pi, dtype=np.float64)
-    if mats is None:
-        mats = _csr_blocks(blocks, mode)
-    out = [TieredVector(n=n, tier=0, values=pi)]
-    w = pi
-    for k, blk in enumerate(blocks):
-        w = _left_step(blk, w, mats[k])
-        out.append(TieredVector(n=n, tier=k + 1, values=w))
+def _left_chain(blocks, mode, mats):
+    """pi T^k for k = 0..n-2: floats, or integer numerators over L_k."""
+    out = [np.ones(1, dtype=np.float64 if mode == "float" else object)]  # tier 0 is the start state
+    for blk, mat in zip(blocks, mats):
+        out.append(_left_step(blk, out[-1], mat))
     return out
+
+
+def left_products(blocks, mode="rational"):
+    """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier."""
+    values = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
+    if mode == "rational":
+        values = [_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
+    return [TieredVector(n=len(blocks) + 2, tier=k, values=v) for k, v in enumerate(values)]
 
 
 def _support_tier(r, sizes):
@@ -133,9 +135,9 @@ def right_products(blocks, r, mode="rational"):
         return []
     seg = np.asarray(r[offs[tau]:offs[tau + 1]])
     if mode == "rational":
-        v = np.empty(len(seg), dtype=object)
-        for i, val in enumerate(seg):
-            v[i] = val if isinstance(val, Fraction) else Fraction(int(val))
+        # integer numerators over the rewards' common denominator
+        scale = math.lcm(*(getattr(val, "denominator", 1) for val in seg))
+        v = np.array([int(val * scale) for val in seg], dtype=object)
     else:
         v = seg.astype(np.float64)
     mats = _csr_blocks(blocks, mode)
@@ -143,6 +145,10 @@ def right_products(blocks, r, mode="rational"):
     for k in range(1, tau + 1):
         v = _right_step(blocks[tau - k], v, mats[tau - k])
         out.append(TieredVector(n=n, tier=tau - k, values=v))
+    if mode == "rational":
+        dens = _tier_denominators(blocks)
+        for tv in out:
+            tv.values = _fractions(tv.values, scale * dens[tau] // dens[tv.tier])
     return out
 
 
@@ -161,7 +167,7 @@ def pi_U(space, blocks=None, mode=None):
     from .kingman import tier_blocks
 
     if mode is None:
-        mode = _default_mode(space.n)
+        mode = default_mode(space.n)
     if blocks is None:
         blocks = tier_blocks(space)
     return assemble(blocks, left_products(blocks, mode=mode), mode=mode)
@@ -180,30 +186,25 @@ def nonfixed_means(space, blocks=None, mode=None):
     if n < 4:
         raise ValidationError("non-fixed moments require n >= 4")
     if mode is None:
-        mode = _default_mode(n)
+        mode = default_mode(n)
     if blocks is None:
         blocks = tier_blocks(space)
-    piu = left_products(blocks, mode=mode)
+    piu = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
+    dens = _tier_denominators(blocks)
+    value = _ratio(mode)
     positions = nonfixed_positions(n)
     index = {pos: a for a, pos in enumerate(positions)}
     mean = zeros(len(positions), mode)
     for j in range(1, n - 2):
         tau = n - 1 - j
         sl = space.tier_slice(tau)
-        if mode == "float":
-            # One numpy reduction per column tier, pairwise along each
-            # contiguous column: unlike a BLAS dot, its summation order
-            # does not depend on the thread count.
-            cols = np.ascontiguousarray(space.states[sl][:, j + 1:].T, dtype=np.float64)
-            col_means = (cols * piu[tau].values).sum(axis=1)
-            for c, i in enumerate(range(j + 2, n)):
-                mean[index[(i, j)]] = col_means[c]
-        else:
-            for i in range(j + 2, n):
-                acc = Fraction(0)
-                for w, v in zip(piu[tau].values, space.states[sl][:, i - 1]):
-                    acc += w * int(v)
-                mean[index[(i, j)]] = acc
+        # One numpy reduction per column tier, pairwise along each
+        # contiguous column: unlike a BLAS dot, its summation order
+        # does not depend on the thread count.
+        cols = np.ascontiguousarray(space.states[sl][:, j + 1:].T,
+                                    dtype=np.float64 if mode == "float" else object)
+        col_means = (cols * piu[tau]).sum(axis=1)
+        mean[[index[(i, j)] for i in range(j + 2, n)]] = value(col_means, dens[tau])
     return positions, mean
 
 
@@ -219,28 +220,32 @@ def nonfixed_moments(space, blocks=None, mode=None):
     if n < 4:
         raise ValidationError("non-fixed moments require n >= 4")
     if mode is None:
-        mode = _default_mode(n)
+        mode = default_mode(n)
     if blocks is None:
         blocks = tier_blocks(space)
+    exact = mode == "rational"
     mats = _csr_blocks(blocks, mode)
-    piu = [tv.values for tv in left_products(blocks, mode=mode, mats=mats)]
+    piu = _left_chain(blocks, mode, mats)
+    # a rational value is its numerator over dens[tier]; floats need none
+    dens = _tier_denominators(blocks) if exact else [1] * (n - 1)
+    value = _ratio(mode)
     work = sum(blk.nnz for blk in blocks)
+    positions = nonfixed_positions(n)
+    index = {pos: a for a, pos in enumerate(positions)}
+    q = len(positions)
+    mean = zeros(q, mode)
+    cov = zeros((q, q), mode)
 
     # Non-fixed columns j share the supporting tier n-1-j; chain each
     # column's reward block once and slice per row index i.
     cols = {}
     chains = {}
+    sums = {}
     for j in range(1, n - 2):
         tau = n - 1 - j
         sl = space.tier_slice(tau)
         rows = list(range(j + 2, n))
-        block = space.states[sl][:, [i - 1 for i in rows]].astype(np.int64)
-        if mode == "rational":
-            v = np.empty(block.shape, dtype=object)
-            for idx, val in np.ndenumerate(block):
-                v[idx] = Fraction(int(val))
-        else:
-            v = block.astype(np.float64)
+        v = space.states[sl][:, [i - 1 for i in rows]].astype(object if exact else np.float64)
         levels = [v]
         for k in range(1, tau + 1):
             v = _right_step(blocks[tau - k], v, mats[tau - k])
@@ -248,19 +253,9 @@ def nonfixed_moments(space, blocks=None, mode=None):
             work += blocks[tau - k].nnz * len(rows)
         cols[j] = rows
         chains[j] = levels
-
-    positions = nonfixed_positions(n)
-    index = {pos: a for a, pos in enumerate(positions)}
-    q = len(positions)
-    mean = zeros(q, mode)
-    cov = zeros((q, q), mode)
-
-    for j, rows in cols.items():
-        tau = n - 1 - j
-        m_col = piu[tau].dot(chains[j][0])
-        for c, i in enumerate(rows):
-            mean[index[(i, j)]] = m_col[c]
-        work += chains[j][0].shape[0] * len(rows)
+        sums[j] = piu[tau].dot(levels[0])
+        mean[[index[(i, j)] for i in rows]] = value(sums[j], dens[tau])
+        work += levels[0].shape[0] * len(rows)
 
     # E[F_a F_b]: for columns on distinct tiers only the order-respecting
     # bracket survives; on a shared tier the product collapses pointwise.
@@ -271,18 +266,16 @@ def nonfixed_moments(space, blocks=None, mode=None):
                 continue
             tau_b = n - 1 - jb
             weighted = chains[jb][0] * piu[tau_b][:, None]
-            if ja == jb:
-                cross = weighted.T.dot(chains[jb][0])
-            else:
-                cross = weighted.T.dot(chains[ja][tau_a - tau_b])
+            cross = weighted.T.dot(chains[ja][tau_a - tau_b])
             work += weighted.shape[0] * len(rows_b) * len(rows_a)
+            # cross is over L_{tau_a}, the means over L_{tau_a} and L_{tau_b}
+            centred = value(cross * dens[tau_b] - np.multiply.outer(sums[jb], sums[ja]),
+                            dens[tau_a] * dens[tau_b])
             for cb, ib in enumerate(rows_b):
                 b = index[(ib, jb)]
                 for ca, ia in enumerate(rows_a):
                     a = index[(ia, ja)]
-                    val = cross[cb, ca] - mean[a] * mean[b]
-                    cov[a, b] = val
-                    cov[b, a] = val
+                    cov[a, b] = cov[b, a] = centred[cb, ca]
     return MomentSummary(n=n, positions=positions, mean=mean, cov=cov, mode=mode, work=work)
 
 
@@ -290,35 +283,38 @@ def se_moments(space, blocks=None, mode=None, summary=None):
     """Mean vector and covariance of (S, E) via the non-fixed summary.
 
     S is the plain sum of non-fixed entries; E adds the fixed last-row
-    entries n and n-2 to the non-fixed part of the last row.
+    entries n and n-2 to the non-fixed part of the last row. Rational
+    sums run on integer numerators over one common denominator.
     """
     if summary is None:
         summary = nonfixed_moments(space, blocks=blocks, mode=mode)
     n = summary.n
     mode = summary.mode
-    q = len(summary.positions)
-    a_s = zeros(q, mode)
-    a_e = zeros(q, mode)
-    one = Fraction(1) if mode == "rational" else 1.0
-    for a, (i, j) in enumerate(summary.positions):
-        a_s[a] = one
-        if i == n - 1:
-            a_e[a] = one
+    mean_f, cov_f, den = summary.mean, summary.cov, 1
+    if mode == "rational":
+        den = math.lcm(*(v.denominator for v in mean_f), *(v.denominator for v in cov_f.flat))
+        numerator = np.frompyfunc(lambda v: v.numerator * (den // v.denominator), 1, 1)
+        mean_f, cov_f = numerator(mean_f), numerator(cov_f)
+    value = _ratio(mode)
+    a_s = np.ones(len(summary.positions), dtype=mean_f.dtype)
+    a_e = np.array([i == n - 1 for i, _ in summary.positions]).astype(mean_f.dtype)
     mean = zeros(2, mode)
-    mean[0] = summary.mean.dot(a_s)
-    mean[1] = summary.mean.dot(a_e) + (2 * n - 2)
+    mean[0] = value(mean_f.dot(a_s), den)
+    mean[1] = value(mean_f.dot(a_e) + (2 * n - 2) * den, den)
     cov = zeros((2, 2), mode)
-    cov[0, 0] = a_s.dot(summary.cov.dot(a_s))
-    cov[0, 1] = cov[1, 0] = a_s.dot(summary.cov.dot(a_e))
-    cov[1, 1] = a_e.dot(summary.cov.dot(a_e))
+    cov[0, 0] = value(a_s.dot(cov_f.dot(a_s)), den)
+    cov[0, 1] = cov[1, 0] = value(a_s.dot(cov_f.dot(a_e)), den)
+    cov[1, 1] = value(a_e.dot(cov_f.dot(a_e)), den)
     return mean, cov
 
 
-def frechet_variance(space, blocks=None, mean=None, engine=None):
+def frechet_variance(space, blocks=None, mean=None, engine="moments"):
     """E ||F - M||^2 under Kingman: the dispersion around ``mean``.
 
-    Enumeration below n = 13 gives the exact rational value; above, the
-    moment identity tr(Sigma) + ||mean_vec - M_vec||^2 is used.
+    The moment identity tr(Sigma) + ||mean_vec - M_vec||^2 over the
+    non-fixed entries gives it, exact where the moments are.
+    ``engine="enumeration"`` sums over every chain path instead, as an
+    oracle for small n.
     """
     from .frechet import mean_matrix_exact, state_costs
     from .kingman import enumerate_paths, tier_blocks
@@ -328,8 +324,6 @@ def frechet_variance(space, blocks=None, mean=None, engine=None):
         blocks = tier_blocks(space)
     if mean is None:
         mean = mean_matrix_exact(space)
-    if engine is None:
-        engine = "enumeration" if n <= 12 else "moments"
     if engine == "enumeration":
         # a path's ||F - M||^2 is the sum of its states' costs
         costs = state_costs(space, mean)
@@ -337,6 +331,8 @@ def frechet_variance(space, blocks=None, mean=None, engine=None):
                    for path, prob in enumerate_paths(space, blocks))
     if engine != "moments":
         raise ValidationError(f"unknown engine {engine!r}")
+    if n < 4:
+        return Fraction(0)  # every entry is fixed
     summary = nonfixed_moments(space, blocks=blocks)
     exact = summary.mode == "rational" and mean.mode == "rational"
     acc = Fraction(0) if exact else 0.0

@@ -71,6 +71,41 @@ def test_left_products_tier_support(blocks6):
         assert sum(tv.values) == 1
 
 
+@pytest.mark.parametrize("n", range(7, 12))
+def test_products_match_dense_fraction_blocks(n):
+    """Left products, right products of a reward on each tier, and the
+    means, against the same products with dense Fraction blocks."""
+    space = enumerate_states(n)
+    blocks = tier_blocks(space)
+    dense = [blk.dense() for blk in blocks]
+    lefts = [np.array([F(1)], dtype=object)]
+    for mat in dense:
+        lefts.append(lefts[-1].dot(mat))
+    got = left_products(blocks)
+    assert [tv.tier for tv in got] == list(range(n - 1))
+    assert [list(tv.values) for tv in got] == [list(w) for w in lefts]
+    assert all(isinstance(v, F) for tv in got for v in tv.values)
+
+    offs = space.tier_offsets
+    for tau in range(n - 1):
+        seg = np.array([F(k, 2 + k % 3) for k in range(1, space.tier_size(tau) + 1)], dtype=object)
+        r = np.zeros(space.num_states, dtype=object)
+        r[offs[tau]:offs[tau + 1]] = seg
+        expected = [(tau, list(seg))]
+        for t in range(tau - 1, -1, -1):
+            seg = dense[t].dot(seg)
+            expected.append((t, list(seg)))
+        got = right_products(blocks, r)
+        assert [(tv.tier, list(tv.values)) for tv in got] == expected
+        assert all(isinstance(v, F) for tv in got for v in tv.values)
+
+    positions, mean = nonfixed_means(space, blocks=blocks)
+    states = space.states.astype(object)
+    expected = [lefts[n - 1 - j].dot(states[space.tier_slice(n - 1 - j), i - 1]) for i, j in positions]
+    assert list(mean) == expected
+    assert all(isinstance(v, F) for v in mean)
+
+
 def test_n5_moment_summary(space5):
     summary = nonfixed_moments(space5)
     assert summary.positions == [(3, 1), (4, 1), (4, 2)]

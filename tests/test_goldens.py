@@ -1,6 +1,8 @@
 """CLI outputs, byte for byte, against recorded files: seeded runs recorded
-before the samplers and the phase-type PMF were vectorised, and the exact
-Frechet minimum and mean paths at n = 25."""
+before the samplers and the phase-type PMF were vectorised, the exact
+Frechet minimum and mean paths at n = 25, and the exact moments of S, E and
+the F-matrix at n = 12, recorded while the moment engine still multiplied
+Fractions edge by edge."""
 
 from pathlib import Path
 
@@ -21,6 +23,7 @@ GOLDENS = {
     "sample_n10_seed5.jsonl": ["sample", "--n", "10", "--count", "20", "--seed", "5"],
     "bcp_n10.csv": ["bcp", "--n", "10"],
     "frechet_n25.txt": ["frechet", "--n", "25"],
+    "moments_n12.csv": ["moments", "--targets", "S,E,F", "--n", "12"],
 }
 
 
