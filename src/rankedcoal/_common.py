@@ -39,6 +39,16 @@ def binom2(m):
     return m * (m - 1) // 2
 
 
+# Fraction(p, q) entry by entry, broadcast over arrays of Python ints
+to_fractions = np.frompyfunc(Fraction, 2, 1)
+
+
+def exact_fractions(values):
+    """The entries of ``values`` as exact Fractions, in a list; numpy scalars
+    become Python numbers first, so no fixed-width integer is kept."""
+    return [Fraction(v) for v in np.asarray(values).tolist()]
+
+
 def zeros(shape, mode):
     """Zero array: Fraction(0) objects in rational mode, float64 otherwise."""
     if mode == "rational":

@@ -37,7 +37,7 @@ def expand_tier(keys, n, t):
     dst = np.empty(start[-1], np.int64)
     numer = np.empty(start[-1], np.int64)
     # Rows sharing a popcount d share the layout of their successor list.
-    for dv in np.unique(d):
+    for dv in np.flatnonzero(np.bincount(d)):
         rows = np.flatnonzero(d == dv)
         idx = (np.nonzero(bits[rows])[1] + 1).reshape(len(rows), dv)
         bitv = np.int64(1) << idx

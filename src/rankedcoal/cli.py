@@ -48,6 +48,14 @@ def _csv_text(rows, header=None):
     return buf.getvalue()
 
 
+def _refuse_negative(args, *flags):
+    """Refuse a negative value of each named integer flag."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValidationError(f"--{flag} must be nonnegative, got {value}")
+
+
 def _cmd_statespace(args):
     from .statespace import enumerate_states
 
@@ -68,8 +76,6 @@ def _cmd_statespace(args):
 
 
 def _cmd_kernel(args):
-    from fractions import Fraction
-
     from .kingman import tier_blocks
     from .statespace import enumerate_states
 
@@ -77,16 +83,10 @@ def _cmd_kernel(args):
     mode = args.mode or default_mode(args.n)
     payload = {"n": args.n, "blocks": []}
     for blk in tier_blocks(space):
-        row0 = int(space.tier_offsets[blk.from_tier])
-        col0 = int(space.tier_offsets[blk.from_tier + 1])
-        entries = []
-        for r in range(blk.n_rows):
-            for e in range(int(blk.indptr[r]), int(blk.indptr[r + 1])):
-                if mode == "rational":
-                    prob = Fraction(int(blk.numer[e]), blk.denom)
-                else:
-                    prob = int(blk.numer[e]) / blk.denom
-                entries.append([row0 + r + 1, col0 + int(blk.indices[e]) + 1, format_number(prob)])
+        rows = space.tier_offsets[blk.from_tier] + blk.rows() + 1
+        cols = space.tier_offsets[blk.from_tier + 1] + blk.indices + 1
+        entries = [[r, c, format_number(p)]
+                   for r, c, p in zip(rows.tolist(), cols.tolist(), blk.probs(mode).tolist())]
         payload["blocks"].append({
             "from_tier": blk.from_tier,
             "n_rows": blk.n_rows,
@@ -102,6 +102,7 @@ def _cmd_sample(args):
     from .kingman import sample_paths
     from .statespace import enumerate_states
 
+    _refuse_negative(args, "count", "seed")
     space = enumerate_states(args.n)
     paths = sample_paths(space, args.count, seed=args.seed)
     lines = [json.dumps({"path": [int(v) for v in p]}) for p in paths]
@@ -110,6 +111,7 @@ def _cmd_sample(args):
 
 
 def _cmd_simulate(args):
+    _refuse_negative(args, "count", "seed")
     if args.model == "beta":
         from .betasplit import BetaConfig, sample_beta_fmatrices
 
@@ -188,11 +190,9 @@ def _moment_rows_se(space, summary):
 def _moment_rows_f(space, mode, engine, summary):
     rows = []
     if engine == "dense":
-        from .kingman import tier_blocks
         from .phasetype import build_rewards, coalescent_dph, mdph_cross_moment, reward_moments
 
-        blocks = tier_blocks(space)
-        dph = coalescent_dph(space, blocks, mode=mode)
+        dph = coalescent_dph(space, mode=mode)
         rewards = build_rewards(space)
         labels = rewards.labels[2:]
         cols = [rewards.R[:, 2 + a] for a in range(len(labels))]
@@ -245,10 +245,9 @@ def _cmd_moments(args):
     text = _csv_text(rows, header=["target", "statistic", "value"])
     _emit(args.out, text)
     if args.emit_dph:
-        from .kingman import tier_blocks
         from .phasetype import coalescent_dph
 
-        dph = coalescent_dph(space, tier_blocks(space), mode=mode)
+        dph = coalescent_dph(space, mode=mode)
         payload = {
             "pi": [format_number(v) for v in dph.pi],
             "T": [[format_number(v) for v in row] for row in dph.T],
@@ -352,6 +351,7 @@ def _parse_grid(text):
 def _cmd_power(args):
     from .neutrality import parse_tests, power_curve
 
+    _refuse_negative(args, "seed")
     tests = parse_tests(args.tests)
     grid = _parse_grid(args.beta_grid)
     rows = power_curve(grid, args.n, args.m, args.reps, args.seed, alpha=args.alpha, tests=tests)

@@ -6,7 +6,9 @@ supporting tier. All means and covariances of the non-fixed entries then
 reduce to per-tier products, with no dense inversion anywhere. Rational
 mode multiplies Python-int numerators over per-tier denominators, L_k =
 prod_{t<k} C(n-t, 2) for pi T^k, and makes one ``Fraction`` per output
-entry at the end; float mode multiplies scipy CSR blocks.
+entry at the end; float mode multiplies scipy CSR blocks. The functions
+that take a state space read its blocks from ``kingman.tier_blocks``,
+which builds them once per space.
 """
 
 import math
@@ -15,11 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError, default_mode, zeros
+from ._common import ValidationError, default_mode, exact_fractions, to_fractions, zeros
 from .fmatrix import nonfixed_positions
-
-# Fraction(p, q) entry by entry, broadcast over arrays of Python ints
-_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass
@@ -45,7 +44,7 @@ class MomentSummary:
 
 def _ratio(mode):
     """num, den -> value: Fractions in rational mode; float values carry no denominator."""
-    return _fractions if mode == "rational" else (lambda num, den: num)
+    return to_fractions if mode == "rational" else (lambda num, den: num)
 
 
 def _tier_sizes(blocks):
@@ -66,9 +65,8 @@ def _left_step(blk, w, mat=None):
     """
     if mat is not None:
         return w @ mat
-    src = np.repeat(np.arange(blk.n_rows), np.diff(blk.indptr))
     out = np.zeros(blk.n_cols, dtype=object)
-    np.add.at(out, blk.indices, w[src] * blk.numer.astype(object))
+    np.add.at(out, blk.indices, w[blk.rows()] * blk.numer.astype(object))
     return out
 
 
@@ -103,7 +101,7 @@ def left_products(blocks, mode="rational"):
     """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier."""
     values = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
     if mode == "rational":
-        values = [_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
+        values = [to_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
     return [TieredVector(n=len(blocks) + 2, tier=k, values=v) for k, v in enumerate(values)]
 
 
@@ -133,13 +131,14 @@ def right_products(blocks, r, mode="rational"):
     tau, offs = _support_tier(r, sizes)
     if tau is None:
         return []
-    seg = np.asarray(r[offs[tau]:offs[tau + 1]])
+    seg = r[offs[tau]:offs[tau + 1]]
     if mode == "rational":
         # integer numerators over the rewards' common denominator
-        scale = math.lcm(*(getattr(val, "denominator", 1) for val in seg))
-        v = np.array([int(val * scale) for val in seg], dtype=object)
+        seg = exact_fractions(seg)
+        scale = math.lcm(*(val.denominator for val in seg))
+        v = np.array([val.numerator * (scale // val.denominator) for val in seg], dtype=object)
     else:
-        v = seg.astype(np.float64)
+        v = np.array(seg, dtype=np.float64)
     mats = _csr_blocks(blocks, mode)
     out = [TieredVector(n=n, tier=tau, values=v)]
     for k in range(1, tau + 1):
@@ -148,7 +147,7 @@ def right_products(blocks, r, mode="rational"):
     if mode == "rational":
         dens = _tier_denominators(blocks)
         for tv in out:
-            tv.values = _fractions(tv.values, scale * dens[tau] // dens[tv.tier])
+            tv.values = to_fractions(tv.values, scale * dens[tau] // dens[tv.tier])
     return out
 
 
@@ -162,18 +161,17 @@ def assemble(blocks, tiered, mode="rational"):
     return out
 
 
-def pi_U(space, blocks=None, mode=None):
+def pi_U(space, *, mode=None):
     """pi U as a full vector: the tier-k segment is pi T^k."""
     from .kingman import tier_blocks
 
     if mode is None:
         mode = default_mode(space.n)
-    if blocks is None:
-        blocks = tier_blocks(space)
+    blocks = tier_blocks(space)
     return assemble(blocks, left_products(blocks, mode=mode), mode=mode)
 
 
-def nonfixed_means(space, blocks=None, mode=None):
+def nonfixed_means(space, *, mode=None):
     """Means of all non-fixed entries, skipping the covariance chains.
 
     E[F_ij] only needs pi U against the tier-(n-1-j) slice of the state
@@ -187,8 +185,7 @@ def nonfixed_means(space, blocks=None, mode=None):
         raise ValidationError("non-fixed moments require n >= 4")
     if mode is None:
         mode = default_mode(n)
-    if blocks is None:
-        blocks = tier_blocks(space)
+    blocks = tier_blocks(space)
     piu = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
     dens = _tier_denominators(blocks)
     value = _ratio(mode)
@@ -208,7 +205,7 @@ def nonfixed_means(space, blocks=None, mode=None):
     return positions, mean
 
 
-def nonfixed_moments(space, blocks=None, mode=None):
+def nonfixed_moments(space, *, mode=None):
     """Means and covariances of all non-fixed entries under the Kingman law.
 
     Work is the exact multiply-add count of the tiered algebra, returned
@@ -221,8 +218,7 @@ def nonfixed_moments(space, blocks=None, mode=None):
         raise ValidationError("non-fixed moments require n >= 4")
     if mode is None:
         mode = default_mode(n)
-    if blocks is None:
-        blocks = tier_blocks(space)
+    blocks = tier_blocks(space)
     exact = mode == "rational"
     mats = _csr_blocks(blocks, mode)
     piu = _left_chain(blocks, mode, mats)
@@ -279,7 +275,7 @@ def nonfixed_moments(space, blocks=None, mode=None):
     return MomentSummary(n=n, positions=positions, mean=mean, cov=cov, mode=mode, work=work)
 
 
-def se_moments(space, blocks=None, mode=None, summary=None):
+def se_moments(space, *, mode=None, summary=None):
     """Mean vector and covariance of (S, E) via the non-fixed summary.
 
     S is the plain sum of non-fixed entries; E adds the fixed last-row
@@ -287,7 +283,7 @@ def se_moments(space, blocks=None, mode=None, summary=None):
     sums run on integer numerators over one common denominator.
     """
     if summary is None:
-        summary = nonfixed_moments(space, blocks=blocks, mode=mode)
+        summary = nonfixed_moments(space, mode=mode)
     n = summary.n
     mode = summary.mode
     mean_f, cov_f, den = summary.mean, summary.cov, 1
@@ -308,7 +304,7 @@ def se_moments(space, blocks=None, mode=None, summary=None):
     return mean, cov
 
 
-def frechet_variance(space, blocks=None, mean=None, engine="moments"):
+def frechet_variance(space, *, mean=None, engine="moments"):
     """E ||F - M||^2 under Kingman: the dispersion around ``mean``.
 
     The moment identity tr(Sigma) + ||mean_vec - M_vec||^2 over the
@@ -317,23 +313,21 @@ def frechet_variance(space, blocks=None, mean=None, engine="moments"):
     oracle for small n.
     """
     from .frechet import mean_matrix_exact, state_costs
-    from .kingman import enumerate_paths, tier_blocks
+    from .kingman import enumerate_paths
 
     n = space.n
-    if blocks is None:
-        blocks = tier_blocks(space)
     if mean is None:
         mean = mean_matrix_exact(space)
     if engine == "enumeration":
         # a path's ||F - M||^2 is the sum of its states' costs
         costs = state_costs(space, mean)
         return sum(prob * costs[np.asarray(path) - 1].sum()
-                   for path, prob in enumerate_paths(space, blocks))
+                   for path, prob in enumerate_paths(space))
     if engine != "moments":
         raise ValidationError(f"unknown engine {engine!r}")
     if n < 4:
         return Fraction(0)  # every entry is fixed
-    summary = nonfixed_moments(space, blocks=blocks)
+    summary = nonfixed_moments(space)
     exact = summary.mode == "rational" and mean.mode == "rational"
     acc = Fraction(0) if exact else 0.0
     for a, (i, j) in enumerate(nonfixed_positions(n)):

@@ -2,7 +2,9 @@
 
 Tier blocks are stored row-compressed with integer numerators and one
 integer denominator C(n-t, 2) per tier, so rational and float views are
-both exact materializations of the same data.
+both exact materializations of the same data. ``tier_blocks`` is the one
+builder of whole blocks: it builds them once per state space, read-only,
+and every consumer that needs the whole kernel asks it for them.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import CapacityError, ValidationError, binom2
+from ._common import CapacityError, ValidationError, binom2, to_fractions, zeros
 from ._kernels import expand_tier
 from .statespace import RankedState, _tier_rank, diff_encoding
 
@@ -19,7 +21,7 @@ PATH_ENUM_MAX_N = 12
 ROW_CHUNK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class TierBlock:
     """Sparse rectangular transition block from tier k to tier k+1."""
 
@@ -35,26 +37,29 @@ class TierBlock:
     def nnz(self):
         return int(self.indptr[-1])
 
+    def rows(self):
+        """Source row of every edge, in edge order."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def probs(self, mode="rational"):
+        """Probability of every edge: Fractions in rational mode, float64 otherwise."""
+        if mode == "rational":
+            return to_fractions(self.numer.astype(object), self.denom)
+        return self.numer / self.denom
+
     def csr(self):
         """Float CSR matrix of the transition probabilities."""
         import scipy.sparse
 
-        data = self.numer.astype(np.float64) / self.denom
         return scipy.sparse.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=(self.n_rows, self.n_cols)
+            (self.probs("float"), self.indices.copy(), self.indptr.copy()),
+            shape=(self.n_rows, self.n_cols),
         )
 
     def dense(self, mode="rational"):
         """Dense block; object array of Fractions in rational mode."""
-        if mode == "rational":
-            out = np.full((self.n_rows, self.n_cols), Fraction(0), dtype=object)
-        else:
-            out = np.zeros((self.n_rows, self.n_cols))
-        for r in range(self.n_rows):
-            for e in range(self.indptr[r], self.indptr[r + 1]):
-                c = int(self.indices[e])
-                p = int(self.numer[e])
-                out[r, c] = Fraction(p, self.denom) if mode == "rational" else p / self.denom
+        out = zeros((self.n_rows, self.n_cols), mode)
+        out[self.rows(), self.indices] = self.probs(mode)
         return out
 
     def row_sums(self):
@@ -154,13 +159,19 @@ def tier_edges(space, t):
 
 
 def tier_blocks(space):
-    """All blocks T_{0,1}, ..., T_{n-3,n-2} of the Kingman kernel."""
-    n = space.n
-    blocks = []
-    for t in range(n - 2):
-        indptr, cols, numer = _tier_rows(space, t)
-        blocks.append(
-            TierBlock(
+    """All blocks T_{0,1}, ..., T_{n-3,n-2} of the Kingman kernel.
+
+    Built on the first call for ``space`` and kept on it: every later call
+    returns the same tuple, whose arrays are read-only.
+    """
+    if space._blocks is None:
+        n = space.n
+        blocks = []
+        for t in range(n - 2):
+            indptr, cols, numer = _tier_rows(space, t)
+            for arr in (indptr, cols, numer):
+                arr.flags.writeable = False
+            blocks.append(TierBlock(
                 from_tier=t,
                 n_rows=space.tier_size(t),
                 n_cols=space.tier_size(t + 1),
@@ -168,9 +179,9 @@ def tier_blocks(space):
                 indices=cols,
                 numer=numer,
                 denom=binom2(n - t),
-            )
-        )
-    return blocks
+            ))
+        space._blocks = tuple(blocks)
+    return space._blocks
 
 
 @dataclass
@@ -183,7 +194,6 @@ class EdgeTable:
     cols: np.ndarray         # global 0-based targets
     numer: np.ndarray
     denom_state: np.ndarray  # float64 per-row denominator
-    denom_tier: np.ndarray   # int64 per-tier denominator
 
     def edge_prob(self, s, d, mode="rational"):
         """Probability of the edge s -> d (0-based globals), 0 if absent."""
@@ -197,37 +207,20 @@ class EdgeTable:
         return int(self.numer[pos]) / denom
 
 
-def edge_table(space, blocks=None):
-    """Assemble the global edge CSR from tier blocks."""
-    if blocks is None:
-        blocks = tier_blocks(space)
-    n = space.n
-    num = space.num_states
-    indptr = np.zeros(num + 1, dtype=np.int64)
-    cols_parts = []
-    numer_parts = []
-    denom_tier = np.zeros(n - 1, dtype=np.int64)
-    for blk in blocks:
-        t = blk.from_tier
-        denom_tier[t] = blk.denom
-        row0 = int(space.tier_offsets[t])
-        col0 = int(space.tier_offsets[t + 1])
-        indptr[row0 + 1:row0 + blk.n_rows + 1] = np.diff(blk.indptr)
-        cols_parts.append(blk.indices.astype(np.int64) + col0)
-        numer_parts.append(blk.numer)
-    denom_tier[n - 2] = 1
-    np.cumsum(indptr, out=indptr)
-    cols = np.concatenate(cols_parts) if cols_parts else np.zeros(0, dtype=np.int64)
-    numer = np.concatenate(numer_parts) if numer_parts else np.zeros(0, dtype=np.int64)
-    denom_state = denom_tier[space.tier_of.astype(np.int64)].astype(np.float64)
+def edge_table(space):
+    """Assemble the global edge CSR from the tier blocks."""
+    blocks = tier_blocks(space)
+    # the last tier's states have no out-edges
+    degrees = [np.diff(blk.indptr) for blk in blocks]
+    degrees.append(np.zeros(space.tier_size(space.n - 2), np.int64))
+    denom_tier = np.array([blk.denom for blk in blocks] + [1], dtype=np.float64)
     return EdgeTable(
-        n=n,
-        num_states=num,
-        indptr=indptr,
-        cols=cols,
-        numer=numer,
-        denom_state=denom_state,
-        denom_tier=denom_tier,
+        n=space.n,
+        num_states=space.num_states,
+        indptr=np.concatenate([[0], np.cumsum(np.concatenate(degrees))]),
+        cols=np.concatenate([blk.indices + space.tier_offsets[blk.from_tier + 1] for blk in blocks]),
+        numer=np.concatenate([blk.numer for blk in blocks]),
+        denom_state=denom_tier[space.tier_of],
     )
 
 
@@ -251,20 +244,16 @@ def validate_path(space, path):
     return path
 
 
-def path_probability(space, path, blocks=None, mode="rational"):
+def path_probability(space, path, *, mode="rational"):
     """Product of Kingman transition probabilities along a feasible path."""
     path = validate_path(space, path)
-    table = edge_table(space, blocks)
     prob = Fraction(1) if mode == "rational" else 1.0
-    for t in range(len(path) - 1):
-        p = table.edge_prob(path[t] - 1, path[t + 1] - 1, mode=mode)
-        if (mode == "rational" and p == 0) or (mode != "rational" and p == 0.0):
-            raise ValidationError(f"infeasible transition {path[t]} -> {path[t + 1]}")
-        prob *= p
+    for a, b in zip(path, path[1:]):
+        prob *= transition_prob(space.state(a), space.state(b), mode=mode)
     return prob
 
 
-def enumerate_paths(space, blocks=None):
+def enumerate_paths(space):
     """All chain paths with exact probabilities, in lexicographic index order.
 
     Guarded at n <= 12; the path count is the Euler (up/down) number E_{n-1}.
@@ -272,7 +261,7 @@ def enumerate_paths(space, blocks=None):
     n = space.n
     if n > PATH_ENUM_MAX_N:
         raise CapacityError(f"path enumeration capped at n = {PATH_ENUM_MAX_N}, got {n}")
-    table = edge_table(space, blocks)
+    table = edge_table(space)
     results = []
     stack = [(0, (1,), Fraction(1))]
     while stack:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import CapacityError, ValidationError, zeros
+from ._common import CapacityError, ValidationError, exact_fractions, zeros
 from .fmatrix import nonfixed_positions
 
 DENSE_MAX_ORDER = 5000
@@ -204,10 +204,7 @@ def mdph_cross_moment(d, r_j, r_k):
 
 def _as_mode_vector(r, mode):
     if mode == "rational":
-        out = np.empty(len(r), dtype=object)
-        for i, v in enumerate(r):
-            out[i] = Fraction(int(v)) if not isinstance(v, Fraction) else v
-        return out
+        return np.array(exact_fractions(r), dtype=object)
     return np.asarray(r, dtype=np.float64)
 
 
@@ -218,9 +215,13 @@ def reward_transform(d, r):
     each remaining state j is expanded into r(j) serial sub-states. The
     returned pi may be defective when P(Y = 0) > 0.
     """
-    r = [int(v) for v in r]
+    r = exact_fractions(r)
     if len(r) != d.order or any(v < 0 for v in r):
         raise ValidationError("reward must be a nonnegative integer vector of length p")
+    bad = next((j for j, v in enumerate(r) if v.denominator != 1), None)
+    if bad is not None:
+        raise ValidationError(f"reward entry {bad} = {float(r[bad])!r} is not an integer")
+    r = [int(v) for v in r]
     pos = [j for j in range(d.order) if r[j] > 0]
     zero = [j for j in range(d.order) if r[j] == 0]
     if not pos:
@@ -326,22 +327,13 @@ def dph_from_blocks(blocks, mode="rational"):
         raise CapacityError(f"dense DPH of order {p} exceeds cap {DENSE_MAX_ORDER}")
     t_mat = zeros((p, p), mode)
     for k, blk in enumerate(blocks):
-        row0 = int(offsets[k])
-        col0 = int(offsets[k + 1])
-        for rr in range(blk.n_rows):
-            for e in range(blk.indptr[rr], blk.indptr[rr + 1]):
-                val = (
-                    Fraction(int(blk.numer[e]), blk.denom)
-                    if mode == "rational"
-                    else int(blk.numer[e]) / blk.denom
-                )
-                t_mat[row0 + rr, col0 + int(blk.indices[e])] = val
+        t_mat[offsets[k] + blk.rows(), offsets[k + 1] + blk.indices] = blk.probs(mode)
     pi = zeros(p, mode)
     pi[0] = _one(mode)
     return DiscretePhaseType(pi=pi, T=t_mat, mode=mode)
 
 
-def coalescent_dph(space, blocks=None, mode="rational"):
+def coalescent_dph(space, *, mode="rational"):
     """Dense DPH of the ranked coalescent (small n only)."""
     from .kingman import tier_blocks
 
@@ -350,6 +342,4 @@ def coalescent_dph(space, blocks=None, mode="rational"):
             f"dense DPH of order {space.num_states} exceeds cap {DENSE_MAX_ORDER}; "
             "use the feedforward engine"
         )
-    if blocks is None:
-        blocks = tier_blocks(space)
-    return dph_from_blocks(blocks, mode=mode)
+    return dph_from_blocks(tier_blocks(space), mode=mode)

@@ -79,6 +79,7 @@ class StateSpace:
     _tier_keys: list = field(repr=False)        # per tier: packed keys, ascending
     _tier_canonical: list = field(repr=False)   # per tier: canonical local index per sorted key
     _tier_keys_canon: list = field(repr=False)  # per tier: packed keys in canonical order
+    _blocks: tuple = field(default=None, repr=False)  # the Kingman tier blocks, once built
 
     @property
     def num_states(self):

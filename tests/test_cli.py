@@ -229,6 +229,26 @@ def test_moments_emit_dph(tmp_path, capsys):
     assert payload["exit"] == ["0", "0", "1", "1"]
 
 
+def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
+    """The feed-forward summary, the dense engine and the emitted DPH all
+    read one set of blocks: every tier's rows are built once."""
+    from rankedcoal import kingman
+
+    built = []
+
+    def counted(space, t, rows=None):
+        built.append(t)
+        return tier_rows(space, t, rows)
+
+    tier_rows = kingman._tier_rows
+    monkeypatch.setattr(kingman, "_tier_rows", counted)
+    n = 6
+    assert main(["moments", "--targets", "S,E,F", "--engine", "dense", "--n", str(n),
+                 "--emit-dph", str(tmp_path / "dph.json")]) == 0
+    capsys.readouterr()
+    assert sorted(built) == list(range(n - 2))
+
+
 def test_bcp_sizes(capsys):
     assert main(["bcp", "--sizes", "--n-max", "10"]) == 0
     rows = _rows(capsys.readouterr().out)
@@ -324,6 +344,7 @@ def test_power_curve_csv(tmp_path, capsys):
     (["--reps", "2", "--m", "-3"], "tree per sample"),
     (["--reps", "2", "--tests", "GE,XX"], "unknown tests"),
     (["--reps", "2", "--tests", ""], "no test named"),
+    (["--reps", "2", "--seed", "-1"], "--seed"),
 ])
 def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import neutrality
@@ -337,6 +358,29 @@ def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsy
                  "--out", str(target)] + flags) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "5"],
+    ["simulate", "--model", "kingman", "--n", "5"],
+    ["simulate", "--model", "beta", "--n", "5"],
+])
+@pytest.mark.parametrize("flag", ["--count", "--seed"])
+def test_sampling_refuses_negative_count_or_seed(argv, flag, tmp_path, capsys, monkeypatch):
+    from rankedcoal import betasplit, statespace
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the flags were checked")
+
+    monkeypatch.setattr(statespace, "enumerate_states", no_work)
+    monkeypatch.setattr(betasplit, "sample_beta_fmatrices", no_work)
+    values = {"--count": "3", "--seed": "1", flag: "-2"}
+    target = tmp_path / "out.jsonl"
+    args = argv + [v for item in values.items() for v in item] + ["--out", str(target)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be nonnegative, got -2\n" and captured.out == ""
     assert not target.exists()
 
 
@@ -406,7 +450,8 @@ def test_infeasible_column_is_refused_on_its_line(argv, tmp_path, capsys):
 
 def test_rational_calls_do_not_import_scipy():
     """scipy is imported only where a call's work needs it: importing the
-    CLI, enumerating states, exact moments and Frechet means load none of it."""
+    CLI, enumerating states, exact moments and Frechet means load none of
+    it, nor numpy.ma."""
     import subprocess
     import sys
 
@@ -417,7 +462,8 @@ def test_rational_calls_do_not_import_scipy():
         "import contextlib, io, sys\n"
         "from rankedcoal.cli import main\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "print(loaded())\n"
         "for argv in (['statespace', '--n', '3'], ['moments', '--targets', 'S,E,F', '--n', '8'],\n"
         "             ['frechet', '--n', '25']):\n"

@@ -63,6 +63,13 @@ def test_right_products_edge_cases(blocks6):
     two_tier = [0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     with pytest.raises(ValidationError):
         right_products(blocks6, two_tier)
+    # a float reward is converted exactly, not truncated
+    half = np.zeros(12)
+    half[8] = 0.5
+    exact = right_products(blocks6, half)
+    assert list(exact[0].values) == [F(1, 2), 0, 0, 0] and exact[-1].values[0] == F(1, 5)
+    for e, a in zip(exact, right_products(blocks6, half, mode="float"), strict=True):
+        assert np.allclose([float(v) for v in e.values], a.values, rtol=1e-15, atol=0)
 
 
 def test_left_products_tier_support(blocks6):
@@ -99,7 +106,7 @@ def test_products_match_dense_fraction_blocks(n):
         assert [(tv.tier, list(tv.values)) for tv in got] == expected
         assert all(isinstance(v, F) for tv in got for v in tv.values)
 
-    positions, mean = nonfixed_means(space, blocks=blocks)
+    positions, mean = nonfixed_means(space)
     states = space.states.astype(object)
     expected = [lefts[n - 1 - j].dot(states[space.tier_slice(n - 1 - j), i - 1]) for i, j in positions]
     assert list(mean) == expected
@@ -163,10 +170,10 @@ def test_moments_match_path_enumeration(n):
             assert summary.cov[a, b] == second[a][b] - mean[a] * mean[b]
 
 
-def test_agrees_with_dense_engine_exactly(space6, blocks6):
+def test_agrees_with_dense_engine_exactly(space6):
     """Tier products and the dense solver give identical rationals."""
-    summary = nonfixed_moments(space6, blocks=blocks6)
-    d = coalescent_dph(space6, blocks=blocks6)
+    summary = nonfixed_moments(space6)
+    d = coalescent_dph(space6)
     rewards = build_rewards(space6)
     for a, (i, j) in enumerate(summary.positions):
         mean, var = reward_moments(d, rewards.column(f"F({i},{j})"))

@@ -79,6 +79,34 @@ def test_n6_blocks_match_hand_kernel(blocks6):
     ]
 
 
+def test_tier_blocks_are_built_once_and_read_only():
+    space = enumerate_states(7)
+    blocks = tier_blocks(space)
+    assert tier_blocks(space) is blocks
+    for blk in blocks:
+        for arr in (blk.indptr, blk.indices, blk.numer):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # a new space of the same n builds its own
+    assert tier_blocks(enumerate_states(7)) is not blocks
+
+
+def test_space_calls_take_no_blocks(space6, blocks6):
+    """Consumers read the blocks of the space; a stale positional blocks
+    argument is refused instead of landing in a later parameter."""
+    from rankedcoal.feedforward import nonfixed_moments
+    from rankedcoal.phasetype import coalescent_dph
+
+    with pytest.raises(TypeError):
+        path_probability(space6, (1, 2, 4, 6, 10), blocks6)
+    with pytest.raises(TypeError):
+        edge_table(space6, blocks6)
+    with pytest.raises(TypeError):
+        nonfixed_moments(space6, blocks6)
+    with pytest.raises(TypeError):
+        coalescent_dph(space6, blocks6)
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_rows_are_stochastic(n):
     space = enumerate_states(n)
@@ -109,13 +137,13 @@ def test_blocks_match_searchsorted_oracle():
             assert blk.denom == (n - blk.from_tier) * (n - blk.from_tier - 1) // 2
 
 
-def test_blocks_agree_with_pairwise_probabilities(space6, blocks6):
+def test_blocks_agree_with_pairwise_probabilities(space6):
     """Every block entry equals the vector-level transition probability.
 
     This pits the packed-key expansion against the independent
     decremental-code feasibility check, over all tier-adjacent pairs.
     """
-    table = edge_table(space6, blocks6)
+    table = edge_table(space6)
     for t in range(space6.num_tiers - 1):
         rows = space6.tier_slice(t)
         cols = space6.tier_slice(t + 1)

@@ -70,6 +70,8 @@ def test_reward_columns(space5, dph5):
 def test_reward_moments_goldens(dph5):
     assert reward_moments(dph5, R_S) == (F(8, 3), F(11, 9))
     assert reward_moments(dph5, R_E) == (F(10), F(2, 3))
+    # a float reward is converted exactly, not truncated
+    assert reward_moments(dph5, np.array(R_S) / 2) == (F(4, 3), F(11, 36))
     cross, cov = mdph_cross_moment(dph5, R_S, R_E)
     assert cov == F(5, 6)
     assert cross == F(5, 6) + F(8, 3) * 10
@@ -121,6 +123,16 @@ def test_transform_preserves_moments(r):
 def test_all_zero_reward_rejected(dph5):
     with pytest.raises(ValidationError):
         reward_transform(dph5, [0] * 7)
+
+
+@pytest.mark.parametrize("value", [2.7, F(1, 2), 0.5])
+def test_transform_refuses_non_integer_rewards(dph5, value):
+    r = [1] * 7
+    r[3] = value
+    with pytest.raises(ValidationError, match="entry 3"):
+        reward_transform(dph5, r)
+    r[3] = float(R_E[3])
+    reward_transform(dph5, r)
 
 
 def test_moment_argument_guards(dph5):
