@@ -38,13 +38,22 @@ class BcpState:
         return self.a[0]
 
 
-def partition_count(n):
-    """p(n) by the bounded-part dynamic program."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
+# The largest n_max a ``bcp --sizes`` table is built for
+SIZES_MAX_N = 1000
+
+
+def partition_counts(n_max):
+    """[p(0), ..., p(n_max)] from one bounded-part dynamic program."""
+    table = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for total in range(part, n_max + 1):
             table[total] += table[total - part]
-    return table[n]
+    return table
+
+
+def partition_count(n):
+    """p(n), the number of partitions of n."""
+    return partition_counts(n)[n]
 
 
 def _partitions(n, largest):

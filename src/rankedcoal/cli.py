@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation error (including flag misuse),
-3 capacity overflow. Every file is written atomically: a temp file in
-the target directory, then os.replace.
+Exit codes: 0 success, 2 validation error (including flag misuse and
+unreadable or unwritable files), 3 capacity overflow. Every file is
+written atomically: a temp file in the target directory, then os.replace.
 """
 
 import argparse
@@ -21,7 +21,10 @@ from ._common import CapacityError, ValidationError, fib, format_number
 
 def _atomic_write(path, text):
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -259,9 +262,12 @@ def _cmd_moments(args):
 
 def _cmd_bcp(args):
     if args.sizes:
-        from .bcp import partition_count
+        from .bcp import SIZES_MAX_N, partition_counts
 
-        rows = [[n, partition_count(n), fib(n + 1)] for n in range(3, args.n_max + 1)]
+        if args.n_max > SIZES_MAX_N:
+            raise CapacityError(f"--n-max {args.n_max} exceeds cap {SIZES_MAX_N}")
+        counts = partition_counts(args.n_max)
+        rows = [[n, counts[n], fib(n + 1)] for n in range(3, args.n_max + 1)]
         text = _csv_text(rows, header=["n", "partitions", "fib"])
         _emit(args.out, text)
         return 0
@@ -455,12 +461,21 @@ def build_parser():
     return parser
 
 
+def _check_output_dirs(args):
+    """Refuse an output path whose directory does not exist, before any work."""
+    for flag in ("out", "emit", "emit_dph"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValidationError(f"--{flag.replace('_', '-')} {path}: no such directory")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -1,12 +1,19 @@
 """Discrete phase-type machinery: PMF, moments, reward transforms, rewards.
 
-All operations are mode-generic: object arrays of Fractions in rational
-mode, float64 otherwise. Moment formulas are evaluated as vector chains
-(never materializing U-products), so exact mode stays cheap at small n.
+Every chain built on the tiered embedding only moves forward, so T is
+strictly upper triangular in state order; a DPH refuses any other T. Each
+DPH keeps a row view of T (the nonzero columns and values of each row),
+built once, and one triangular solver serves all of its algebra:
+(I - T)^{-1} v is back-substitution and v (I - T)^{-1} forward
+substitution, over Fractions in rational mode and float64 otherwise. Exact
+pmf stepping walks the row view; float stepping is ``w @ T`` on the numpy
+or scipy T. Moment formulas are vector chains, never U-products.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,19 +29,41 @@ def _is_sparse(t_mat):
     return not isinstance(t_mat, np.ndarray)
 
 
-def _vm(w, t_mat):
-    """Row-vector times matrix, dispatching on sparsity."""
-    if _is_sparse(t_mat):
-        return w @ t_mat
-    return w.dot(t_mat)
-
-
-def _zero(mode):
-    return Fraction(0) if mode == "rational" else 0.0
-
-
 def _one(mode):
     return Fraction(1) if mode == "rational" else 1.0
+
+
+def _row_view(t_mat):
+    """Each row's nonzero (columns, values) of a strictly upper triangular T."""
+    if _is_sparse(t_mat):
+        coo = t_mat.tocsr().tocoo()
+        keep = coo.data != 0
+        r, c, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+    else:
+        r, c = np.nonzero(t_mat)
+        vals = t_mat[r, c]
+    if np.any(c <= r):
+        raise ValidationError("T must be strictly upper triangular: every chain here moves forward")
+    bounds = np.searchsorted(r, np.arange(t_mat.shape[0] + 1))
+    return [(c[a:b], vals[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _solve(rows, v, left=False):
+    """(I - T)^{-1} v, or v (I - T)^{-1} if ``left``, for T given by its row view.
+
+    Back-substitution runs the rows from last to first; v may be a matrix.
+    Forward substitution pushes each finished entry along its row.
+    """
+    x = v.copy()
+    if left:
+        for i, (cols, vals) in enumerate(rows):
+            if x[i]:
+                x[cols] += x[i] * vals
+        return x
+    for i in range(len(rows) - 1, -1, -1):
+        cols, vals = rows[i]
+        x[i] = x[i] + vals.dot(x[cols])
+    return x
 
 
 @dataclass
@@ -49,14 +78,16 @@ class DiscretePhaseType:
     T: np.ndarray
     exit: np.ndarray = field(default=None)
     mode: str = "rational"
+    rows: list = field(init=False, repr=False)
 
     def __post_init__(self):
         p = len(self.pi)
         if self.T.shape != (p, p):
             raise ValidationError(f"T must be {p}x{p}, got {self.T.shape}")
+        self.rows = _row_view(self.T)
         if self.exit is None:
-            ones = _ones(p, self.mode)
-            self.exit = ones - (self.T @ ones if _is_sparse(self.T) else self.T.dot(ones))
+            ones = np.full(p, _one(self.mode))
+            self.exit = ones - self.T.dot(ones)
         tol = 0 if self.mode == "rational" else 1e-9
         if any(v < -tol for v in self.pi) or sum(self.pi) > 1 + tol:
             raise ValidationError("pi must be a (sub)probability vector")
@@ -72,70 +103,27 @@ class DiscretePhaseType:
         """P(Y = 0): initial mass missing from the transient states."""
         return _one(self.mode) - sum(self.pi)
 
+    @cached_property
+    def pi_u(self):
+        """pi U = pi (I - T)^{-1}, the expected visits to each state."""
+        return _solve(self.rows, self.pi, left=True)
 
-def _ones(p, mode):
-    if mode == "rational":
-        out = np.empty(p, dtype=object)
-        out[...] = Fraction(1)
+    def step(self, w):
+        """w T: over the row view in rational mode, ``w @ T`` in float mode."""
+        if self.mode != "rational":
+            return w @ self.T
+        out = zeros(self.order, self.mode)
+        for i in np.flatnonzero(w):
+            cols, vals = self.rows[i]
+            out[cols] += w[i] * vals
         return out
-    return np.ones(p)
-
-
-def _eye(p, mode):
-    if mode == "rational":
-        out = zeros((p, p), mode)
-        for i in range(p):
-            out[i, i] = Fraction(1)
-        return out
-    return np.eye(p)
-
-
-def _fraction_solve(a, b):
-    """Exact solve a @ x = b by Gaussian elimination with nonzero pivoting."""
-    a = a.copy()
-    b = b.copy()
-    p = a.shape[0]
-    for col in range(p):
-        pivot = next((r for r in range(col, p) if a[r, col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular matrix: chain is not absorbing")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        inv = Fraction(1) / a[col, col]
-        a[col] = a[col] * inv
-        b[col] = b[col] * inv
-        for r in range(p):
-            if r != col and a[r, col] != 0:
-                factor = a[r, col]
-                a[r] = a[r] - factor * a[col]
-                b[r] = b[r] - factor * b[col]
-    return b
-
-
-def _solve_resolvent(d, v, left=False):
-    """(I - T)^{-1} v as a column vector, or v (I - T)^{-1} if ``left``."""
-    p = d.order
-    if d.mode == "rational":
-        a = _eye(p, d.mode) - d.T
-        return _fraction_solve(a.T if left else a, v.copy())
-    if _is_sparse(d.T):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        a = sp.csr_matrix(sp.eye(p) - d.T)
-        return spla.spsolve(a.T.tocsr() if left else a, v)
-    return np.linalg.solve(np.eye(p) - (d.T.T if left else d.T), v)
 
 
 def dph_pmf(d, m):
     """P(tau = m) = pi T^{m-1} t."""
     if m < 1:
         raise ValidationError(f"PMF argument must be >= 1, got {m}")
-    w = d.pi
-    for _ in range(m - 1):
-        w = _vm(w, d.T)
-    return w.dot(d.exit)
+    return dph_pmf_range(d, m)[-1]
 
 
 def dph_pmf_range(d, upto):
@@ -151,7 +139,7 @@ def dph_pmf_range(d, upto):
         if not np.any(w != 0):
             out.extend([out[-1]] * (upto - len(out)))
             break
-        w = _vm(w, d.T)
+        w = d.step(w)
     return out
 
 
@@ -161,14 +149,11 @@ def dph_factorial_moment(d, k):
         raise ValidationError(f"moment order must be >= 1, got {k}")
     w = d.pi
     for _ in range(k - 1):
-        w = _vm(w, d.T)
-    v = _ones(d.order, d.mode)
+        w = d.step(w)
+    v = np.full(d.order, _one(d.mode))
     for _ in range(k):
-        v = _solve_resolvent(d, v)
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return fact * w.dot(v)
+        v = _solve(d.rows, v)
+    return math.factorial(k) * w.dot(v)
 
 
 def dph_mean_var(d):
@@ -181,21 +166,17 @@ def dph_mean_var(d):
 def reward_moments(d, r):
     """Mean and variance of the accumulated reward Y = sum r(X_t)."""
     r = _as_mode_vector(r, d.mode)
-    piu = _solve_resolvent(d, d.pi, left=True)
-    mean = piu.dot(r)
-    chain = _solve_resolvent(d, piu * r, left=True)
-    second = 2 * chain.dot(r) - piu.dot(r * r)
-    return mean, second - mean * mean
+    return d.pi_u.dot(r), mdph_cross_moment(d, r, r)[1]
 
 
 def mdph_cross_moment(d, r_j, r_k):
     """E[Y_j Y_k] and Cov(Y_j, Y_k) for two rewards on one chain."""
     r_j = _as_mode_vector(r_j, d.mode)
     r_k = _as_mode_vector(r_k, d.mode)
-    piu = _solve_resolvent(d, d.pi, left=True)
+    piu = d.pi_u
     cross = (
-        _solve_resolvent(d, piu * r_j, left=True).dot(r_k)
-        + _solve_resolvent(d, piu * r_k, left=True).dot(r_j)
+        _solve(d.rows, piu * r_j, left=True).dot(r_k)
+        + _solve(d.rows, piu * r_k, left=True).dot(r_j)
         - piu.dot(r_j * r_k)
     )
     cov = cross - piu.dot(r_j) * piu.dot(r_k)
@@ -221,30 +202,21 @@ def reward_transform(d, r):
     bad = next((j for j, v in enumerate(r) if v.denominator != 1), None)
     if bad is not None:
         raise ValidationError(f"reward entry {bad} = {float(r[bad])!r} is not an integer")
-    r = [int(v) for v in r]
-    pos = [j for j in range(d.order) if r[j] > 0]
-    zero = [j for j in range(d.order) if r[j] == 0]
-    if not pos:
+    r = np.array([int(v) for v in r])
+    pos, zero = np.flatnonzero(r), np.flatnonzero(r == 0)
+    if not len(pos):
         raise ValidationError("all-zero reward: Y is degenerate at zero, not a DPH")
     mode = d.mode
     t_full = d.T.toarray() if _is_sparse(d.T) else d.T
-    t_pp = t_full[np.ix_(pos, pos)]
-    if zero:
-        t_pz = t_full[np.ix_(pos, zero)]
-        t_zz = t_full[np.ix_(zero, zero)]
-        t_zp = t_full[np.ix_(zero, pos)]
-        if mode == "rational":
-            resolvent = _fraction_solve(_eye(len(zero), mode) - t_zz, t_zp)
-        else:
-            resolvent = np.linalg.solve(np.eye(len(zero)) - t_zz, t_zp)
-        t_cens = t_pp + t_pz.dot(resolvent)
-        pi_cens = d.pi[pos] + d.pi[zero].dot(resolvent)
-    else:
-        t_cens = t_pp
-        pi_cens = d.pi[pos]
+    # row j of y: the mass of each positive state entered next from j,
+    # passing through zero-reward states only, so y = T[:, pos] + T[:, zero] y;
+    # its positive rows are the censored T
+    y = _solve(_row_view(np.where(r == 0, t_full, 0)), t_full[:, pos])
+    t_cens = y[pos]
+    pi_cens = d.pi[pos] + d.pi[zero].dot(y[zero])
     # sub-states first[a]..last[a] expand pos[a]; each steps to the next,
     # and the last one leaves with the censored row of pos[a]
-    last = np.cumsum([r[j] for j in pos]) - 1
+    last = np.cumsum(r[pos]) - 1
     first = np.concatenate([[0], last[:-1] + 1])
     order = int(last[-1]) + 1
     steps = np.setdiff1d(np.arange(order), last)

@@ -199,12 +199,13 @@ def test_moments_se(capsys):
 
 
 def test_moments_engines_agree(capsys):
-    assert main(["moments", "--n", "5", "--targets", "F"]) == 0
-    feed = capsys.readouterr().out
-    assert main(["moments", "--n", "5", "--targets", "F",
-                 "--engine", "dense"]) == 0
-    dense = capsys.readouterr().out
-    assert feed == dense
+    def f_rows(n, *flags):
+        assert main(["moments", "--n", str(n), "--targets", "F", *flags]) == 0
+        return capsys.readouterr().out
+
+    assert f_rows(9) == f_rows(9, "--engine", "dense")
+    feed = f_rows(5)
+    assert feed == f_rows(5, "--engine", "dense")
     values = {(r[0], r[1]): r[2] for r in _rows(feed)[1:]}
     assert values[("F(4,2)", "mean")] == "3/2"
     assert values[("F(3,1):F(4,2)", "cov")] == "0"
@@ -255,6 +256,19 @@ def test_bcp_sizes(capsys):
     assert rows[0] == ["n", "partitions", "fib"]
     assert rows[-1] == ["10", "42", "89"]
     assert len(rows) == 9
+
+
+def test_bcp_sizes_reads_one_table_up_to_the_cap(capsys, monkeypatch):
+    import rankedcoal.bcp as bcp
+
+    assert main(["bcp", "--sizes", "--n-max", str(bcp.SIZES_MAX_N)]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert rows[-1][:2] == ["1000", "24061467864032622473692149727991"]
+    monkeypatch.setattr(bcp, "partition_counts", lambda n: pytest.fail("work started"))
+    assert main(["bcp", "--sizes", "--n-max", str(bcp.SIZES_MAX_N + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capacity: --n-max 1001 exceeds cap {bcp.SIZES_MAX_N}\n"
 
 
 def test_bcp_distribution(capsys):
@@ -446,6 +460,39 @@ def test_infeasible_column_is_refused_on_its_line(argv, tmp_path, capsys):
     corpus = _malformed_corpus(tmp_path, capsys, [(5, 1, 99)])
     err = _refusal(argv, corpus, capsys)
     assert err == f"error: {corpus}:17: column 1: F_5,1 = 99 is not F_4,1 = 1 or one less\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--in", "{missing}"],
+    ["test", "--in", "{directory}"],
+    ["test", "--in", "{latin1}"],
+    ["balance", "--in", "{missing}"],
+    ["frechet", "--n", "6", "--sample", "{missing}"],
+    # refused before the means are computed and printed
+    ["frechet", "--n", "5", "--out", "{missing}/x.json"],
+], ids=["test-missing", "test-directory", "test-not-utf8", "balance-missing",
+        "frechet-sample-missing", "frechet-out-missing-directory"])
+def test_unreadable_or_unwritable_file_is_an_error(argv, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(b'{"n": 4, "tri": "\xe9"}\n')
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path, "latin1": latin1}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ".tmp-" not in captured.err
+
+
+def test_unwritable_output_names_its_target(tmp_path, capsys, monkeypatch):
+    import tempfile
+
+    def refuse(dir, prefix):
+        raise PermissionError(13, "Permission denied", os.path.join(dir, prefix + "x"))
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    target = tmp_path / "kernel.json"
+    assert main(["kernel", "--n", "4", "--emit", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{target}'\n"
 
 
 def test_rational_calls_do_not_import_scipy():

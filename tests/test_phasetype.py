@@ -148,6 +148,14 @@ def test_invalid_representation_rejected():
     bad_t = np.array([[F(1, 2), F(2, 3)], [F(0), F(0)]])
     with pytest.raises(ValidationError):
         DiscretePhaseType(pi=np.array([F(1), F(0)]), T=bad_t)
+    with pytest.raises(ValidationError, match="row sums"):
+        DiscretePhaseType(pi=np.array([F(1), F(0)]), T=np.array([[F(0), F(3, 2)], [F(0), F(0)]]))
+    # every chain here only moves forward: a self-loop or a step back is refused
+    self_loop = np.array([[F(0), F(1, 2)], [F(0), F(1, 2)]])
+    step_back = np.array([[F(0), F(1, 2)], [F(1, 2), F(0)]])
+    for t_mat in (self_loop, step_back):
+        with pytest.raises(ValidationError, match="upper triangular"):
+            DiscretePhaseType(pi=np.array([F(1), F(0)]), T=t_mat)
 
 
 def test_sparse_transform_agrees_with_dense(space6, monkeypatch):
@@ -246,7 +254,7 @@ def test_pmf_range_stops_early_with_the_same_list(n, mode):
     w = d.pi
     for _ in range(cap):
         full.append(w.dot(d.exit))
-        w = phasetype._vm(w, d.T)
+        w = w.dot(d.T)
     assert not np.any(w != 0)
     pmf = dph_pmf_range(d, cap)
     assert pmf == full
