@@ -7,8 +7,10 @@ draw together, one step at a time. Randomness enters only through pre-drawn
 uniforms.
 
 State keys pack the binary decremental code into an int64: the decremental
-index set D as a bitmask (bits 1..n-2) shifted left by 6, plus the external
-count in the low 6 bits.
+index set D as a bitmask shifted left by 6, plus the external count in the
+low 6 bits. Decremental index k (1..n-2) sits at bit n-1-k, so the earliest
+index is the highest bit, and within a tier the keys ascend in the
+canonical order of the states (lexicographically descending on x).
 """
 
 import numpy as np
@@ -20,12 +22,12 @@ def expand_tier(keys, n, t):
     Returns (src, dst_keys, numer): one entry per transition, where src is
     the local row in tier t, dst_keys the packed successor code in tier t+1,
     and numer the Kingman numerator (the common denominator is C(n-t, 2)).
-    Entries are grouped by src; within a row come the pairs of decremental
-    indices (a, b) in lexicographic order, then each decremental index with
-    an external lineage, then the external-external merge.
+    Entries are grouped by src; within a row come the pairs of set mask
+    bits (a, b) in lexicographic order of bit position, then each set bit
+    with an external lineage, then the external-external merge.
     """
     num = keys.shape[0]
-    nubit = np.int64(1) << (n - 2 - t)
+    nubit = np.int64(1) << (t + 1)
     mask = keys >> 6
     c = keys & 63
     bits = ((mask[:, None] >> np.arange(1, n - 1)) & 1).astype(bool)
@@ -65,7 +67,7 @@ def keys_to_states(keys, n, t, out):
     out[:] = 0
     run = np.zeros(keys.shape[0], np.int64)
     for k in range(n - 2, 0, -1):
-        run += (mask >> k) & 1
+        run += (mask >> (n - 1 - k)) & 1
         if k >= top:
             out[:, k - 1] = run + c
     out[:, n - 2] = c

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError, binom2, default_mode
+from ._common import CapacityError, ValidationError, binom2, default_mode
 from .kingman import TierBlock
-from .phasetype import DiscretePhaseType, dph_from_blocks, reward_transform
+from .phasetype import DENSE_MAX_ORDER, dph_from_blocks, reward_transform
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,9 @@ class BcpState:
     a: tuple
 
     def __post_init__(self):
-        if len(self.a) != self.n - 1 or any(v < 0 for v in self.a):
+        if len(self.a) != self.n - 1 or min(self.a, default=0) < 0:
             raise ValidationError(f"invalid BCP vector {self.a} for n = {self.n}")
-        if sum((i + 1) * v for i, v in enumerate(self.a)) != self.n:
+        if sum([i * v for i, v in enumerate(self.a, start=1)]) != self.n:
             raise ValidationError(f"{self.a} does not satisfy sum i*a_i = {self.n}")
 
     @property
@@ -56,14 +56,30 @@ def partition_count(n):
     return partition_counts(n)[n]
 
 
-def _partitions(n, largest):
-    """All partitions of n with parts <= largest, as descending tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+def _partitions(n):
+    """All partitions of n >= 3 into parts below n, in lexicographically
+    descending order of their descending part lists.
+
+    Yields (a, blocks): a[i-1] is the number of parts of size i, and blocks
+    the number of parts. Each step takes the last part above 1 down by one
+    and refills what follows with parts as large as that allows.
+    """
+    parts = [n - 1, 1]
+    a = [1] + [0] * (n - 3) + [1]
+    while True:
+        yield tuple(a), len(parts)
+        del parts[len(parts) - a[0]:]
+        if not parts:
+            return
+        k = parts.pop() - 1
+        q, r = divmod(a[0] + 1, k)
+        a[0] = 0
+        a[k] -= 1
+        a[k - 1] += q + 1
+        parts += [k] * (q + 1)
+        if r:
+            a[r - 1] += 1
+            parts.append(r)
 
 
 def bcp_states(n):
@@ -75,16 +91,9 @@ def bcp_states(n):
     if n < 3:
         raise ValidationError(f"bcp_states requires n >= 3, got {n}")
     by_tier = [[] for _ in range(n - 1)]
-    for parts in _partitions(n, n - 1):
-        a = [0] * (n - 1)
-        for part in parts:
-            a[part - 1] += 1
-        by_tier[n - len(parts)].append(tuple(a))
-    out = []
-    for tier in range(n - 1):
-        for a in sorted(by_tier[tier], reverse=True):
-            out.append(BcpState(n=n, a=a))
-    return out
+    for a, blocks in _partitions(n):
+        by_tier[n - blocks].append(a)
+    return [BcpState(n=n, a=a) for tier in by_tier for a in sorted(tier, reverse=True)]
 
 
 @dataclass
@@ -181,8 +190,11 @@ def bcp_dph(n, mode=None):
     """The ranked BCP as a dense discrete phase-type chain."""
     if mode is None:
         mode = default_mode(n)
-    chain = bcp_chain(n)
-    return dph_from_blocks(chain.blocks, mode=mode)
+    # refused from the state count p(n) - 1 before any state is built
+    order = partition_count(n) - 1
+    if order > DENSE_MAX_ORDER:
+        raise CapacityError(f"dense DPH of order {order} exceeds cap {DENSE_MAX_ORDER}")
+    return dph_from_blocks(bcp_chain(n).blocks, mode=mode)
 
 
 def reward_E_bcp(n):

@@ -297,8 +297,6 @@ def _cmd_test(args):
     from .fmatrix import iter_jsonl, nonfixed_vector
     from .neutrality import SampleStats, kingman_null, parse_tests, run_tests
 
-    if args.null != "kingman":
-        raise ValidationError(f"unknown null {args.null!r}")
     tests = parse_tests(args.tests)
     n = None
     m = 0
@@ -416,7 +414,6 @@ def build_parser():
 
     p = sub.add_parser("frechet", help="all Frechet mean paths via ViTreebi")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--model", choices=["kingman"], default="kingman")
     p.add_argument("--sample", help="JSONL corpus; use its sample mean instead of the exact mean")
     p.add_argument("--path-cap", type=int, default=10 ** 6)
     p.add_argument("--out", help="JSON output path")
@@ -441,7 +438,6 @@ def build_parser():
 
     p = sub.add_parser("test", help="neutrality tests on a corpus")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--null", default="kingman")
     p.add_argument("--tests", default="GE,WF,WSE,HT")
     p.add_argument("--boxes", type=int, default=10, help="target box count for GE")
     p.add_argument("--out", help="JSON report path (default stdout)")

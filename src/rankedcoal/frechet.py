@@ -199,7 +199,7 @@ def _forward(space, costs):
         s, d = (np.concatenate(parts) for parts in zip(*found))
         keep = _ties(here[s] + cost[d], there[d])
         s, d = s[keep], d[keep]
-        order = np.lexsort((d, s))
+        order = np.argsort(s * len(cost) + d)
         optimal.append((s[order], d[order]))
     return c, optimal
 

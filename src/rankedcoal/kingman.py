@@ -126,11 +126,11 @@ def _successors(space, t, rows):
     Returns (src, cols, numer): src indexes ``rows`` and is grouped, cols is
     the canonical local index of the target in tier t+1.
     """
-    keys = space._tier_keys_canon[t]
+    keys = space._tier_keys[t]
     if rows is not None:
         keys = keys[rows]
     src, dst, numer = expand_tier(keys, space.n, t)
-    return src, space._tier_canonical[t + 1][_tier_rank(space.n, t + 1, dst)], numer
+    return src, _tier_rank(space.n, t + 1, dst), numer
 
 
 def _tier_rows(space, t, rows=None):

@@ -3,9 +3,10 @@
 A state is a column vector x of length n-1; its decremental code splits
 (x - shift_left(x))+ into a 0/1 prefix of length n-2 (the decremental index
 set D) and the external count x_{n-1}. Each tier's codes are written down in
-closed form (see ``_tier_keys``) and sorted in lexicographic-descending
-order of x. Indices are global, dense, and 1-based; the MRCA is a
-pseudo-state with index ``num_states + 1``.
+closed form (see ``_tier_keys``), ascending, which is the canonical
+lexicographic-descending order of x, so no sort is needed. Indices are
+global, dense, and 1-based; the MRCA is a pseudo-state with index
+``num_states + 1``.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from ._common import CapacityError, ValidationError, fib
 from ._kernels import keys_to_states
 
 DEFAULT_MAX_N = 30
-# A packed key holds bits 1..n-2 of the decremental mask above a 6-bit
+# A packed key holds the decremental mask in bits 1..n-2 above a 6-bit
 # external count, so bit n+4 is its top bit and n = 58 the last n whose
 # keys fit an int64.
 KEY_MAX_N = 58
@@ -40,10 +41,12 @@ def diff_encoding(x):
 
 
 def _pack(prefix, external):
+    """Packed key of a decremental code: index k (1-based) of the length
+    n-2 prefix at bit n-1-k."""
     mask = 0
     for k, bit in enumerate(prefix, start=1):
         if bit:
-            mask |= 1 << k
+            mask |= 1 << (len(prefix) + 1 - k)
     return (mask << 6) | external
 
 
@@ -76,9 +79,7 @@ class StateSpace:
     states: np.ndarray          # (num_states, n-1) int8, row i = state index i+1
     tier_of: np.ndarray         # (num_states,) int16
     tier_offsets: np.ndarray    # (n,) int64; tier t occupies [tier_offsets[t], tier_offsets[t+1])
-    _tier_keys: list = field(repr=False)        # per tier: packed keys, ascending
-    _tier_canonical: list = field(repr=False)   # per tier: canonical local index per sorted key
-    _tier_keys_canon: list = field(repr=False)  # per tier: packed keys in canonical order
+    _tier_keys: list = field(repr=False)        # per tier: packed keys, ascending = canonical
     _blocks: tuple = field(default=None, repr=False)  # the Kingman tier blocks, once built
 
     @property
@@ -124,8 +125,7 @@ class StateSpace:
         pos = int(np.searchsorted(keys, key))
         if pos == len(keys) or keys[pos] != key:
             raise ValidationError(f"{xt} is not a state of X_{self.n}")
-        local = int(self._tier_canonical[t][pos])
-        index = int(self.tier_offsets[t]) + local + 1
+        index = int(self.tier_offsets[t]) + pos + 1
         if tuple(int(v) for v in self.states[index - 1]) != xt:
             raise ValidationError(f"{xt} is not a state of X_{self.n}")
         return index
@@ -152,21 +152,21 @@ def tier_sizes(n):
 
 
 def _tier_keys(n, t):
-    """Packed codes of tier t of X_n, ascending.
+    """Packed codes of tier t of X_n, ascending, hence in canonical order.
 
     Tier 0 is the lone code with empty D and external count n. For t >= 1,
-    D holds bit n-1-t (the lineage created by the last merge) plus any
-    subset of bits n-t..n-2, with |D| <= n-t, and the external count is
-    n-t-|D|. These are exactly the codes reachable from tier 0 by the
-    successor map ``expand_tier``.
+    D holds index n-1-t (the lineage created by the last merge, bit t) plus
+    any subset of indices n-t..n-2 (bits t-1..1), with |D| <= n-t, and the
+    external count is n-t-|D|. These are exactly the codes reachable from
+    tier 0 by the successor map ``expand_tier``.
     """
     if t == 0:
         return np.array([n], dtype=np.int64)
-    masks = np.array([1 << (n - 1 - t)], dtype=np.int64)
+    masks = np.array([1 << t], dtype=np.int64)
     sizes = np.ones(1, dtype=np.int64)
     # Each pass adds a higher bit to a copy of the masks so far, which
     # keeps the masks, and hence the codes, ascending.
-    for b in range(n - t, n - 1):
+    for b in range(1, t):
         room = sizes < n - t
         masks = np.concatenate([masks, masks[room] | (1 << b)])
         sizes = np.concatenate([sizes, sizes[room] + 1])
@@ -177,7 +177,7 @@ def _rank_tables(n, t):
     """Lookup tables of ``_tier_rank`` for tier t >= 1 of X_n.
 
     Returns (low, before, row, below). The subset ``sub`` of bits
-    n-t..n-2 is a (t-1)-bit number with popcount <= room = n-t-1, split
+    1..t-1 is a (t-1)-bit number with popcount <= room = n-t-1, split
     into its ``low`` low bits and its high half h. before[h] counts the
     valid subsets whose high half is below h; below[r, l] counts the low
     halves below l with popcount <= r, and row[h] is the r that high half h
@@ -209,9 +209,10 @@ def _popcounts(bits):
 
 
 def _tier_rank(n, t, keys):
-    """Inverse of ``_tier_keys``: the position of each tier-t code in it.
+    """Inverse of ``_tier_keys``: the canonical local index of each tier-t
+    code.
 
-    A tier-t code is fixed by sub = key >> (6 + n - t), and the codes
+    A tier-t code is fixed by sub, its mask bits 1..t-1, and the codes
     ascend with sub, so the rank of a code is the number of valid subsets
     below its sub: the smaller high halves, then the smaller low halves
     that still fit the popcount bound. ``keys`` must be codes of tier t.
@@ -219,17 +220,9 @@ def _tier_rank(n, t, keys):
     if t == 0:
         return np.zeros(len(keys), np.int64)
     low, before, row, below = _rank_tables(n, t)
-    sub = keys >> (6 + n - t)
+    sub = (keys >> 7) & ((1 << (t - 1)) - 1)
     hi = sub >> low
     return before[hi] + below[row[hi], sub & ((1 << low) - 1)]
-
-
-def _sort_tier(key_arr, n, t):
-    """Canonical (lex-descending on x) order for one tier of packed keys."""
-    vecs = np.empty((len(key_arr), n - 1), dtype=np.int8)
-    keys_to_states(key_arr, n, t, vecs)
-    order = np.lexsort((-vecs[:, ::-1]).T)
-    return vecs[order], order
 
 
 def enumerate_states(n, max_n=DEFAULT_MAX_N):
@@ -245,39 +238,19 @@ def enumerate_states(n, max_n=DEFAULT_MAX_N):
         raise CapacityError(
             f"n = {n} exceeds the cap {cap}; X_{n} has Fib({n + 1}) = {fib(n + 1)} states"
         )
-    tier_key_arrays = []
-    tier_vec_arrays = []
-    tier_canonical = []
-    tier_keys_canon = []
-    for t in range(n - 1):
-        keys = _tier_keys(n, t)
-        canon_vecs, order = _sort_tier(keys, n, t)
-        # canonical local index of each ascending-sorted key
-        canonical = np.empty(len(order), dtype=np.int64)
-        canonical[order] = np.arange(len(order))
-        tier_key_arrays.append(keys)
-        tier_vec_arrays.append(canon_vecs)
-        tier_canonical.append(canonical)
-        tier_keys_canon.append(keys[order])
-    states = np.concatenate(tier_vec_arrays, axis=0)
+    tier_keys = [_tier_keys(n, t) for t in range(n - 1)]
     offsets = np.zeros(n, dtype=np.int64)
-    tier_of = np.empty(states.shape[0], dtype=np.int16)
-    pos = 0
-    for t in range(n - 1):
-        size = len(tier_key_arrays[t])
-        offsets[t] = pos
-        tier_of[pos:pos + size] = t
-        pos += size
-    offsets[n - 1] = pos
-    expected = fib(n + 1) - 1
-    if pos != expected:
-        raise AssertionError(f"enumerated {pos} states for n = {n}, expected {expected}")
+    np.cumsum([len(keys) for keys in tier_keys], out=offsets[1:])
+    total, expected = int(offsets[-1]), fib(n + 1) - 1
+    if total != expected:
+        raise AssertionError(f"enumerated {total} states for n = {n}, expected {expected}")
+    states = np.empty((total, n - 1), dtype=np.int8)
+    for t, keys in enumerate(tier_keys):
+        keys_to_states(keys, n, t, states[offsets[t]:offsets[t + 1]])
     return StateSpace(
         n=n,
         states=states,
-        tier_of=tier_of,
+        tier_of=np.repeat(np.arange(n - 1, dtype=np.int16), np.diff(offsets)),
         tier_offsets=offsets,
-        _tier_keys=tier_key_arrays,
-        _tier_canonical=tier_canonical,
-        _tier_keys_canon=tier_keys_canon,
+        _tier_keys=tier_keys,
     )

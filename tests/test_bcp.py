@@ -66,6 +66,27 @@ def test_partition_count_against_pentagonal_recurrence():
         assert partition_count(m) == oracle[m]
 
 
+def _recursive_partitions(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_states_match_sorted_recursive_partitions(n):
+    # tiered by block count, each tier lex-descending on the a-vector
+    by_tier = [[] for _ in range(n - 1)]
+    for parts in _recursive_partitions(n, n - 1):
+        by_tier[n - len(parts)].append(tuple(parts.count(i) for i in range(1, n)))
+    expected = [a for tier in by_tier for a in sorted(tier, reverse=True)]
+    states = bcp_states(n)
+    assert [s.a for s in states] == expected
+    assert [s.tier for s in states] == [n - sum(a) for a in expected]
+
+
 @pytest.mark.parametrize("n", list(range(3, 13)) + [25, 40])
 def test_state_count_is_partition_number(n):
     assert len(bcp_states(n)) + 1 == partition_count(n)

@@ -283,6 +283,17 @@ def test_bcp_distribution(capsys):
     capsys.readouterr()
 
 
+def test_bcp_refuses_a_large_chain_before_building_it(capsys, monkeypatch):
+    import rankedcoal.bcp as bcp
+    from rankedcoal.phasetype import DENSE_MAX_ORDER
+
+    monkeypatch.setattr(bcp, "bcp_states", lambda n: pytest.fail("states built"))
+    assert main(["bcp", "--n", "45"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capacity: dense DPH of order 89133 exceeds cap {DENSE_MAX_ORDER}\n"
+
+
 def test_test_subcommand(tmp_path, capsys):
     corpus = tmp_path / "sample.jsonl"
     assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "8",
@@ -314,8 +325,12 @@ def test_test_subcommand_subset_and_errors(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload["tests"]) == ["WF", "WSE"]
     assert main(["test", "--in", str(corpus), "--tests", "WF,XX"]) == 2
-    assert main(["test", "--in", str(corpus), "--null", "yule"]) == 2
     capsys.readouterr()
+    # there is one null, so --null is no option: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--in", str(corpus), "--null", "kingman"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --null" in capsys.readouterr().err
     # test names are checked before the corpus is opened or the null built
     missing = str(tmp_path / "missing.jsonl")
     for names, message in (("", "no test named"), (" , ", "no test named"),

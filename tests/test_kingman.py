@@ -119,8 +119,8 @@ def searchsorted_blocks(space):
     by binary search in the sorted next tier, as before the closed-form rank."""
     out = []
     for t in range(space.n - 2):
-        src, dst, numer = expand_tier(space._tier_keys_canon[t], space.n, t)
-        cols = space._tier_canonical[t + 1][np.searchsorted(space._tier_keys[t + 1], dst)]
+        src, dst, numer = expand_tier(space._tier_keys[t], space.n, t)
+        cols = np.searchsorted(space._tier_keys[t + 1], dst)
         order = np.lexsort((cols, src))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=space.tier_size(t)))))
         out.append((indptr, cols[order], numer[order]))

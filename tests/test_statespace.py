@@ -10,6 +10,7 @@ from rankedcoal import CapacityError, ValidationError
 from rankedcoal._kernels import expand_tier
 from rankedcoal.statespace import (
     KEY_MAX_N,
+    _pack,
     _rank_tables,
     _tier_keys,
     _tier_rank,
@@ -81,6 +82,28 @@ def test_tier_rank_inverts_tier_keys(n):
     for t in range(n - 1):
         keys = _tier_keys(n, t)
         assert np.array_equal(_tier_rank(n, t, keys), np.arange(len(keys)))
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_keys_ascend_in_canonical_order(n):
+    # np.lexsort is the oracle: within every tier the states are strictly
+    # lex-descending and the keys strictly ascending
+    space = enumerate_states(n)
+    assert len(space._tier_keys) == n - 1
+    for t in range(n - 1):
+        block = space.tier_states(t)
+        order = np.lexsort((-block[:, ::-1]).T)
+        assert np.array_equal(order, np.arange(len(block)))
+        assert np.all(np.any(block[1:] != block[:-1], axis=1))
+        assert np.all(np.diff(space._tier_keys[t]) > 0)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_pack_gives_each_state_its_key(n):
+    space = enumerate_states(n)
+    keys = np.concatenate(space._tier_keys)
+    packed = [_pack(*diff_encoding(row)) for row in space.states]
+    assert np.array_equal(packed, keys)
 
 
 def test_rank_tables_stay_small_at_the_default_cap():
