@@ -68,14 +68,3 @@ def format_number(value):
         return str(int(value))
     return repr(float(value))
 
-
-def parse_number(text):
-    """Inverse of format_number for "p/q", integer, and float strings."""
-    text = text.strip()
-    if "/" in text:
-        p, q = text.split("/")
-        return Fraction(int(p), int(q))
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)

@@ -38,7 +38,8 @@ class BcpState:
         return self.a[0]
 
 
-# The largest n_max a ``bcp --sizes`` table is built for
+# The largest n whose partition count is taken: the n_max of a ``bcp
+# --sizes`` table, or the n of a BCP chain
 SIZES_MAX_N = 1000
 
 
@@ -190,7 +191,10 @@ def bcp_dph(n, mode=None):
     """The ranked BCP as a dense discrete phase-type chain."""
     if mode is None:
         mode = default_mode(n)
-    # refused from the state count p(n) - 1 before any state is built
+    # refused from the state count p(n) - 1 before any state is built, and
+    # above SIZES_MAX_N before p(n) is counted
+    if n > SIZES_MAX_N:
+        raise CapacityError(f"n = {n} exceeds cap {SIZES_MAX_N}")
     order = partition_count(n) - 1
     if order > DENSE_MAX_ORDER:
         raise CapacityError(f"dense DPH of order {order} exceeds cap {DENSE_MAX_ORDER}")

@@ -114,23 +114,22 @@ def _cmd_sample(args):
 
 
 def _cmd_simulate(args):
+    from .fmatrix import jsonl_line
+
     _refuse_negative(args, "count", "seed")
     if args.model == "beta":
         from .betasplit import BetaConfig, sample_beta_fmatrices
 
         config = BetaConfig(beta=args.beta, n=args.n, seed=args.seed)
         mats = sample_beta_fmatrices(config, args.count)
-    elif args.model == "kingman":
+    else:
         from .fmatrix import paths_to_fmatrices
         from .kingman import sample_paths
         from .statespace import enumerate_states
 
         space = enumerate_states(args.n)
         mats = paths_to_fmatrices(space, sample_paths(space, args.count, seed=args.seed))
-    else:
-        raise ValidationError(f"unknown model {args.model!r}")
-    lines = [json.dumps({"n": f.n, "tri": f.tri()}) for f in mats]
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(map(jsonl_line, mats)) + "\n")
     return 0
 
 

@@ -52,12 +52,25 @@ class FMatrix:
 
     @classmethod
     def from_tri(cls, n, tri):
+        """The F-matrix of a lower triangle given row by row, as read from
+        JSON: n and every entry must be integers within int64, not bools."""
+        if type(n) is not int:
+            raise ValidationError(f"n = {n!r} is not an integer")
         if len(tri) != n - 1 or any(len(row) != i + 1 for i, row in enumerate(tri)):
             raise ValidationError("tri rows must have lengths 1..n-1")
+        flat = [v for row in tri for v in row]
         arr = np.zeros((n - 1, n - 1), dtype=np.int64)
-        for i, row in enumerate(tri):
-            arr[i, : i + 1] = row
-        return cls(n, arr)
+        try:
+            if set(map(type, flat)) <= {int}:
+                arr[np.tri(n - 1, dtype=bool)] = flat
+                return cls(n, arr)
+        except OverflowError:
+            pass
+        # some entry is not an integer within int64: name the first
+        for i, row in enumerate(tri, start=1):
+            for j, v in enumerate(row, start=1):
+                if type(v) is not int or not -2 ** 63 <= v < 2 ** 63:
+                    raise ValidationError(f"row {i}, entry {j}: {v!r} is not an integer within int64")
 
     def validate_static(self):
         """Check that the matrix is the F-matrix of a chain path, without a state space.
@@ -300,11 +313,16 @@ def nonfixed_vector(fmat):
     return fmat.entries[rows, cols]
 
 
+def jsonl_line(fmat):
+    """One fmat.jsonl line, the {n, tri} object of ``fmat``, without its newline."""
+    return json.dumps({"n": fmat.n, "tri": fmat.tri()})
+
+
 def write_jsonl(path, fmats):
-    """Stream F-matrices to a file, one {n, tri} object per line."""
+    """Stream F-matrices to a file, one ``jsonl_line`` per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for fmat in fmats:
-            fh.write(json.dumps({"n": fmat.n, "tri": fmat.tri()}) + "\n")
+            fh.write(jsonl_line(fmat) + "\n")
 
 
 def iter_jsonl(path):

@@ -6,10 +6,11 @@ denominators and N = D M: int64 when every path sum fits, Python ints
 otherwise. The minimum is K_min / D + sum M^2 exactly and ties compare
 with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
 
-The forward pass never builds the kernel. It takes each tier's successors
-from ``kingman.tier_edges`` in chunks of ``kingman.ROW_CHUNK`` source rows
-and keeps per tier only the edges that end up optimal, from which the
-backtrack, the path count and ``cost_matrix`` work.
+The forward pass never builds the kernel. It streams each tier's edges
+from ``kingman.tier_edges``, at most ``kingman.ROW_CHUNK`` source rows at a
+time in no row order, and keeps per tier only the edges that end up
+optimal, sorted by source and target, from which the backtrack, the path
+count and ``cost_matrix`` work.
 """
 
 import math
@@ -176,11 +177,11 @@ def _forward(space, costs):
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
     so this holds bit for bit in float64 as well as in exact arithmetic.
-    The kernel comes in row chunks from ``tier_edges``. best[d] only falls
-    from chunk to chunk, so an edge that ties the final c[d] also tied
-    cost[d] + best[d] right after its own chunk: the edges kept then hold
-    every optimal one, and the exact test runs on them once the tier is
-    done. Edges come by source, then target.
+    The kernel comes in chunks from ``tier_edges``, in any order. best[d]
+    only falls from chunk to chunk, so an edge that ties the final c[d] also
+    tied cost[d] + best[d] right after its own chunk: the edges kept then
+    hold every optimal one, and the exact test runs on them once the tier is
+    done. The optimal edges are then sorted by source, then target.
     """
     c = costs.copy()
     optimal = []

@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2, to_fractions, zeros
-from ._kernels import expand_tier
-from .statespace import RankedState, _tier_rank, diff_encoding
+from .statespace import RankedState, _rank_table, diff_encoding
 
 PATH_ENUM_MAX_N = 12
-# Source rows per chunk of ``tier_edges``.
+# Source rows per chunk of the successor kernel ``_successors``.
 ROW_CHUNK = 4096
 
 
@@ -119,18 +118,52 @@ def transition_prob(x, y, mode="rational"):
     return Fraction(numer, denom) if mode == "rational" else numer / denom
 
 
-def _successors(space, t, rows):
+def _successors(space, t, rows=None):
     """Coalescence successors of the tier-t states ``rows`` (canonical local
-    indices, a slice or an index array; all if None).
+    indices in an index array; all if None).
 
-    Returns (src, cols, numer): src indexes ``rows`` and is grouped, cols is
-    the canonical local index of the target in tier t+1.
+    Yields (src, cols, numer) for at most ROW_CHUNK rows of one popcount
+    class d at a time: src indexes ``rows``, cols[e, r] is the canonical
+    local index in tier t+1 of the e-th successor of row src[r], and
+    numer[e] its Kingman numerator over C(n-t, 2), alike for the class.
+
+    A row's d mask bits sit at sub positions b_0 > ... > b_{d-1} of tier
+    t+1, where a code ranks as the sum of N(b_l, R - l) over its bits, with
+    R = n-t-2 (see ``_tier_rank``). A merge removes bits and shifts the
+    later l down, so with F_k[m] = sum_{l<m} N(b_l, R - l + k), bits i < j
+    merge to F_0[i] - F_1[i+1] + F_1[j] - F_2[j+1] + F_2[d], bit i and an
+    external lineage to F_0[i] - F_1[i+1] + F_1[d], two externals to F_0[d].
     """
-    keys = space._tier_keys[t]
-    if rows is not None:
-        keys = keys[rows]
-    src, dst, numer = expand_tier(keys, space.n, t)
-    return src, _tier_rank(space.n, t + 1, dst), numer
+    n = space.n
+    keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
+    table = _rank_table(n)
+    # a tier-t code with d mask bits has c = n-t-d external lineages
+    ext = keys & 63
+    for c in np.flatnonzero(np.bincount(ext)).tolist():
+        d = n - t - c
+        ia, ib = np.triu_indices(d, 1)
+        numer = np.repeat(np.array([1, c, c * (c - 1) // 2], np.int64),
+                          [len(ia), d * (c >= 1), c >= 2])
+        # flat index of N(0, R - l + k), l = 0..d-1, k = 0, 1, 2 (r = -1 reads 0)
+        look = n - t - 2 + np.arange(3)[:, None] - np.arange(d)[:, None, None]
+        members = np.flatnonzero(ext == c)
+        for lo in range(0, len(members), ROW_CHUNK):
+            src = members[lo:lo + ROW_CHUNK]
+            sub = keys[src] >> 7
+            # prefix[m, k] = F_k[m]: each step adds whole contiguous rows
+            prefix = np.zeros((d + 1, 3, len(src)), np.int64)
+            for l in range(d - 1, -1, -1):
+                low = sub & -sub
+                sub ^= low
+                bit = np.frexp(low.astype(np.float64))[1] - 1
+                prefix[l + 1] = table.take(bit * table.shape[1] + look[l])
+            for l in range(d):
+                prefix[l + 1] += prefix[l]
+            f0, f1, f2 = prefix.transpose(1, 0, 2)
+            head = f0[:-1] - f1[1:]
+            cols = np.concatenate([head[ia] + (f1[:-1] - f2[1:] + f2[d])[ib], head + f1[d], f0[d:]])
+            # with fewer than two external lineages the last merges are absent
+            yield src, cols[:len(numer)], numer
 
 
 def _tier_rows(space, t, rows=None):
@@ -139,23 +172,28 @@ def _tier_rows(space, t, rows=None):
     Returns (indptr, cols, numer) over ``rows`` in the given order, each row
     ordered by target column (canonical local index in tier t+1).
     """
-    src, cols, numer = _successors(space, t, rows)
-    num_rows = space.tier_size(t) if rows is None else len(rows)
-    # src is already grouped; one stable sort on (src, col) orders each row.
-    order = np.argsort(src * space.tier_size(t + 1) + cols, kind="stable")
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_rows), out=indptr[1:])
-    return indptr, cols[order], numer[order]
+    keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
+    c = keys & 63
+    d = space.n - t - c
+    # pairs of mask bits, each bit with an external lineage, two externals
+    indptr = np.concatenate(([0], np.cumsum(d * (d - 1) // 2 + d * (c >= 1) + (c >= 2))))
+    cols = np.empty(indptr[-1], np.int64)
+    numer = np.empty(indptr[-1], np.int64)
+    for src, succ, num in _successors(space, t, rows):
+        order = np.argsort(succ.T, axis=1)
+        at = indptr[src, None] + np.arange(len(num))
+        cols[at] = np.take_along_axis(succ.T, order, axis=1)
+        numer[at] = num[order]
+    return indptr, cols, numer
 
 
 def tier_edges(space, t):
-    """The edges of tier t as (src, dst) local indices, ROW_CHUNK source rows
-    at a time, without building the tier's block. Rows come in order; the
-    targets of a row are not sorted."""
-    size = space.tier_size(t)
-    for lo in range(0, size, ROW_CHUNK):
-        src, dst, _ = _successors(space, t, slice(lo, min(lo + ROW_CHUNK, size)))
-        yield src + lo, dst
+    """The edges of tier t as (src, dst) local indices, at most ROW_CHUNK
+    source rows at a time, without building the tier's block. Chunks hold
+    rows of one popcount class each, so neither the rows nor the targets of
+    a row come in order."""
+    for src, cols, _ in _successors(space, t):
+        yield np.tile(src, len(cols)), cols.ravel()
 
 
 def tier_blocks(space):

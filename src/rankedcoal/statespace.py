@@ -9,6 +9,7 @@ global, dense, and 1-based; the MRCA is a pseudo-state with index
 ``num_states + 1``.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,7 +159,7 @@ def _tier_keys(n, t):
     D holds index n-1-t (the lineage created by the last merge, bit t) plus
     any subset of indices n-t..n-2 (bits t-1..1), with |D| <= n-t, and the
     external count is n-t-|D|. These are exactly the codes reachable from
-    tier 0 by the successor map ``expand_tier``.
+    tier 0 by coalescences.
     """
     if t == 0:
         return np.array([n], dtype=np.int64)
@@ -173,56 +174,43 @@ def _tier_keys(n, t):
     return (masks << 6) | (n - t - sizes)
 
 
-def _rank_tables(n, t):
-    """Lookup tables of ``_tier_rank`` for tier t >= 1 of X_n.
+@functools.lru_cache(maxsize=None)
+def _rank_table(n):
+    """N[b, r] = sum_{k <= r} C(b, k) for b = 0..n-2 and r = 0..n, read-only.
 
-    Returns (low, before, row, below). The subset ``sub`` of bits
-    1..t-1 is a (t-1)-bit number with popcount <= room = n-t-1, split
-    into its ``low`` low bits and its high half h. before[h] counts the
-    valid subsets whose high half is below h; below[r, l] counts the low
-    halves below l with popcount <= r, and row[h] is the r that high half h
-    leaves. Each table has about 2^((t-1)/2) entries.
+    N[b, r] counts the subsets of b bit positions with at most r members.
+    The last column is N[b, -1] = 0, so that r = -1 reads 0. Built by
+    Pascal's recurrence N[b, r] = N[b-1, r] + N[b-1, r-1]; every entry is
+    at most 2^(n-2), which fits an int64 up to ``KEY_MAX_N``.
     """
-    width = t - 1
-    room = n - t - 1
-    # the low half is the shorter one: below has up to room + 1 rows
-    low = max(width - 1, 0) // 2
-    high = width - low
-    pc_lo, pc_hi = _popcounts(low), _popcounts(high)
-    below = np.zeros((min(room, low) + 1, 1 << low), np.int64)
-    for r in range(below.shape[0]):
-        np.cumsum(pc_lo[:-1] <= r, out=below[r, 1:])
-    # low halves with popcount <= r, for r = 0..low; none for r < 0
-    fits = np.concatenate(([0], np.cumsum(np.bincount(pc_lo, minlength=low + 1))))
-    before = np.zeros(1 << high, np.int64)
-    np.cumsum(fits[np.clip(room - pc_hi[:-1], -1, low) + 1], out=before[1:])
-    row = np.clip(room - pc_hi, 0, below.shape[0] - 1)
-    return low, before, row, below
-
-
-def _popcounts(bits):
-    """Popcount of every integer below 2^bits."""
-    pc = np.zeros(1 << bits, np.int64)
-    for b in range(bits):
-        pc[1 << b:2 << b] = pc[:1 << b] + 1
-    return pc
+    table = np.zeros((n - 1, n + 2), np.int64)
+    table[0, :n + 1] = 1
+    for b in range(1, n - 1):
+        table[b, :n + 1] = table[b - 1, :n + 1] + table[b - 1, np.arange(-1, n)]
+    table.flags.writeable = False
+    return table
 
 
 def _tier_rank(n, t, keys):
-    """Inverse of ``_tier_keys``: the canonical local index of each tier-t
-    code.
+    """Inverse of ``_tier_keys``: the canonical local index of each tier-t code.
 
-    A tier-t code is fixed by sub, its mask bits 1..t-1, and the codes
-    ascend with sub, so the rank of a code is the number of valid subsets
-    below its sub: the smaller high halves, then the smaller low halves
-    that still fit the popcount bound. ``keys`` must be codes of tier t.
+    A tier-t code is fixed by sub, its mask bits 1..t-1 (sub positions
+    0..t-2), and the codes ascend with sub, so the rank of a code is the
+    number of valid subsets, those with at most R = n-t-1 members, below
+    its sub. With sub's positions b_0 > b_1 > ... that count is
+    sum_l N(b_l, R - l): the subsets that agree with sub above b_l, leave
+    b_l out and fill the b_l positions below it with at most R - l members.
+    ``keys`` must be codes of tier t.
     """
-    if t == 0:
-        return np.zeros(len(keys), np.int64)
-    low, before, row, below = _rank_tables(n, t)
-    sub = (keys >> 7) & ((1 << (t - 1)) - 1)
-    hi = sub >> low
-    return before[hi] + below[row[hi], sub & ((1 << low) - 1)]
+    table = _rank_table(n)
+    sub = keys >> 7
+    rank = np.zeros(len(keys), np.int64)
+    room = np.full(len(keys), n - t - 1, np.int64)
+    for b in range(t - 2, -1, -1):
+        bit = (sub >> b) & 1
+        rank += bit * table[b, room]
+        room -= bit
+    return rank
 
 
 def enumerate_states(n, max_n=DEFAULT_MAX_N):

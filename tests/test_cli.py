@@ -162,6 +162,25 @@ def test_frechet_sample_corpus(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
 
 
+@pytest.mark.parametrize("value", ["2.9", '"2"', "[2]", str(10 ** 30), "true"])
+@pytest.mark.parametrize("command", ["test", "balance", "frechet"])
+def test_corpus_entries_must_be_int64_integers(tmp_path, capsys, command, value):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "6", "--count", "3",
+                 "--seed", "4", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    lines[1] = lines[1].replace('"tri": [[2]', f'"tri": [[{value}]', 1)
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = {"test": ["test", "--in", str(corpus)], "balance": ["balance", "--in", str(corpus)],
+            "frechet": ["frechet", "--n", "6", "--sample", str(corpus)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {corpus}:2: row 1, entry 1: {json.loads(value)!r} "
+                            "is not an integer within int64\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-5", str(2 ** 50 + 1)])
 def test_frechet_refuses_path_caps_the_count_cannot_hold(cap, capsys):
     assert main(["frechet", "--n", "25", "--path-cap", cap]) == 2
@@ -292,6 +311,16 @@ def test_bcp_refuses_a_large_chain_before_building_it(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"capacity: dense DPH of order 89133 exceeds cap {DENSE_MAX_ORDER}\n"
+
+
+def test_bcp_refuses_a_large_n_before_counting_partitions(capsys, monkeypatch):
+    import rankedcoal.bcp as bcp
+
+    monkeypatch.setattr(bcp, "partition_counts", lambda n: pytest.fail("partitions counted"))
+    assert main(["bcp", "--n", "1000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capacity: n = 1000000 exceeds cap {bcp.SIZES_MAX_N}\n"
 
 
 def test_test_subcommand(tmp_path, capsys):

@@ -213,6 +213,12 @@ def test_jsonl_reports_bad_line(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize("n", [5.0, True, "5"])
+def test_from_tri_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        FMatrix.from_tri(n, [[2], [1, 3], [1, 2, 4], [1, 1, 1, 5]])
+
+
 def test_validate_static_errors():
     bad = np.array(FIG_N5[(1, 2, 3, 5)])
     bad[0, 0] = 3

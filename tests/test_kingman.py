@@ -1,14 +1,18 @@
 """Kingman kernel: frozen transition blocks, feasibility, enumeration
 against the Euler numbers, and the seeded sampler's law."""
 
+import functools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rankedcoal import CapacityError, ValidationError
-from rankedcoal._kernels import expand_tier
+from key_oracle import expand_tier
+from rankedcoal import CapacityError, ValidationError, kingman
 from rankedcoal.fmatrix import fmatrix_to_path, paths_to_fmatrices
 from rankedcoal.kingman import (
     edge_table,
@@ -135,6 +139,32 @@ def test_blocks_match_searchsorted_oracle():
             assert np.array_equal(blk.indices, indices)
             assert np.array_equal(blk.numer, numer)
             assert blk.denom == (n - blk.from_tier) * (n - blk.from_tier - 1) // 2
+
+
+@functools.lru_cache(maxsize=2)
+def _space(n):
+    return enumerate_states(n)
+
+
+@given(n=st.integers(3, 30), tier=st.data(), chunk=st.sampled_from([1, 3, 4096]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_successor_kernel_matches_key_expansion(n, tier, chunk, seed):
+    """The closed-form successor ranks against each successor's packed key,
+    found by binary search in the next tier. Above 300 rows a tier is
+    checked on 300 of them in random order."""
+    t = tier.draw(st.integers(0, n - 3))
+    space = _space(n)
+    size = space.tier_size(t)
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(size)[:300]
+    src, dst, numer = expand_tier(space._tier_keys[t][rows], n, t)
+    oracle = np.stack([src, np.searchsorted(space._tier_keys[t + 1], dst), numer])
+    with mock.patch.object(kingman, "ROW_CHUNK", chunk):
+        parts = list(kingman._successors(space, t, rows))
+    assert all(len(part[0]) <= chunk for part in parts)
+    got = np.concatenate([np.stack([np.tile(s, len(nu)), c.ravel(), np.repeat(nu, len(s))])
+                          for s, c, nu in parts], axis=1)
+    assert np.array_equal(oracle[:, np.lexsort(oracle[::-1])], got[:, np.lexsort(got[::-1])])
 
 
 def test_blocks_agree_with_pairwise_probabilities(space6):

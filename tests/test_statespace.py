@@ -1,17 +1,19 @@
 """State-space construction: frozen small enumerations, the Fibonacci
 counting laws, decremental codes, and canonical ordering."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from key_oracle import expand_tier
 from rankedcoal import CapacityError, ValidationError
-from rankedcoal._kernels import expand_tier
 from rankedcoal.statespace import (
     KEY_MAX_N,
     _pack,
-    _rank_tables,
+    _rank_table,
     _tier_keys,
     _tier_rank,
     diff_encoding,
@@ -106,10 +108,15 @@ def test_pack_gives_each_state_its_key(n):
     assert np.array_equal(packed, keys)
 
 
-def test_rank_tables_stay_small_at_the_default_cap():
-    # a direct lookup on the subset would need 2^27 entries at n = 30
-    for t in range(1, 29):
-        assert max(table.size for table in _rank_tables(30, t)[1:]) <= 2 ** 14
+def test_rank_table_fits_int64_at_the_key_cap():
+    # int64 sums wrap silently, so compare every entry with Python ints
+    n = KEY_MAX_N
+    table = _rank_table(n)
+    assert table.dtype == np.int64 and table.shape == (n - 1, n + 2)
+    exact = [[sum(math.comb(b, k) for k in range(r + 1)) for r in range(n + 1)] + [0]
+             for b in range(n - 1)]
+    assert table.tolist() == exact
+    assert int(table.max()) == 2 ** (n - 2) < 2 ** 63
 
 
 @pytest.mark.parametrize("n", range(3, 21))
