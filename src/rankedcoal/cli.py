@@ -8,12 +8,11 @@ written atomically: a temp file in the target directory, then os.replace.
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from ._common import RATIONAL_MAX_N, default_mode
 from ._common import CapacityError, ValidationError, fib, format_number
@@ -293,31 +292,16 @@ def _cmd_bcp(args):
 
 
 def _cmd_test(args):
-    from .fmatrix import iter_jsonl, nonfixed_vector
+    from .fmatrix import iter_jsonl
     from .neutrality import SampleStats, kingman_null, parse_tests, run_tests
 
     tests = parse_tests(args.tests)
-    n = None
-    m = 0
-    nf_sum = None
-    s_sum = 0.0
-    e_values = []
-    for fmat in iter_jsonl(args.infile):
-        if n is None:
-            n = fmat.n
-        elif fmat.n != n:
-            raise ValidationError(f"mixed n in corpus: {fmat.n} vs {n}")
-        vec = nonfixed_vector(fmat)
-        nf_sum = vec.astype(np.float64) if nf_sum is None else nf_sum + vec
-        s_sum += int(vec.sum())
-        e_values.append(int(fmat.entries[-1].sum()))
-        m += 1
-    if m == 0:
+    fmats = iter_jsonl(args.infile)
+    first = next(fmats, None)
+    if first is None:
         raise ValidationError(f"{args.infile}: empty corpus")
-    stats = SampleStats(
-        n=n, m=m, nf_mean=nf_sum / m, s_mean=s_sum / m,
-        e_mean=float(np.mean(e_values)), e_values=np.asarray(e_values, dtype=np.int64),
-    )
+    stats = SampleStats.from_fmatrices(itertools.chain([first], fmats), name="corpus")
+    n, m = stats.n, stats.m
     null = kingman_null(n)
     reports = run_tests(stats, null, tests=tests, K=args.boxes)
     payload = {

@@ -3,12 +3,12 @@
 Because T only moves mass one tier forward, pi T^k is supported exactly
 on tier k and T^k Delta(r) e on tier tau - k where tau is the reward's
 supporting tier. All means and covariances of the non-fixed entries then
-reduce to per-tier products, with no dense inversion anywhere. Rational
-mode multiplies Python-int numerators over per-tier denominators, L_k =
-prod_{t<k} C(n-t, 2) for pi T^k, and makes one ``Fraction`` per output
-entry at the end; float mode multiplies scipy CSR blocks. The functions
-that take a state space read its blocks from ``kingman.tier_blocks``,
-which builds them once per space.
+reduce to per-tier products, run as one sweep down the tiers. A product
+takes its arithmetic from its vector: rational vectors hold Python-int
+numerators over per-tier denominators, L_k = prod_{t<k} C(n-t, 2) for
+pi T^k, with one ``Fraction`` per output entry at the end; float vectors
+meet a CSR copy of the block, built for that step only. Blocks come from
+``kingman.tier_blocks``, which builds them once per space.
 """
 
 import math
@@ -58,48 +58,46 @@ def _tier_denominators(blocks):
     return np.cumprod([1] + [blk.denom for blk in blocks], dtype=object)
 
 
-def _left_step(blk, w, mat=None):
-    """w T restricted to the next tier, for w on blk.from_tier.
-
-    Without ``mat``, on integer numerators: the denominator gains blk.denom.
-    """
-    if mat is not None:
-        return w @ mat
+def _left_step(blk, w):
+    """w T restricted to the next tier, for w on blk.from_tier. An object w
+    holds integer numerators, whose denominator gains blk.denom."""
+    if w.dtype != object:
+        return w @ blk.csr()
     out = np.zeros(blk.n_cols, dtype=object)
     np.add.at(out, blk.indices, w[blk.rows()] * blk.numer.astype(object))
     return out
 
 
-def _right_step(blk, v, mat=None):
-    """T v restricted to the previous tier, v on blk.from_tier + 1.
+def _push_down(blk, vectors):
+    """Replace each v in ``vectors``, on tier blk.from_tier + 1, by T v on
+    blk.from_tier; v may carry several reward columns. Object vectors hold
+    integer numerators, whose denominator gains blk.denom; float vectors
+    share one CSR copy of the block, dropped on return."""
+    if vectors[0].dtype != object:
+        step = blk.csr().__matmul__
+    else:
+        # every state below the last tier has a successor: no empty segment
+        assert np.all(np.diff(blk.indptr) > 0)
+        numer = blk.numer.astype(object)
 
-    v may carry several reward columns at once. Without ``mat``, on integer
-    numerators: the denominator gains blk.denom.
-    """
-    if mat is not None:
-        return mat @ v
-    # every state below the last tier has a successor: no empty segment
-    assert np.all(np.diff(blk.indptr) > 0)
-    numer = blk.numer.astype(object).reshape((-1,) + (1,) * (v.ndim - 1))
-    return np.add.reduceat(numer * v[blk.indices], blk.indptr[:-1], axis=0)
+        def step(v):
+            scaled = numer.reshape((-1,) + (1,) * (v.ndim - 1)) * v[blk.indices]
+            return np.add.reduceat(scaled, blk.indptr[:-1], axis=0)
+    for k, v in enumerate(vectors):
+        vectors[k] = step(v)
 
 
-def _csr_blocks(blocks, mode):
-    """Float CSR matrices of the blocks in float mode, None per block otherwise."""
-    return [blk.csr() for blk in blocks] if mode == "float" else [None] * len(blocks)
-
-
-def _left_chain(blocks, mode, mats):
+def _left_chain(blocks, mode):
     """pi T^k for k = 0..n-2: floats, or integer numerators over L_k."""
     out = [np.ones(1, dtype=np.float64 if mode == "float" else object)]  # tier 0 is the start state
-    for blk, mat in zip(blocks, mats):
-        out.append(_left_step(blk, out[-1], mat))
+    for blk in blocks:
+        out.append(_left_step(blk, out[-1]))
     return out
 
 
 def left_products(blocks, mode="rational"):
     """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier."""
-    values = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
+    values = _left_chain(blocks, mode)
     if mode == "rational":
         values = [to_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
     return [TieredVector(n=len(blocks) + 2, tier=k, values=v) for k, v in enumerate(values)]
@@ -139,11 +137,11 @@ def right_products(blocks, r, mode="rational"):
         v = np.array([val.numerator * (scale // val.denominator) for val in seg], dtype=object)
     else:
         v = np.array(seg, dtype=np.float64)
-    mats = _csr_blocks(blocks, mode)
     out = [TieredVector(n=n, tier=tau, values=v)]
-    for k in range(1, tau + 1):
-        v = _right_step(blocks[tau - k], v, mats[tau - k])
-        out.append(TieredVector(n=n, tier=tau - k, values=v))
+    level = [v]
+    for t in range(tau - 1, -1, -1):
+        _push_down(blocks[t], level)
+        out.append(TieredVector(n=n, tier=t, values=level[0]))
     if mode == "rational":
         dens = _tier_denominators(blocks)
         for tv in out:
@@ -186,7 +184,7 @@ def nonfixed_means(space, *, mode=None):
     if mode is None:
         mode = default_mode(n)
     blocks = tier_blocks(space)
-    piu = _left_chain(blocks, mode, _csr_blocks(blocks, mode))
+    piu = _left_chain(blocks, mode)
     dens = _tier_denominators(blocks)
     value = _ratio(mode)
     positions = nonfixed_positions(n)
@@ -208,8 +206,13 @@ def nonfixed_means(space, *, mode=None):
 def nonfixed_moments(space, *, mode=None):
     """Means and covariances of all non-fixed entries under the Kingman law.
 
-    Work is the exact multiply-add count of the tiered algebra, returned
-    on the summary so the tier-product complexity is checkable.
+    One sweep runs down from the top reward tier n-2 to tier 2. At tier
+    tau it pushes every open column's right product one block down, opens
+    column n-1-tau with its reward block, and writes that column's means
+    and its cross terms with every open column, so only the current tier's
+    vectors are alive. Work is the exact multiply-add count of the products
+    used, returned on the summary so the tier-product complexity is
+    checkable.
     """
     from .kingman import tier_blocks
 
@@ -220,8 +223,7 @@ def nonfixed_moments(space, *, mode=None):
         mode = default_mode(n)
     blocks = tier_blocks(space)
     exact = mode == "rational"
-    mats = _csr_blocks(blocks, mode)
-    piu = _left_chain(blocks, mode, mats)
+    piu = _left_chain(blocks, mode)
     # a rational value is its numerator over dens[tier]; floats need none
     dens = _tier_denominators(blocks) if exact else [1] * (n - 1)
     value = _ratio(mode)
@@ -232,45 +234,36 @@ def nonfixed_moments(space, *, mode=None):
     mean = zeros(q, mode)
     cov = zeros((q, q), mode)
 
-    # Non-fixed columns j share the supporting tier n-1-j; chain each
-    # column's reward block once and slice per row index i.
-    cols = {}
-    chains = {}
-    sums = {}
-    for j in range(1, n - 2):
-        tau = n - 1 - j
-        sl = space.tier_slice(tau)
-        rows = list(range(j + 2, n))
-        v = space.states[sl][:, [i - 1 for i in rows]].astype(object if exact else np.float64)
-        levels = [v]
-        for k in range(1, tau + 1):
-            v = _right_step(blocks[tau - k], v, mats[tau - k])
-            levels.append(v)
-            work += blocks[tau - k].nnz * len(rows)
-        cols[j] = rows
-        chains[j] = levels
-        sums[j] = piu[tau].dot(levels[0])
-        mean[[index[(i, j)] for i in rows]] = value(sums[j], dens[tau])
-        work += levels[0].shape[0] * len(rows)
+    # The cross term of columns on tiers tau_a >= tau_b reads column a's
+    # right product on tier tau_b only: the order-respecting bracket, which
+    # on a shared tier collapses pointwise.
+    opened = []  # (tier, covariance indices, numerators of the means)
+    vectors = []  # each open column's right product on the current tier
+    for tau in range(n - 2, 1, -1):
+        if vectors:
+            _push_down(blocks[tau], vectors)
+            work += blocks[tau].nnz * sum(v.shape[1] for v in vectors)
+        j = n - 1 - tau
+        rows = range(j + 2, n)
+        # a column-major copy, as the float golden's summation order expects
+        v = space.tier_states(tau)[:, [i - 1 for i in rows]]
+        v = v.astype(object if exact else np.float64)
+        idx = [index[(i, j)] for i in rows]
+        sums = piu[tau].dot(v)
+        mean[idx] = value(sums, dens[tau])
+        work += v.shape[0] * len(idx)
+        opened.append((tau, idx, sums))
+        vectors.append(v)
 
-    # E[F_a F_b]: for columns on distinct tiers only the order-respecting
-    # bracket survives; on a shared tier the product collapses pointwise.
-    for ja, rows_a in cols.items():
-        tau_a = n - 1 - ja
-        for jb, rows_b in cols.items():
-            if jb < ja:
-                continue
-            tau_b = n - 1 - jb
-            weighted = chains[jb][0] * piu[tau_b][:, None]
-            cross = weighted.T.dot(chains[ja][tau_a - tau_b])
-            work += weighted.shape[0] * len(rows_b) * len(rows_a)
-            # cross is over L_{tau_a}, the means over L_{tau_a} and L_{tau_b}
-            centred = value(cross * dens[tau_b] - np.multiply.outer(sums[jb], sums[ja]),
-                            dens[tau_a] * dens[tau_b])
-            for cb, ib in enumerate(rows_b):
-                b = index[(ib, jb)]
-                for ca, ia in enumerate(rows_a):
-                    a = index[(ia, ja)]
+        weighted = v * piu[tau][:, None]
+        for (tau_a, idx_a, sums_a), level in zip(opened, vectors):
+            cross = weighted.T.dot(level)
+            work += weighted.shape[0] * len(idx) * len(idx_a)
+            # cross is over L_{tau_a}, the means over L_{tau_a} and L_tau
+            centred = value(cross * dens[tau] - np.multiply.outer(sums, sums_a),
+                            dens[tau_a] * dens[tau])
+            for cb, b in enumerate(idx):
+                for ca, a in enumerate(idx_a):
                     cov[a, b] = cov[b, a] = centred[cb, ca]
     return MomentSummary(n=n, positions=positions, mean=mean, cov=cov, mode=mode, work=work)
 

@@ -137,8 +137,10 @@ def _scaled_costs(space, mean):
     costs = np.zeros(space.num_states, dtype=dtype)
     const = np.full(space.num_tiers, Fraction(0), dtype=object)
     for (t, x, m), nums in zip(tiers, num):
-        x = x.astype(dtype)
-        costs[space.tier_slice(t)] = (x * (scale * x - 2 * np.array(nums, dtype=dtype))).sum(axis=1)
+        tier_costs = costs[space.tier_slice(t)]
+        for col, b in zip(x.T, nums):  # no (tier size x columns) temporaries
+            col = col.astype(dtype)
+            tier_costs += col * (scale * col - 2 * b)
         const[t] = sum(v * v for v in m)
     return costs, scale, const
 

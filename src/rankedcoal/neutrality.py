@@ -53,22 +53,22 @@ class SampleStats:
     e_values: np.ndarray
 
     @classmethod
-    def from_fmatrices(cls, sample):
-        if not sample:
-            raise ValidationError("empty sample")
-        n = sample[0].n
-        if any(f.n != n for f in sample):
-            raise ValidationError("mixed n in sample")
-        nf = np.stack([nonfixed_vector(f) for f in sample])
-        e_values = np.array([int(f.entries[-1].sum()) for f in sample], dtype=np.int64)
-        return cls(
-            n=n,
-            m=len(sample),
-            nf_mean=nf.mean(axis=0),
-            s_mean=float(nf.sum(axis=1).mean()),
-            e_mean=float(e_values.mean()),
-            e_values=e_values,
-        )
+    def from_fmatrices(cls, sample, name="sample"):
+        """Summaries of an iterable of F-matrices of one n, read once; ``name``
+        names the sample in errors. Every sum is an integer below 2^53, so
+        each mean is the correctly rounded quotient."""
+        n, nf_sum, e_values = None, 0, []
+        for f in sample:
+            n = n or f.n
+            if f.n != n:
+                raise ValidationError(f"mixed n in {name}: {f.n} vs {n}")
+            nf_sum = nf_sum + nonfixed_vector(f)
+            e_values.append(int(f.entries[-1].sum()))
+        if not e_values:
+            raise ValidationError(f"empty {name}")
+        m = len(e_values)
+        return cls(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
+                   e_mean=sum(e_values) / m, e_values=np.array(e_values, dtype=np.int64))
 
     @classmethod
     def from_arrays(cls, n, s, e, nf):
@@ -85,7 +85,7 @@ class SampleStats:
 def _coerce_sample(sample):
     if isinstance(sample, SampleStats):
         return sample
-    return SampleStats.from_fmatrices(list(sample))
+    return SampleStats.from_fmatrices(sample)
 
 
 def _as_float(arr):

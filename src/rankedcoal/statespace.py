@@ -22,6 +22,9 @@ DEFAULT_MAX_N = 30
 # external count, so bit n+4 is its top bit and n = 58 the last n whose
 # keys fit an int64.
 KEY_MAX_N = 58
+# A state takes n + 9 bytes: n-1 int8 entries, an int16 tier and an int64
+# key (within 6% of the peak measured at n = 30 and 32). Refuses n >= 35.
+STATES_MAX_BYTES = 512 << 20
 
 
 def diff_encoding(x):
@@ -217,7 +220,8 @@ def enumerate_states(n, max_n=DEFAULT_MAX_N):
     """Construct the full state space of X_n.
 
     The two forced initial states (0,..,0,n) and (0,..,0,n-1,n-2) occupy
-    indices 1 and 2; total transient count is Fib(n+1) - 1.
+    indices 1 and 2; total transient count is Fib(n+1) - 1. Above ``max_n``
+    or ``STATES_MAX_BYTES`` it is refused before any tier is built.
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
@@ -226,12 +230,16 @@ def enumerate_states(n, max_n=DEFAULT_MAX_N):
         raise CapacityError(
             f"n = {n} exceeds the cap {cap}; X_{n} has Fib({n + 1}) = {fib(n + 1)} states"
         )
+    count = fib(n + 1) - 1
+    if count * (n + 9) > STATES_MAX_BYTES:
+        raise CapacityError(f"X_{n} has {count} states and needs about {count * (n + 9) >> 20} "
+                            f"MiB, over the budget of {STATES_MAX_BYTES >> 20} MiB")
     tier_keys = [_tier_keys(n, t) for t in range(n - 1)]
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum([len(keys) for keys in tier_keys], out=offsets[1:])
-    total, expected = int(offsets[-1]), fib(n + 1) - 1
-    if total != expected:
-        raise AssertionError(f"enumerated {total} states for n = {n}, expected {expected}")
+    total = int(offsets[-1])
+    if total != count:
+        raise AssertionError(f"enumerated {total} states for n = {n}, expected {count}")
     states = np.empty((total, n - 1), dtype=np.int8)
     for t, keys in enumerate(tier_keys):
         keys_to_states(keys, n, t, states[offsets[t]:offsets[t + 1]])

@@ -323,6 +323,17 @@ def test_bcp_refuses_a_large_n_before_counting_partitions(capsys, monkeypatch):
     assert captured.err == f"capacity: n = 1000000 exceeds cap {bcp.SIZES_MAX_N}\n"
 
 
+def test_statespace_refuses_by_bytes_before_building_a_tier(capsys, monkeypatch):
+    import rankedcoal.statespace as statespace
+
+    monkeypatch.setattr(statespace, "_tier_keys", lambda n, t: pytest.fail("tier built"))
+    assert main(["statespace", "--n", "40", "--max-n", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("capacity: X_40 has 165580140 states and needs about 7737 MiB, "
+                            f"over the budget of {statespace.STATES_MAX_BYTES >> 20} MiB\n")
+
+
 def test_test_subcommand(tmp_path, capsys):
     corpus = tmp_path / "sample.jsonl"
     assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "8",

@@ -2,7 +2,8 @@
 before the samplers and the phase-type PMF were vectorised, the exact
 Frechet minimum and mean paths at n = 25, and the exact moments of S, E and
 the F-matrix at n = 12, recorded while the moment engine still multiplied
-Fractions edge by edge."""
+Fractions edge by edge, and their float values at n = 14, recorded while
+the engine still kept every right product of every column."""
 
 from pathlib import Path
 
@@ -24,6 +25,7 @@ GOLDENS = {
     "bcp_n10.csv": ["bcp", "--n", "10"],
     "frechet_n25.txt": ["frechet", "--n", "25"],
     "moments_n12.csv": ["moments", "--targets", "S,E,F", "--n", "12"],
+    "moments_float_n14.csv": ["moments", "--targets", "S,E,F", "--mode", "float", "--n", "14"],
 }
 
 

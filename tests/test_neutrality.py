@@ -82,6 +82,18 @@ def test_closed_form_null_equals_the_rational_engine(n):
         assert got.tobytes() == _floats(want).tobytes()
 
 
+@pytest.mark.parametrize("n", range(4, 15))
+def test_rational_engine_equals_the_closed_form_fractions(n):
+    """Every exact mean and covariance of the tier sweep is the Fraction of
+    ``kingman_moment_terms``, before any rounding."""
+    summary = feedforward.nonfixed_moments(statespace.enumerate_states(n), mode="rational")
+    mean_num, mean_den, cov_num, cov_key, den_of_key = kingman_moment_terms(n)
+    assert list(summary.mean) == [Fraction(int(a), int(b)) for a, b in zip(mean_num, mean_den)]
+    want = [[Fraction(int(a), int(den_of_key[k])) for a, k in zip(row_num, row_key)]
+            for row_num, row_key in zip(cov_num, cov_key)]
+    assert summary.cov.tolist() == want
+
+
 @pytest.mark.parametrize("n", [16, 25])
 def test_closed_form_null_matches_the_float_engine(n):
     space = statespace.enumerate_states(n)

@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from key_oracle import expand_tier
-from rankedcoal import CapacityError, ValidationError
+from rankedcoal import CapacityError, ValidationError, statespace
+from rankedcoal._common import fib
 from rankedcoal.statespace import (
     KEY_MAX_N,
+    STATES_MAX_BYTES,
     _pack,
     _rank_table,
     _tier_keys,
@@ -195,6 +197,26 @@ def test_capacity_guard_keeps_keys_inside_int64():
     with pytest.raises(CapacityError) as err:
         enumerate_states(KEY_MAX_N + 1, max_n=100)
     assert f"cap {KEY_MAX_N}" in str(err.value)
+
+
+def _no_tiers(*args, **kwargs):
+    raise AssertionError("a tier was built")
+
+
+@pytest.mark.parametrize("n", [35, 40, KEY_MAX_N])
+def test_capacity_guard_refuses_by_bytes_before_any_tier(n, monkeypatch):
+    monkeypatch.setattr(statespace, "_tier_keys", _no_tiers)
+    with pytest.raises(CapacityError) as err:
+        enumerate_states(n, max_n=KEY_MAX_N)
+    assert f"{fib(n + 1) - 1} states" in str(err.value) and "MiB" in str(err.value)
+
+
+def test_byte_budget_admits_n_34(monkeypatch):
+    # n = 34 is past the check: the patched tier builder is what stops it
+    assert (fib(35) - 1) * (34 + 9) <= STATES_MAX_BYTES
+    monkeypatch.setattr(statespace, "_tier_keys", _no_tiers)
+    with pytest.raises(AssertionError, match="a tier was built"):
+        enumerate_states(34, max_n=KEY_MAX_N)
 
 
 def test_index_of_rejects_non_states(space5):
