@@ -8,7 +8,7 @@ simulation, and neutrality tests against the Kingman null.
 """
 
 from ._common import CapacityError, ValidationError
-from .bcp import bcp_E_distribution, bcp_chain, bcp_dph, bcp_kernel, bcp_states, partition_count
+from .bcp import bcp_E_distribution, bcp_chain, bcp_dph, bcp_states, partition_count
 from .betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats, sample_beta_tree
 from .feedforward import frechet_variance, nonfixed_moments, se_moments
 from .fmatrix import (
@@ -27,9 +27,7 @@ from .fmatrix import (
     write_jsonl,
 )
 from .frechet import (
-    CostMatrix,
     MeanMatrix,
-    cost_matrix,
     mean_matrix_exact,
     mean_matrix_sample,
     state_costs,
@@ -96,12 +94,10 @@ __all__ = [
     "read_jsonl",
     "iter_jsonl",
     "MeanMatrix",
-    "CostMatrix",
     "mean_matrix_exact",
     "mean_matrix_sample",
     "state_costs",
     "vitreebi",
-    "cost_matrix",
     "frechet_variance",
     "DiscretePhaseType",
     "coalescent_dph",
@@ -115,7 +111,6 @@ __all__ = [
     "se_moments",
     "partition_count",
     "bcp_states",
-    "bcp_kernel",
     "bcp_chain",
     "bcp_dph",
     "bcp_E_distribution",

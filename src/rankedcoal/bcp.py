@@ -106,13 +106,6 @@ class BcpChain:
     tier_offsets: np.ndarray
     blocks: list
 
-    @property
-    def num_states(self):
-        return len(self.states)
-
-    def tier_slice(self, t):
-        return slice(int(self.tier_offsets[t]), int(self.tier_offsets[t + 1]))
-
 
 def _successors(state):
     """(successor a-vector, rate) pairs; merges to a full block excluded."""
@@ -138,30 +131,19 @@ def _successors(state):
     return out
 
 
-def bcp_kernel(n):
-    """Jump-chain probability blocks, one per tier boundary.
-
-    Within tier t every state holds b = n - t blocks, so the common
-    denominator is binom(b, 2).
-    """
+def bcp_chain(n):
+    """The BCP states and their jump-chain probability blocks, one per tier
+    boundary. Within tier t every state holds b = n - t blocks, so the
+    common denominator is binom(b, 2)."""
     states = bcp_states(n)
-    chain = _assemble(n, states)
-    return chain.blocks
-
-
-def _assemble(n, states):
-    tiers = [s.tier for s in states]
     offsets = np.zeros(n, dtype=np.int64)
-    for t in tiers:
-        offsets[t + 1] += 1
+    for s in states:
+        offsets[s.tier + 1] += 1
     offsets = np.cumsum(offsets)
-    index = {}
-    for local, s in enumerate(states):
-        index[s.a] = local - int(offsets[s.tier])
+    index = {s.a: local - int(offsets[s.tier]) for local, s in enumerate(states)}
     blocks = []
     for t in range(n - 2):
-        sl = slice(int(offsets[t]), int(offsets[t + 1]))
-        rows = states[sl]
+        rows = states[offsets[t]:offsets[t + 1]]
         n_cols = int(offsets[t + 2]) - int(offsets[t + 1])
         indptr = [0]
         cols = []
@@ -181,10 +163,6 @@ def _assemble(n, states):
             denom=binom2(n - t),
         ))
     return BcpChain(n=n, states=states, tier_offsets=offsets, blocks=blocks)
-
-
-def bcp_chain(n):
-    return _assemble(n, bcp_states(n))
 
 
 def bcp_dph(n, mode=None):

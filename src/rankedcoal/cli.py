@@ -10,12 +10,17 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
 
 from ._common import RATIONAL_MAX_N, default_mode
 from ._common import CapacityError, ValidationError, fib, format_number
+
+# The most points a ``power --beta-grid`` range may expand to; each point
+# runs every replicate.
+GRID_MAX_POINTS = 10_000
 
 
 def _atomic_write(path, text):
@@ -107,8 +112,7 @@ def _cmd_sample(args):
     _refuse_negative(args, "count", "seed")
     space = enumerate_states(args.n)
     paths = sample_paths(space, args.count, seed=args.seed)
-    lines = [json.dumps({"path": [int(v) for v in p]}) for p in paths]
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, "".join(json.dumps({"path": [int(v) for v in p]}) + "\n" for p in paths))
     return 0
 
 
@@ -128,7 +132,7 @@ def _cmd_simulate(args):
 
         space = enumerate_states(args.n)
         mats = paths_to_fmatrices(space, sample_paths(space, args.count, seed=args.seed))
-    _emit(args.out, "\n".join(map(jsonl_line, mats)) + "\n")
+    _emit(args.out, "".join(jsonl_line(f) + "\n" for f in mats))
     return 0
 
 
@@ -188,33 +192,11 @@ def _moment_rows_se(space, summary):
     ]
 
 
-def _moment_rows_f(space, mode, engine, summary):
-    rows = []
-    if engine == "dense":
-        from .phasetype import build_rewards, coalescent_dph, mdph_cross_moment, reward_moments
-
-        dph = coalescent_dph(space, mode=mode)
-        rewards = build_rewards(space)
-        labels = rewards.labels[2:]
-        cols = [rewards.R[:, 2 + a] for a in range(len(labels))]
-        for label, col in zip(labels, cols):
-            mean, _ = reward_moments(dph, col)
-            rows.append([label, "mean", format_number(mean)])
-        for a, la in enumerate(labels):
-            for b in range(a, len(labels)):
-                _, cov = mdph_cross_moment(dph, cols[a], cols[b])
-                rows.append([f"{la}:{labels[b]}", "cov", format_number(cov)])
-        return rows
-    for a, (i, j) in enumerate(summary.positions):
-        rows.append([f"F({i},{j})", "mean", format_number(summary.mean[a])])
-    for a, pa in enumerate(summary.positions):
-        for b in range(a, len(summary.positions)):
-            pb = summary.positions[b]
-            rows.append([
-                f"F{pa}:F{pb}".replace(" ", ""),
-                "cov",
-                format_number(summary.cov[a, b]),
-            ])
+def _moment_rows_f(summary):
+    pos = summary.positions
+    rows = [[f"F({i},{j})", "mean", format_number(m)] for (i, j), m in zip(pos, summary.mean)]
+    rows += [[f"F{pa}:F{pb}".replace(" ", ""), "cov", format_number(summary.cov[a, b])]
+             for a, pa in enumerate(pos) for b, pb in enumerate(pos[a:], start=a)]
     return rows
 
 
@@ -224,8 +206,8 @@ def _cmd_moments(args):
 
     targets = [t.strip().upper() for t in args.targets.split(",") if t.strip()]
     bad = [t for t in targets if t not in ("S", "E", "F")]
-    if bad:
-        raise ValidationError(f"unknown targets {bad}; expected S, E, F")
+    if bad or not targets:
+        raise ValidationError(f"targets must be a comma list from S, E, F, got {args.targets!r}")
     n = args.n
     mode = args.mode or default_mode(n)
     if mode == "rational" and n > RATIONAL_MAX_N and "F" in targets:
@@ -234,15 +216,13 @@ def _cmd_moments(args):
             "use --mode float"
         )
     space = enumerate_states(n)
-    se = "S" in targets or "E" in targets
-    feedforward_f = "F" in targets and args.engine == "feedforward"
     # one non-fixed summary serves both the (S, E) rows and the F rows
-    summary = nonfixed_moments(space, mode=mode) if se or feedforward_f else None
+    summary = nonfixed_moments(space, mode=mode)
     rows = []
-    if se:
+    if "S" in targets or "E" in targets:
         rows.extend(_moment_rows_se(space, summary))
     if "F" in targets:
-        rows.extend(_moment_rows_f(space, mode, args.engine, summary))
+        rows.extend(_moment_rows_f(summary))
     text = _csv_text(rows, header=["target", "statistic", "value"])
     _emit(args.out, text)
     if args.emit_dph:
@@ -262,6 +242,8 @@ def _cmd_bcp(args):
     if args.sizes:
         from .bcp import SIZES_MAX_N, partition_counts
 
+        if args.n_max < 3:
+            raise ValidationError(f"--n-max must be at least 3, got {args.n_max}")
         if args.n_max > SIZES_MAX_N:
             raise CapacityError(f"--n-max {args.n_max} exceeds cap {SIZES_MAX_N}")
         counts = partition_counts(args.n_max)
@@ -322,17 +304,28 @@ def _cmd_test(args):
 
 
 def _parse_grid(text):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValidationError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        grid = [round(start + k * step, 10) for k in range(count)]
-        return [g for g in grid if g <= stop + 1e-9]
-    return [float(p) for p in text.split(",") if p.strip()]
+    """The betas of a start:stop:step or comma-list grid; ``power_curve``
+    checks the betas themselves. A range is counted, and refused above
+    GRID_MAX_POINTS points, before its list is built."""
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"grid values must be numbers, got {text!r}") from None
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ValidationError(f"grid must be start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"grid start, stop and step must be finite, got {text!r}")
+    start, stop, step = values
+    if step <= 0:
+        raise ValidationError("grid step must be positive")
+    span = (stop - start) / step  # inf when it overflows
+    if not span <= GRID_MAX_POINTS - 1:
+        raise CapacityError(f"beta grid {text!r} has more than {GRID_MAX_POINTS} points")
+    grid = [round(start + k * step, 10) for k in range(int(round(span)) + 1)]
+    return [g for g in grid if g <= stop + 1e-9]
 
 
 def _cmd_power(args):
@@ -405,7 +398,6 @@ def build_parser():
     p = sub.add_parser("moments", help="exact or feed-forward moments of S, E, F")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", default="S,E", help="comma list from S,E,F")
-    p.add_argument("--engine", choices=["feedforward", "dense"], default="feedforward")
     p.add_argument("--mode", choices=["rational", "float"])
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--emit-dph", help="write the coalescent DPH as JSON {pi, T, exit}")

@@ -95,14 +95,6 @@ def _left_chain(blocks, mode):
     return out
 
 
-def left_products(blocks, mode="rational"):
-    """The sequence pi T^0, ..., pi T^{n-2}, one TieredVector per tier."""
-    values = _left_chain(blocks, mode)
-    if mode == "rational":
-        values = [to_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
-    return [TieredVector(n=len(blocks) + 2, tier=k, values=v) for k, v in enumerate(values)]
-
-
 def _support_tier(r, sizes):
     offs = np.concatenate([[0], np.cumsum(sizes)])
     if len(r) != offs[-1]:
@@ -166,7 +158,10 @@ def pi_U(space, *, mode=None):
     if mode is None:
         mode = default_mode(space.n)
     blocks = tier_blocks(space)
-    return assemble(blocks, left_products(blocks, mode=mode), mode=mode)
+    values = _left_chain(blocks, mode)
+    if mode == "rational":
+        values = [to_fractions(a, d) for a, d in zip(values, _tier_denominators(blocks))]
+    return np.concatenate(values)
 
 
 def nonfixed_means(space, *, mode=None):

@@ -9,8 +9,8 @@ with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
 The forward pass never builds the kernel. It streams each tier's edges
 from ``kingman.tier_edges``, at most ``kingman.ROW_CHUNK`` source rows at a
 time in no row order, and keeps per tier only the edges that end up
-optimal, sorted by source and target, from which the backtrack, the path
-count and ``cost_matrix`` work.
+optimal, sorted by source and target, from which the backtrack and the
+path count work.
 """
 
 import math
@@ -51,16 +51,6 @@ class MeanMatrix:
 
     def nonfixed(self):
         return [self.M[i - 1, j - 1] for i, j in nonfixed_positions(self.n)]
-
-
-@dataclass
-class CostMatrix:
-    """Cumulative DP costs C_{i,t} (column t spans tier t-1) plus the
-    optimal antecedent set of every state."""
-
-    n: int
-    C: np.ndarray
-    antecedents: list
 
 
 def mean_matrix_exact(space):
@@ -274,23 +264,3 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
         denom, const = scale
         best = Fraction(int(best), denom) + const[-1]
     return best, [tuple(p) for p in paths.tolist()]
-
-
-def cost_matrix(space, mean, costs=None):
-    """The dense DP table with off-tier sentinels and antecedent sets."""
-    costs, c, optimal, scale = _solve(space, mean, costs)
-    n = space.n
-    true = c
-    if scale is not None:
-        denom, const = scale
-        true = c.astype(object) * Fraction(1, denom) + const[space.tier_of]
-    dense = np.full((space.num_states, n - 1), np.inf)
-    dense[np.arange(space.num_states), space.tier_of] = true.astype(np.float64)
-    preds = [[] for _ in range(space.num_states)]
-    for t, (s, d) in enumerate(optimal):
-        s = s + space.tier_offsets[t] + 1
-        d = d + space.tier_offsets[t + 1]
-        # edges come by source, so each list is ascending
-        for a, b in zip(s.tolist(), d.tolist()):
-            preds[b].append(a)
-    return CostMatrix(n=n, C=dense, antecedents=[tuple(p) for p in preds])

@@ -61,11 +61,6 @@ class TierBlock:
         out[self.rows(), self.indices] = self.probs(mode)
         return out
 
-    def row_sums(self):
-        """Exact row sums as Fractions (all 1 for a valid kernel)."""
-        sums = np.add.reduceat(self.numer, self.indptr[:-1]) if self.nnz else np.array([])
-        return [Fraction(int(s), self.denom) for s in sums]
-
 
 def feasible(x, y):
     """The unique coalescence pair (i, k) turning state x into state y.

@@ -13,7 +13,7 @@ the BCP stay the oracles for these in the tests.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
@@ -471,6 +471,11 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
         raise ValidationError(f"need at least one tree per sample, got m = {m}")
     if not 0 < alpha < 1:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if len(beta_grid) == 0:
+        raise ValidationError("empty beta grid")
+    for beta in beta_grid:  # all of them before the first replicate
+        if not (beta > -2 and isfinite(beta)):
+            raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))

@@ -12,7 +12,6 @@ from rankedcoal.bcp import (
     bcp_chain,
     bcp_dph,
     bcp_E_distribution,
-    bcp_kernel,
     bcp_states,
     partition_count,
     reward_E_bcp,
@@ -106,7 +105,7 @@ def test_n5_chain():
 
 def test_n4_coincides_with_ranked_chain():
     ranked = tier_blocks(enumerate_states(4))
-    bcp = bcp_kernel(4)
+    bcp = bcp_chain(4).blocks
     assert len(ranked) == len(bcp)
     for rb, bb in zip(ranked, bcp):
         assert np.array_equal(rb.dense(), bb.dense())
@@ -121,7 +120,7 @@ def test_blocks_are_stochastic(n):
         for row in dense:
             assert sum(row) == 1
     offsets = chain.tier_offsets
-    assert offsets[0] == 0 and offsets[-1] == chain.num_states
+    assert offsets[0] == 0 and offsets[-1] == len(chain.states)
     assert all(offsets[i] < offsets[i + 1] for i in range(n - 1))
 
 

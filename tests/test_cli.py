@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rankedcoal._common import default_mode, format_number
 from rankedcoal.cli import main
 from rankedcoal.fmatrix import balance_E, balance_S, colless, read_jsonl, sackin
 from rankedcoal.kingman import sample_paths, validate_path
+from rankedcoal.phasetype import build_rewards, coalescent_dph, mdph_cross_moment, reward_moments
 from rankedcoal.statespace import enumerate_states
 
 
@@ -217,15 +219,33 @@ def test_moments_se(capsys):
     ]
 
 
-def test_moments_engines_agree(capsys):
-    def f_rows(n, *flags):
-        assert main(["moments", "--n", str(n), "--targets", "F", *flags]) == 0
-        return capsys.readouterr().out
+def _dense_f_rows(n):
+    """The F rows of ``moments`` from the dense coalescent DPH: one reward
+    solve per non-fixed entry and one cross moment per pair."""
+    space = enumerate_states(n)
+    dph = coalescent_dph(space, mode=default_mode(n))
+    rewards = build_rewards(space)
+    labels = rewards.labels[2:]
+    cols = [rewards.R[:, 2 + a] for a in range(len(labels))]
+    rows = [[label, "mean", format_number(reward_moments(dph, col)[0])]
+            for label, col in zip(labels, cols)]
+    for a, la in enumerate(labels):
+        for b in range(a, len(labels)):
+            cov = mdph_cross_moment(dph, cols[a], cols[b])[1]
+            rows.append([f"{la}:{labels[b]}", "cov", format_number(cov)])
+    return [["target", "statistic", "value"]] + rows
 
-    assert f_rows(9) == f_rows(9, "--engine", "dense")
+
+def test_moments_engines_agree(capsys):
+    """The CLI's feed-forward F rows equal the dense DPH's, value for value."""
+    def f_rows(n):
+        assert main(["moments", "--n", str(n), "--targets", "F"]) == 0
+        return _rows(capsys.readouterr().out)
+
+    assert f_rows(9) == _dense_f_rows(9)
     feed = f_rows(5)
-    assert feed == f_rows(5, "--engine", "dense")
-    values = {(r[0], r[1]): r[2] for r in _rows(feed)[1:]}
+    assert feed == _dense_f_rows(5)
+    values = {(r[0], r[1]): r[2] for r in feed[1:]}
     assert values[("F(4,2)", "mean")] == "3/2"
     assert values[("F(3,1):F(4,2)", "cov")] == "0"
     assert values[("F(4,1):F(4,2)", "cov")] == "1/12"
@@ -237,6 +257,15 @@ def test_moments_rational_refusal(capsys):
     assert "rational" in capsys.readouterr().err
     assert main(["moments", "--n", "5", "--targets", "S,Q"]) == 2
     capsys.readouterr()
+    # every target list names at least one target
+    assert main(["moments", "--n", "5", "--targets", " , "]) == 2
+    assert capsys.readouterr().err == (
+        "error: targets must be a comma list from S, E, F, got ' , '\n")
+    # there is one F-moment engine, so --engine is no option: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--n", "5", "--targets", "F", "--engine", "dense"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_moments_emit_dph(tmp_path, capsys):
@@ -250,8 +279,8 @@ def test_moments_emit_dph(tmp_path, capsys):
 
 
 def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
-    """The feed-forward summary, the dense engine and the emitted DPH all
-    read one set of blocks: every tier's rows are built once."""
+    """The moment summary and the emitted DPH read one set of blocks:
+    every tier's rows are built once."""
     from rankedcoal import kingman
 
     built = []
@@ -263,7 +292,7 @@ def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
     tier_rows = kingman._tier_rows
     monkeypatch.setattr(kingman, "_tier_rows", counted)
     n = 6
-    assert main(["moments", "--targets", "S,E,F", "--engine", "dense", "--n", str(n),
+    assert main(["moments", "--targets", "S,E,F", "--n", str(n),
                  "--emit-dph", str(tmp_path / "dph.json")]) == 0
     capsys.readouterr()
     assert sorted(built) == list(range(n - 2))
@@ -414,6 +443,19 @@ def test_power_curve_csv(tmp_path, capsys):
     (["--reps", "2", "--tests", "GE,XX"], "unknown tests"),
     (["--reps", "2", "--tests", ""], "no test named"),
     (["--reps", "2", "--seed", "-1"], "--seed"),
+    # the last --beta-grid wins; the whole grid is checked before the null is built
+    (["--reps", "2", "--beta-grid=nan:1:1"], "grid start, stop and step must be finite"),
+    (["--reps", "2", "--beta-grid=0:inf:1"], "grid start, stop and step must be finite"),
+    (["--reps", "2", "--beta-grid=0:1:-inf"], "grid start, stop and step must be finite"),
+    (["--reps", "2", "--beta-grid=0,x"], "grid values must be numbers"),
+    (["--reps", "2", "--beta-grid=0:1:y"], "grid values must be numbers"),
+    (["--reps", "2", "--beta-grid=1:0:1"], "empty beta grid"),
+    (["--reps", "2", "--beta-grid="], "empty beta grid"),
+    (["--reps", "2", "--beta-grid=,,"], "empty beta grid"),
+    (["--reps", "2", "--beta-grid=nan"], "beta must be finite and exceed -2, got nan"),
+    (["--reps", "2", "--beta-grid=0,inf"], "beta must be finite and exceed -2, got inf"),
+    (["--reps", "2", "--beta-grid=-1,0,-3"], "beta must be finite and exceed -2, got -3.0"),
+    (["--reps", "2", "--beta-grid=-2.5:0:1"], "beta must be finite and exceed -2, got -2.5"),
 ])
 def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import neutrality
@@ -463,6 +505,57 @@ def test_power_grid_forms(capsys):
     assert main(["power", "--n", "5", "--m", "20", "--reps", "5",
                  "--beta-grid", "1:0:-0.5", "--seed", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", ["0:1e12:1", "0:1e308:1e-300", "0:{last}:1"])
+def test_power_refuses_a_large_range_before_building_it(grid, capsys, monkeypatch):
+    from rankedcoal import cli
+
+    def no_list(*args):
+        raise AssertionError("the grid was built")
+
+    # the range grid is built over range(count); a refusal must come first
+    monkeypatch.setattr(cli, "range", no_list, raising=False)
+    grid = grid.format(last=cli.GRID_MAX_POINTS)  # one point more than the cap
+    assert main(["power", "--n", "6", "--m", "40", "--reps", "2", f"--beta-grid={grid}",
+                 "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"capacity: beta grid {grid!r} has more than "
+                            f"{cli.GRID_MAX_POINTS} points\n")
+
+
+def test_power_range_of_the_largest_size_is_built():
+    from rankedcoal import cli
+
+    grid = cli._parse_grid(f"0:{cli.GRID_MAX_POINTS - 1}:1")
+    assert len(grid) == cli.GRID_MAX_POINTS and grid[-1] == cli.GRID_MAX_POINTS - 1
+
+
+def test_bcp_sizes_refuses_n_max_below_3(capsys):
+    for n_max in ("-5", "0", "2"):
+        assert main(["bcp", "--sizes", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n-max must be at least 3, got {n_max}\n"
+    assert main(["bcp", "--sizes", "--n-max", "3"]) == 0
+    assert _rows(capsys.readouterr().out) == [["n", "partitions", "fib"], ["3", "3", "3"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "5"],
+    ["simulate", "--model", "kingman", "--n", "5"],
+    ["simulate", "--model", "beta", "--n", "5"],
+])
+def test_count_zero_writes_zero_bytes(argv, tmp_path, capsys):
+    args = argv + ["--count", "0", "--seed", "1"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == ""
+    target = tmp_path / "out.jsonl"
+    assert main(args + ["--out", str(target)]) == 0
+    assert target.read_bytes() == b""
+    assert main(argv + ["--count", "2", "--seed", "1", "--out", str(target)]) == 0
+    assert target.read_text().count("\n") == 2 and "\n\n" not in target.read_text()
 
 
 def test_atomic_overwrite(tmp_path, capsys):

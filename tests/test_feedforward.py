@@ -10,7 +10,6 @@ import pytest
 from rankedcoal import ValidationError
 from rankedcoal.feedforward import (
     assemble,
-    left_products,
     nonfixed_means,
     nonfixed_moments,
     pi_U,
@@ -72,10 +71,11 @@ def test_right_products_edge_cases(blocks6):
         assert np.allclose([float(v) for v in e.values], a.values, rtol=1e-15, atol=0)
 
 
-def test_left_products_tier_support(blocks6):
-    for k, tv in enumerate(left_products(blocks6)):
-        assert tv.tier == k
-        assert sum(tv.values) == 1
+def test_pi_u_tiers_sum_to_one(space6):
+    """pi T^k is a law on tier k: every tier's segment of pi U sums to 1."""
+    piu = pi_U(space6)
+    for k in range(space6.num_tiers):
+        assert sum(piu[space6.tier_slice(k)]) == 1
 
 
 @pytest.mark.parametrize("n", range(7, 12))
@@ -88,10 +88,9 @@ def test_products_match_dense_fraction_blocks(n):
     lefts = [np.array([F(1)], dtype=object)]
     for mat in dense:
         lefts.append(lefts[-1].dot(mat))
-    got = left_products(blocks)
-    assert [tv.tier for tv in got] == list(range(n - 1))
-    assert [list(tv.values) for tv in got] == [list(w) for w in lefts]
-    assert all(isinstance(v, F) for tv in got for v in tv.values)
+    got = pi_U(space)
+    assert list(got) == [v for w in lefts for v in w]
+    assert all(isinstance(v, F) for v in got)
 
     offs = space.tier_offsets
     for tau in range(n - 1):

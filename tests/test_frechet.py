@@ -1,7 +1,6 @@
 """ViTreebi and mean matrices: the n = 6 cost table, exhaustive
 backtracking against brute force, and the dispersion identities."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ from rankedcoal.frechet import (
     MAX_PATH_CAP,
     MeanMatrix,
     _scaled_costs,
-    cost_matrix,
+    _solve,
     mean_matrix_exact,
     mean_matrix_sample,
     state_costs,
@@ -128,16 +127,32 @@ def test_n6_antecedent_sets(space6):
         assert sources == N6_ANTECEDENTS[d]
 
 
+def forward_table(space, mean):
+    """The forward pass of ``_solve`` as a table: the cumulative cost of
+    every state (exact Fractions for a rational mean) and the 1-based
+    optimal antecedents of every state."""
+    _, c, optimal, scale = _solve(space, mean, None)
+    cumulative = c.tolist()
+    if scale is not None:
+        denom, const = scale
+        cumulative = [F(int(v), denom) + const[t]
+                      for v, t in zip(cumulative, space.tier_of.tolist())]
+    preds = [[] for _ in range(space.num_states)]
+    for t, (s, d) in enumerate(optimal):
+        # edges come by source, so each list is ascending
+        for a, b in zip(s.tolist(), d.tolist()):
+            preds[b + space.tier_offsets[t + 1]].append(a + space.tier_offsets[t] + 1)
+    return cumulative, [tuple(p) for p in preds]
+
+
 def test_n6_cost_matrix(space6):
-    cm = cost_matrix(space6, mean_matrix_exact(space6))
-    for i in range(12):
-        t = int(space6.tier_of[i])
-        assert cm.C[i, t] == pytest.approx(float(N6_CUMULATIVE[i]), rel=1e-15)
-        off = [cm.C[i, u] for u in range(5) if u != t]
-        assert all(math.isinf(v) for v in off)
-    assert cm.antecedents[0] == ()
+    """The cumulative costs and optimal antecedents of the n = 6 cost table."""
+    cumulative, antecedents = forward_table(space6, mean_matrix_exact(space6))
+    assert cumulative == N6_CUMULATIVE
+    assert all(isinstance(v, F) for v in cumulative)
+    assert antecedents[0] == ()
     for d in range(2, 13):
-        assert cm.antecedents[d - 1] == N6_OPTIMAL_PREDECESSORS[d]
+        assert antecedents[d - 1] == N6_OPTIMAL_PREDECESSORS[d]
 
 
 def test_n6_frechet_means(space6):
@@ -274,9 +289,8 @@ def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
         for chunk in (1, 3, ROW_CHUNK):
             monkeypatch.setattr(kingman, "ROW_CHUNK", chunk)
             assert vitreebi(space, mean) == (best, paths)
-            cm = cost_matrix(space, mean)
-            assert cm.C[np.arange(space.num_states), space.tier_of].tolist() == [float(v) for v in c]
-            assert cm.antecedents == [tuple(p + 1 for p in ps) for ps in preds]
+            # rational cumulative costs are the oracle's Fractions, not floats
+            assert forward_table(space, mean) == (c, [tuple(p + 1 for p in ps) for ps in preds])
         vitreebi(space, mean, path_cap=len(paths))
         if len(paths) > 1:
             with pytest.raises(CapacityError):
@@ -293,7 +307,7 @@ def test_cost_matrix_builds_no_kernel(monkeypatch):
 
     monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
     monkeypatch.setattr(kingman, "edge_table", whole_kernel)
-    assert cost_matrix(space, mean).antecedents == [tuple(p + 1 for p in ps) for ps in preds]
+    assert forward_table(space, mean)[1] == [tuple(p + 1 for p in ps) for ps in preds]
 
 
 @pytest.mark.parametrize("n", range(17, 21))
