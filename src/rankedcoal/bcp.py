@@ -165,23 +165,22 @@ def bcp_chain(n):
     return BcpChain(n=n, states=states, tier_offsets=offsets, blocks=blocks)
 
 
-def bcp_dph(n, mode=None):
-    """The ranked BCP as a dense discrete phase-type chain."""
-    if mode is None:
-        mode = default_mode(n)
-    # refused from the state count p(n) - 1 before any state is built, and
-    # above SIZES_MAX_N before p(n) is counted
+def _dense_chain(n):
+    """``bcp_chain(n)``, refused from the state count p(n) - 1 before any
+    state is built, and above SIZES_MAX_N before p(n) is counted."""
     if n > SIZES_MAX_N:
         raise CapacityError(f"n = {n} exceeds cap {SIZES_MAX_N}")
     order = partition_count(n) - 1
     if order > DENSE_MAX_ORDER:
         raise CapacityError(f"dense DPH of order {order} exceeds cap {DENSE_MAX_ORDER}")
-    return dph_from_blocks(bcp_chain(n).blocks, mode=mode)
+    return bcp_chain(n)
 
 
-def reward_E_bcp(n):
-    """Singleton counts per transient state, the BCP reward for E."""
-    return np.array([s.singletons for s in bcp_states(n)], dtype=np.int64)
+def bcp_dph(n, mode=None):
+    """The ranked BCP as a dense discrete phase-type chain."""
+    if mode is None:
+        mode = default_mode(n)
+    return dph_from_blocks(_dense_chain(n).blocks, mode=mode)
 
 
 def e_law(n):
@@ -224,4 +223,6 @@ def bcp_E_distribution(n, mode=None):
         raise ValidationError(f"bcp_E_distribution requires n >= 3, got {n}")
     if mode is None:
         mode = default_mode(n)
-    return reward_transform(bcp_dph(n, mode=mode), reward_E_bcp(n))
+    chain = _dense_chain(n)
+    singletons = np.array([s.singletons for s in chain.states], dtype=np.int64)
+    return reward_transform(dph_from_blocks(chain.blocks, mode=mode), singletons)

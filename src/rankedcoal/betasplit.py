@@ -14,7 +14,6 @@ from math import lgamma
 import numpy as np
 
 from ._common import ValidationError
-from ._kernels import beta_sample_grid
 from .fmatrix import FMatrix, nonfixed_positions
 
 # Grid entries per batch of trees: 16 MB of int64.
@@ -59,6 +58,50 @@ def _cumulative_table(beta, n):
     return cumw
 
 
+def beta_sample_grid(n, cumw, uniforms):
+    """Sample beta-splitting ranked shapes as cumulative edge grids.
+
+    cumw[k, i] is the cumulative split law for a block of k leaves
+    (cumw[k, k-1] = 1). Each tree consumes one row of ``uniforms``
+    (2(n-1) values: a block pick and a split pick per event); the trees
+    advance together, one split event at a time. Returns grid of shape
+    (m, n+3, n+3) where grid[r, a, b] counts the edges of tree r with parent
+    rank <= a and child rank >= b (leaves have rank n+1), so that
+    F_ij = grid[r, j+1, i+2].
+    """
+    m = uniforms.shape[0]
+    rows = np.arange(m)
+    cols = np.arange(cumw.shape[1])
+    sizes = np.zeros((m, n), np.int64)
+    parents = np.zeros((m, n), np.int64)
+    sizes[:, 0] = n
+    grid = np.zeros((m, n + 3, n + 3), np.int64)
+    for ev in range(2, n + 1):
+        nb = ev - 1
+        # Block b is picked with probability (size_b - 1) / remaining.
+        target = uniforms[:, 2 * (ev - 2)] * (n - ev + 1)
+        hit = np.cumsum(np.maximum(sizes[:, :nb] - 1, 0), axis=1) > target[:, None]
+        pick = hit.argmax(axis=1)
+        miss = ~hit[rows, pick]
+        if miss.any():
+            pick[miss] = nb - 1 - (sizes[miss, nb - 1::-1] > 1).argmax(axis=1)
+        k = sizes[rows, pick]
+        par = parents[rows, pick]
+        inner = par > 0
+        grid[rows[inner], par[inner], ev] += 1
+        # Left part: 1 + #{1 <= i < k-1 : u >= cumw[k, i]}; rows of cumw do
+        # not decrease, so this is where a linear scan would stop.
+        u2 = uniforms[:, 2 * (ev - 2) + 1]
+        below = (u2[:, None] >= cumw[k]) & (cols >= 1) & (cols < k[:, None] - 1)
+        left = 1 + below.sum(axis=1)
+        sizes[rows, pick] = left
+        parents[rows, pick] = ev
+        sizes[:, nb] = k - left
+        parents[:, nb] = ev
+    np.add.at(grid, (rows[:, None], parents, n + 1), 1)
+    return grid[:, :, ::-1].cumsum(axis=2)[:, :, ::-1].cumsum(axis=1)
+
+
 def _sample_grids(config, uniforms):
     """(first row, cumulative edge grids) for successive blocks of rows of
     ``uniforms``; see ``beta_sample_grid``. Blocks hold about GRID_CELLS
@@ -89,9 +132,11 @@ def sample_beta_tree(config, rng=None):
     return _fmatrices(config, rng.random((1, 2 * (config.n - 1))))[0]
 
 
-def sample_beta_fmatrices(config, count):
-    """A list of ``count`` F-matrices from one seeded stream."""
-    rng = np.random.default_rng(config.seed)
+def sample_beta_fmatrices(config, count, rng=None):
+    """A list of ``count`` F-matrices from one seeded stream (``rng``, or a
+    new one seeded with ``config.seed``)."""
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     return _fmatrices(config, rng.random((count, 2 * (config.n - 1))))
 
 

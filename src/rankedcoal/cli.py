@@ -24,6 +24,7 @@ GRID_MAX_POINTS = 10_000
 
 
 def _atomic_write(path, text):
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
     target = os.path.abspath(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
@@ -31,7 +32,7 @@ def _atomic_write(path, text):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,7 +44,7 @@ def _emit(path, text):
     if path:
         _atomic_write(path, text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
 def _csv_text(rows, header=None):
@@ -105,43 +106,74 @@ def _cmd_kernel(args):
     return 0
 
 
+def _chunks(count, n):
+    """Sizes of the successive chunks in which ``sample`` and ``simulate``
+    draw and write ``count`` trees: one beta-sampler block each (see
+    ``betasplit.GRID_CELLS``), so memory does not grow with the count.
+    Chunks drawn in turn from one Generator give the stream of one draw."""
+    from .betasplit import GRID_CELLS
+
+    rows = max(1, GRID_CELLS // (n + 3) ** 2)
+    for lo in range(0, count, rows):
+        yield min(rows, count - lo)
+
+
 def _cmd_sample(args):
+    import numpy as np
+
     from .kingman import sample_paths
     from .statespace import enumerate_states
 
     _refuse_negative(args, "count", "seed")
     space = enumerate_states(args.n)
-    paths = sample_paths(space, args.count, seed=args.seed)
-    _emit(args.out, "".join(json.dumps({"path": [int(v) for v in p]}) + "\n" for p in paths))
+    rng = np.random.default_rng(args.seed)
+
+    def text(size):
+        paths = sample_paths(space, size, seed=rng)
+        return "".join(json.dumps({"path": [int(v) for v in p]}) + "\n" for p in paths)
+
+    _emit(args.out, map(text, _chunks(args.count, args.n)))
     return 0
 
 
 def _cmd_simulate(args):
+    import numpy as np
+
     from .fmatrix import jsonl_line
 
     _refuse_negative(args, "count", "seed")
+    rng = np.random.default_rng(args.seed)
     if args.model == "beta":
         from .betasplit import BetaConfig, sample_beta_fmatrices
 
         config = BetaConfig(beta=args.beta, n=args.n, seed=args.seed)
-        mats = sample_beta_fmatrices(config, args.count)
+
+        def draw(size):
+            return sample_beta_fmatrices(config, size, rng=rng)
     else:
         from .fmatrix import paths_to_fmatrices
         from .kingman import sample_paths
         from .statespace import enumerate_states
 
         space = enumerate_states(args.n)
-        mats = paths_to_fmatrices(space, sample_paths(space, args.count, seed=args.seed))
-    _emit(args.out, "".join(jsonl_line(f) + "\n" for f in mats))
+
+        def draw(size):
+            return paths_to_fmatrices(space, sample_paths(space, size, seed=rng))
+
+    def text(size):
+        return "".join(jsonl_line(f) + "\n" for f in draw(size))
+
+    _emit(args.out, map(text, _chunks(args.count, args.n)))
     return 0
 
 
 def _cmd_balance(args):
-    from .fmatrix import balance_E, balance_S, colless, iter_jsonl, sackin
+    from .fmatrix import balance_E, balance_S, colless, fmatrix_to_tree, iter_jsonl, sackin
 
     rows = []
     for fmat in iter_jsonl(args.infile):
-        rows.append([balance_E(fmat), balance_S(fmat), sackin(fmat), colless(fmat)])
+        tree = fmatrix_to_tree(fmat)
+        rows.append([balance_E(fmat), balance_S(fmat), sackin(tree), colless(tree)])
     text = _csv_text(rows, header=["E", "S", "sackin", "colless"])
     _emit(args.out, text)
     return 0

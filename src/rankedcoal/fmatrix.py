@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._common import ValidationError
-from .kingman import feasible, validate_path
+from .kingman import merges, validate_path
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class FMatrix:
 
     def __hash__(self):
         return hash((self.n, self.entries.tobytes()))
-
-    def column(self, j):
-        """Column j (1-based) as a state vector tuple."""
-        return tuple(int(v) for v in self.entries[:, j - 1])
 
     def tri(self):
         """Lower triangle row by row, for the fmat.jsonl format."""
@@ -104,18 +100,11 @@ class FMatrix:
                 f"column {c + 1}: F_{k + 2},{c + 1} = {arr[k + 1, c]} is not "
                 f"F_{k + 1},{c + 1} = {arr[k, c]} or one less"
             )
-        # Column c+1 follows column c+2 when their codes (decremental bits,
-        # then the external count) differ by the merged pair minus the new
-        # lineage, whose decremental index is c+1. A code sums to its
-        # column's lineage count, so the difference always sums to two; it
-        # is a merge exactly when no unit of it is negative.
-        code = np.vstack([np.maximum(fall, 0), arr[-1:]])
-        diff = code[:, 1:] - code[:, :-1]
-        diff[np.arange(n - 2), np.arange(n - 2)] += 1
-        bad = np.flatnonzero(np.any(diff < 0, axis=0))
+        # column n-1-t is the state at step t
+        bad = np.flatnonzero(merges(arr[:, ::-1].T)[:, 0] == 0)
         if len(bad):
-            c = int(bad[-1])
-            raise ValidationError(f"column {c + 1}: infeasible transition from column {c + 2}")
+            t = int(bad[0])
+            raise ValidationError(f"column {n - 2 - t}: infeasible transition from column {n - 1 - t}")
         return self
 
 
@@ -137,27 +126,13 @@ def paths_to_fmatrices(space, paths):
 
 
 def fmatrix_to_path(space, fmat):
-    """Inverse of path_to_fmatrix; names the failing column on rejection."""
+    """Inverse of path_to_fmatrix; names the failing column on rejection
+    (see ``FMatrix.validate_static``)."""
     n = space.n
     if fmat.n != n:
         raise ValidationError(f"F-matrix n = {fmat.n} does not match space n = {n}")
-    arr = fmat.entries
-    indices = []
-    for t in range(n - 1):
-        j = n - 1 - t
-        col = arr[:, j - 1]
-        if np.any(col[: j - 1] != 0):
-            raise ValidationError(f"column {j}: nonzero entry above the diagonal")
-        if col[j - 1] != j + 1:
-            raise ValidationError(f"column {j}: diagonal entry {col[j - 1]}, expected {j + 1}")
-        try:
-            indices.append(space.index_of(col))
-        except ValidationError as exc:
-            raise ValidationError(f"column {j}: {exc}") from None
-    for t in range(n - 2):
-        if feasible(space.state(indices[t]), space.state(indices[t + 1])) is None:
-            raise ValidationError(f"column {n - 2 - t}: infeasible transition from column {n - 1 - t}")
-    return tuple(indices)
+    fmat.validate_static()
+    return tuple(space.index_of(fmat.entries[:, j - 1]) for j in range(n - 1, 0, -1))
 
 
 @dataclass
@@ -217,13 +192,7 @@ def fmatrix_to_tree(fmat):
     n = fmat.n
     internal = {}
     externals = n
-    for t in range(n - 2):
-        x = fmat.column(n - 1 - t)
-        y = fmat.column(n - 2 - t)
-        pair = feasible(x, y)
-        if pair is None:
-            raise ValidationError(f"column {n - 2 - t}: infeasible transition")
-        i, k = pair
+    for t, (i, k) in enumerate(merges(fmat.entries[:, ::-1].T).tolist()):
         rank = n - t
         if i == n - 1:
             externals -= 2

@@ -62,11 +62,35 @@ class TierBlock:
         return out
 
 
+def merges(states):
+    """The merged pair of every step of a run of states on consecutive tiers.
+
+    Row r+1 of the (m, n-1) array ``states`` is meant to follow row r by one
+    coalescence. Returns an (m-1, 2) int64 array whose row r holds the
+    1-based decremental indices (i, k), i <= k, of the pair that merges from
+    row r to row r+1 (index n-1 is an external lineage), or (0, 0) when no
+    pair does. The pair solves d(x) - d(y) + e_nu = e_i + e_k, where d is
+    the code (decremental bits, then the external count) and nu = max(x) - 2
+    = n-2-t is the decremental index of the lineage the merge creates.
+    """
+    x = np.asarray(states, dtype=np.int64)
+    n = x.shape[1] + 1
+    code = np.concatenate([np.maximum(x[:, :-1] - x[:, 1:], 0), x[:, -1:]], axis=1)
+    diff = code[:-1] - code[1:]
+    diff[np.arange(len(diff)), x[:-1].max(axis=1) - 3] += 1
+    # two units on two indices, or both on the external index
+    ok = (diff.sum(axis=1) == 2) & (diff.min(axis=1) >= 0) & (diff[:, :-1].max(axis=1) <= 1)
+    hit = diff > 0
+    pairs = np.stack([hit.argmax(axis=1) + 1, n - 1 - hit[:, ::-1].argmax(axis=1)], axis=1)
+    return pairs * ok[:, None]
+
+
 def feasible(x, y):
     """The unique coalescence pair (i, k) turning state x into state y.
 
-    Accepts RankedState objects or raw vectors. Returns None when no pair
-    satisfies d(x) - d(y) + e_{n-2-t} = e_i + e_k.
+    Accepts RankedState objects or raw vectors; refuses vectors of
+    different n, invalid vectors and a tier gap. Returns None when no pair
+    merges x into y (see ``merges``).
     """
     xv = x.x if isinstance(x, RankedState) else tuple(int(v) for v in x)
     yv = y.x if isinstance(y, RankedState) else tuple(int(v) for v in y)
@@ -77,21 +101,10 @@ def feasible(x, y):
     ty = n - max(yv)
     if ty != tx + 1:
         raise ValidationError(f"tier mismatch: tier(x) = {tx}, tier(y) = {ty}")
-    px, cx = diff_encoding(xv)
-    py, cy = diff_encoding(yv)
-    diff = [a - b for a, b in zip(px + (cx,), py + (cy,))]
-    nu = n - 2 - tx
-    diff[nu - 1] += 1
-    if sum(diff) != 2 or any(v < 0 for v in diff):
-        return None
-    hits = [pos + 1 for pos, v in enumerate(diff) if v > 0]
-    if len(hits) == 1:
-        if hits[0] == n - 1 and diff[n - 2] == 2:
-            return (n - 1, n - 1)
-        return None
-    if len(hits) == 2 and all(diff[h - 1] == 1 for h in hits):
-        return (hits[0], hits[1])
-    return None
+    diff_encoding(xv)
+    diff_encoding(yv)
+    i, k = merges([xv, yv])[0].tolist()
+    return (i, k) if i else None
 
 
 def transition_prob(x, y, mode="rational"):
@@ -123,11 +136,15 @@ def _successors(space, t, rows=None):
     numer[e] its Kingman numerator over C(n-t, 2), alike for the class.
 
     A row's d mask bits sit at sub positions b_0 > ... > b_{d-1} of tier
-    t+1, where a code ranks as the sum of N(b_l, R - l) over its bits, with
-    R = n-t-2 (see ``_tier_rank``). A merge removes bits and shifts the
-    later l down, so with F_k[m] = sum_{l<m} N(b_l, R - l + k), bits i < j
-    merge to F_0[i] - F_1[i+1] + F_1[j] - F_2[j+1] + F_2[d], bit i and an
-    external lineage to F_0[i] - F_1[i+1] + F_1[d], two externals to F_0[d].
+    t+1. Tier t+1's codes ascend with their sub positions, which hold at
+    most R = n-t-2 bits, so a code ranks as the number of such subsets
+    below its own: sum_l N(b_l, R - l) over its bits, the subsets that
+    agree with it above b_l, leave b_l out and fill the b_l positions below
+    with at most R - l bits (N is ``statespace._rank_table``). A merge
+    removes bits and shifts the later l down, so with
+    F_k[m] = sum_{l<m} N(b_l, R - l + k), bits i < j merge to
+    F_0[i] - F_1[i+1] + F_1[j] - F_2[j+1] + F_2[d], bit i and an external
+    lineage to F_0[i] - F_1[i+1] + F_1[d], two externals to F_0[d].
     """
     n = space.n
     keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
@@ -269,11 +286,11 @@ def validate_path(space, path):
         st = space.state(idx)
         if st.tier != t:
             raise ValidationError(f"state {idx} at step {t} has tier {st.tier}")
-    for t in range(len(path) - 1):
-        if feasible(space.state(path[t]), space.state(path[t + 1])) is None:
-            raise ValidationError(
-                f"infeasible transition {path[t]} -> {path[t + 1]} at step {t}"
-            )
+    pairs = merges(space.states[np.array(path) - 1])
+    bad = np.flatnonzero(pairs[:, 0] == 0)
+    if len(bad):
+        t = int(bad[0])
+        raise ValidationError(f"infeasible transition {path[t]} -> {path[t + 1]} at step {t}")
     return path
 
 
@@ -336,7 +353,8 @@ def _walk_paths(space, uniforms):
 
 
 def sample_paths(space, count, seed):
-    """Draw ``count`` paths with the Kingman kernel; deterministic given seed."""
+    """Draw ``count`` paths with the Kingman kernel; deterministic given seed,
+    an int or a ``numpy.random.Generator`` to draw from."""
     if seed is None:
         raise ValidationError("an explicit seed is required")
     rng = np.random.default_rng(seed)

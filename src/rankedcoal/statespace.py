@@ -7,6 +7,15 @@ closed form (see ``_tier_keys``), ascending, which is the canonical
 lexicographic-descending order of x, so no sort is needed. Indices are
 global, dense, and 1-based; the MRCA is a pseudo-state with index
 ``num_states + 1``.
+
+State keys pack the binary decremental code into an int64: the decremental
+index set D as a bitmask shifted left by 6, plus the external count in the
+low 6 bits. Decremental index k (1..n-2) sits at bit n-1-k, so the earliest
+index is the highest bit, and within a tier the keys ascend in the
+canonical order of the states (lexicographically descending on x).
+Shifted down by 7, a key holds mask bit b at sub position b-1; the ranks
+of a key's successors in the next tier (``kingman._successors``) are sums
+over these positions, so no target key is built or looked up.
 """
 
 import functools
@@ -15,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._common import CapacityError, ValidationError, fib
-from ._kernels import keys_to_states
 
 DEFAULT_MAX_N = 30
 # A packed key holds the decremental mask in bits 1..n-2 above a 6-bit
@@ -56,23 +64,11 @@ def _pack(prefix, external):
 
 @dataclass(frozen=True)
 class RankedState:
-    """One state with its tier, 1-based global index, and decremental code."""
+    """One state with its tier and 1-based global index."""
 
     x: tuple
     tier: int
     index: int
-
-    @property
-    def dcode(self):
-        return diff_encoding(self.x)
-
-    @property
-    def external_count(self):
-        return self.x[-1]
-
-    @property
-    def x_max(self):
-        return max(self.x)
 
 
 @dataclass
@@ -177,6 +173,20 @@ def _tier_keys(n, t):
     return (masks << 6) | (n - t - sizes)
 
 
+def keys_to_states(keys, n, t, out):
+    """Decode packed keys of tier t into state vectors (rows of ``out``)."""
+    top = n - 1 - t
+    mask = keys >> 6
+    c = keys & 63
+    out[:] = 0
+    run = np.zeros(keys.shape[0], np.int64)
+    for k in range(n - 2, 0, -1):
+        run += (mask >> (n - 1 - k)) & 1
+        if k >= top:
+            out[:, k - 1] = run + c
+    out[:, n - 2] = c
+
+
 @functools.lru_cache(maxsize=None)
 def _rank_table(n):
     """N[b, r] = sum_{k <= r} C(b, k) for b = 0..n-2 and r = 0..n, read-only.
@@ -192,28 +202,6 @@ def _rank_table(n):
         table[b, :n + 1] = table[b - 1, :n + 1] + table[b - 1, np.arange(-1, n)]
     table.flags.writeable = False
     return table
-
-
-def _tier_rank(n, t, keys):
-    """Inverse of ``_tier_keys``: the canonical local index of each tier-t code.
-
-    A tier-t code is fixed by sub, its mask bits 1..t-1 (sub positions
-    0..t-2), and the codes ascend with sub, so the rank of a code is the
-    number of valid subsets, those with at most R = n-t-1 members, below
-    its sub. With sub's positions b_0 > b_1 > ... that count is
-    sum_l N(b_l, R - l): the subsets that agree with sub above b_l, leave
-    b_l out and fill the b_l positions below it with at most R - l members.
-    ``keys`` must be codes of tier t.
-    """
-    table = _rank_table(n)
-    sub = keys >> 7
-    rank = np.zeros(len(keys), np.int64)
-    room = np.full(len(keys), n - t - 1, np.int64)
-    for b in range(t - 2, -1, -1):
-        bit = (sub >> b) & 1
-        rank += bit * table[b, room]
-        room -= bit
-    return rank
 
 
 def enumerate_states(n, max_n=DEFAULT_MAX_N):

@@ -14,7 +14,6 @@ from rankedcoal.bcp import (
     bcp_E_distribution,
     bcp_states,
     partition_count,
-    reward_E_bcp,
 )
 from rankedcoal.phasetype import (
     coalescent_dph,
@@ -136,12 +135,27 @@ def test_state_validation():
 
 
 def test_n4_external_length_distribution():
-    assert list(reward_E_bcp(4)) == [4, 2, 1, 0]
+    assert [s.singletons for s in bcp_chain(4).states] == [4, 2, 1, 0]
     dist = bcp_E_distribution(4)
     assert len(dist.pi) == 7
     assert dph_pmf(dist, 7) == F(2, 3)
     assert dph_pmf(dist, 6) == F(1, 3)
     assert sum(dph_pmf_range(dist, 7)) == 1
+
+
+def test_e_distribution_enumerates_the_states_once(monkeypatch):
+    from rankedcoal import bcp
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return states(n)
+
+    states = bcp.bcp_states
+    monkeypatch.setattr(bcp, "bcp_states", counted)
+    bcp_E_distribution(6)
+    assert calls == [6]
 
 
 def test_n5_external_moments():

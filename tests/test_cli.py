@@ -124,6 +124,25 @@ def test_simulate_kingman_and_balance(tmp_path, capsys):
             balance_E(fmat), balance_S(fmat), sackin(fmat), colless(fmat)]
 
 
+def test_balance_builds_each_tree_once(tmp_path, capsys, monkeypatch):
+    from rankedcoal import fmatrix
+
+    corpus = tmp_path / "beta.jsonl"
+    assert main(["simulate", "--model", "beta", "--n", "8", "--count", "9",
+                 "--seed", "4", "--out", str(corpus)]) == 0
+    expected = main(["balance", "--in", str(corpus)]), capsys.readouterr().out
+    calls = []
+
+    def counted(fmat):
+        calls.append(fmat)
+        return build(fmat)
+
+    build = fmatrix.fmatrix_to_tree
+    monkeypatch.setattr(fmatrix, "fmatrix_to_tree", counted)
+    assert (main(["balance", "--in", str(corpus)]), capsys.readouterr().out) == expected
+    assert len(calls) == 9
+
+
 def test_frechet_kingman_n6(tmp_path, capsys):
     target = tmp_path / "frechet.json"
     assert main(["frechet", "--n", "6", "--out", str(target)]) == 0

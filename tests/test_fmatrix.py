@@ -118,8 +118,8 @@ def test_n11_matrix_roundtrip():
     space = enumerate_states(11)
     path = fmatrix_to_path(space, fmat)
     assert path_to_fmatrix(space, path) == fmat
-    assert fmat.column(4) == (0, 0, 0, 5, 4, 4, 3, 2, 1, 0)
-    assert fmat.column(3) == (0, 0, 4, 3, 3, 3, 2, 1, 1, 0)
+    assert fmat.entries[:, 3].tolist() == [0, 0, 0, 5, 4, 4, 3, 2, 1, 0]
+    assert fmat.entries[:, 2].tolist() == [0, 0, 4, 3, 3, 3, 2, 1, 1, 0]
 
 
 def test_n10_balance_goldens():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rankedcoal import bcp, feedforward, kingman, statespace
+from rankedcoal import betasplit, bcp, feedforward, kingman, statespace
 from rankedcoal.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -33,6 +33,26 @@ GOLDENS = {
 def test_cli_output_matches_golden(name, capsys):
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["sample_n10_seed5.jsonl", "simulate_beta_n9_seed3.jsonl",
+                                  "simulate_kingman_n9_seed3.jsonl"])
+def test_samplers_write_the_same_bytes_in_chunks(name, tmp_path, capsys, monkeypatch):
+    """Drawn and written a few trees at a time from one Generator, the
+    sampler outputs are the one-shot goldens."""
+    chunks = []
+    for module, func in ((kingman, "sample_paths"), (betasplit, "sample_beta_fmatrices")):
+        def counted(first, count, *args, _func=getattr(module, func), **kwargs):
+            chunks.append(count)
+            return _func(first, count, *args, **kwargs)
+
+        monkeypatch.setattr(module, func, counted)
+    # two or three trees per chunk at n = 9 and 10
+    monkeypatch.setattr(betasplit, "GRID_CELLS", 500)
+    out = tmp_path / name
+    assert main(GOLDENS[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    assert len(chunks) > 5 and max(chunks) <= 3
 
 
 @pytest.mark.parametrize("name", ["sample_n10_seed5.jsonl", "simulate_kingman_n9_seed3.jsonl"])

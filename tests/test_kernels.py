@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from rankedcoal import betasplit
-from rankedcoal._kernels import beta_sample_grid
 from rankedcoal.betasplit import (
     BetaConfig,
     _cumulative_table,
+    beta_sample_grid,
     sample_beta_fmatrices,
     sample_beta_stats,
 )

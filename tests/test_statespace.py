@@ -17,9 +17,9 @@ from rankedcoal.statespace import (
     _pack,
     _rank_table,
     _tier_keys,
-    _tier_rank,
     diff_encoding,
     enumerate_states,
+    keys_to_states,
     tier_sizes,
 )
 
@@ -83,9 +83,15 @@ def test_closed_form_tiers_are_the_successors_of_the_previous_tier(n):
 
 @pytest.mark.parametrize("n", range(3, 23))
 def test_tier_rank_inverts_tier_keys(n):
+    # a key's rank in its tier is its position: decoding the keys and
+    # looking each state up again gives the tier's indices in order
+    space = enumerate_states(n)
     for t in range(n - 1):
         keys = _tier_keys(n, t)
-        assert np.array_equal(_tier_rank(n, t, keys), np.arange(len(keys)))
+        states = np.empty((len(keys), n - 1), np.int8)
+        keys_to_states(keys, n, t, states)
+        got = [space.index_of(x) for x in states]
+        assert got == list(range(space.tier_offsets[t] + 1, space.tier_offsets[t + 1] + 1))
 
 
 @pytest.mark.parametrize("n", range(3, 26))
@@ -154,9 +160,7 @@ def test_state_accessors(space5):
     assert s.x == (0, 3, 2, 1)
     assert s.tier == 2
     assert s.index == 4
-    assert s.external_count == 1
-    assert s.x_max == 3
-    assert s.dcode == ((0, 1, 1), 1)
+    assert diff_encoding(s.x) == ((0, 1, 1), 1)
 
 
 def test_tier_slices_partition_the_order(space6):
@@ -177,8 +181,7 @@ def test_index_roundtrip(n):
     for i in range(1, space.num_states + 1):
         s = space.state(i)
         assert space.index_of(s.x) == i
-        assert s.x_max == n - s.tier
-        assert s.external_count == s.x[-1]
+        assert max(s.x) == n - s.tier
 
 
 def test_rejects_small_n():
