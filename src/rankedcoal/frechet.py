@@ -6,16 +6,21 @@ denominators and N = D M: int64 when every path sum fits, Python ints
 otherwise. The minimum is K_min / D + sum M^2 exactly and ties compare
 with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
 
-The forward pass never builds the kernel. It streams each tier's edges
-from ``kingman.tier_edges``, at most ``kingman.ROW_CHUNK`` source rows at a
-time in no row order, and keeps per tier only the edges that end up
-optimal, sorted by source and target, from which the backtrack and the
-path count work.
+The forward pass never builds the kernel. It is a branch and bound: it
+expands only the states whose cheapest prefix, plus the later tiers'
+cheapest state costs, is within the cost of one greedy path (3,057 of
+121,392 states at n = 25 under the Kingman mean), which keeps every state
+of every optimal path and every tie. It streams those states' edges from
+``kingman.tier_edges``, at most ``kingman.ROW_CHUNK`` source rows at a time
+in no row order, and keeps per tier only the edges that end up optimal,
+sorted by source and target, from which the backtrack and the path count
+work.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,12 +123,14 @@ def _scaled_costs(space, mean):
     scale = math.lcm(*(v.denominator for _, _, m in tiers for v in m))
     num = [[int(v * scale) for v in m] for _, _, m in tiers]
     # A path sums one K per tier, so the tiers' largest |K| bound every path
-    # sum. Counting each x_i as at least 1 makes D and 2N fit as well.
+    # sum. Counting each x_i as at least 1 makes D and 2N fit as well. The
+    # int64 maximum itself is left free: ``_forward`` marks unreached states
+    # with it.
     bound = 0
     for (_, x, _), nums in zip(tiers, num):
         for a, b in zip(x.max(axis=0, initial=1).tolist(), nums):
             bound += a * (scale * a + 2 * abs(b))
-    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+    dtype = np.int64 if bound < np.iinfo(np.int64).max else object
     costs = np.zeros(space.num_states, dtype=dtype)
     const = np.full(space.num_tiers, Fraction(0), dtype=object)
     for (t, x, m), nums in zip(tiers, num):
@@ -164,8 +171,42 @@ def _ties(lhs, rhs):
 
 
 def _forward(space, costs):
-    """Cheapest cost of a path from state 1 to each state, one tier at a time,
-    and the edges (src, dst) on a path optimal to dst, per tier.
+    """Cheapest cost of a path from state 1 to each state the pass reaches,
+    one tier at a time, and the edges (src, dst) on a path optimal to dst,
+    per tier.
+
+    Branch and bound (Land & Doig 1960; the A* bound of Hart, Nilsson &
+    Raphael 1968). A path takes one state per tier, so to_go[t], the sum of
+    the later tiers' cheapest state costs, is a lower bound on what any path
+    adds after tier t; and ub, the cost of the greedy path that steps to the
+    cheapest successor at each tier, is an upper bound on the minimum. A
+    state x on an optimal path has c[x] + to_go[t] <= min <= ub, and its
+    optimal antecedents lie on optimal paths too. So the pass expands only
+    the reached states with c + to_go[t] <= ub: by induction over the tiers
+    every state on an optimal path keeps its exact c and all its optimal
+    in-edges, which are all the backtrack reads, while any other c can only
+    come out higher. A state that no expanded edge reaches holds ``top``,
+    the int64 maximum or inf, above every path sum, so it takes part in no
+    sum, in no final minimum and in no backtrack.
+
+    Integer costs (int64 or Python ints) run the test exactly, so every tie
+    stays. It compares c with ub - to_go[t], summed in Python ints and
+    clipped below ``top``. Nothing overflows int64: c is a path prefix, and
+    ``_scaled_costs`` keeps every path sum below the int64 maximum.
+
+    Float costs widen the test by a margin. On a path the backtrack returns
+    with T steps, each step's tie test lets the prefix run up to tol
+    (DEFAULT_TIE_TOL) over the next state's c, and the final test lets the
+    path end up to tol over the minimum, so for x on it, c[x] + to_go[t] <=
+    ub + (T+1) tol in exact arithmetic. Every quantity rounded on the way
+    (c, to_go, ub, both sides of the tests) is at most B = sum_t max |cost|
+    to first order, and each rounding errs by at most u = eps/2 of its
+    result: twice per step, T times in to_go, once in the final test and
+    four times in the widened test itself, so under (3T+5) u (B + tol). The
+    margin (T+1) tol + 2 (T+2) eps (B + tol) covers both with room for the
+    higher-order terms. Rounding is monotone, so float c too only comes out
+    higher off the returned paths, the greedy path's c stays at or below ub
+    bit for bit, and every state on a returned path keeps its bits.
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
     so this holds bit for bit in float64 as well as in exact arithmetic.
@@ -175,20 +216,41 @@ def _forward(space, costs):
     hold every optimal one, and the exact test runs on them once the tier is
     done. The optimal edges are then sorted by source, then target.
     """
+    tiers = [space.tier_slice(t) for t in range(space.num_tiers)]
+    starts = space.tier_offsets[:-1]
+    # Python scalars, so that the bounds' sums cannot overflow
+    low = np.minimum.reduceat(costs, starts).tolist()
+    to_go = list(accumulate(reversed(low[1:]), initial=0))[::-1]
+    x, path = 0, [0]  # the greedy path, as global indices
+    for t in range(space.num_tiers - 1):
+        _, d = next(tier_edges(space, t, np.array([x])))
+        x = d[np.argmin(costs[tiers[t + 1]][d])]
+        path.append(starts[t + 1] + x)
+    ub = sum(costs[path].tolist())
+    margin = 0
+    if costs.dtype.kind == "f":
+        steps = space.num_tiers - 1
+        big = float(np.maximum.reduceat(np.abs(costs), starts).sum()) + DEFAULT_TIE_TOL
+        margin = (steps + 1) * DEFAULT_TIE_TOL + 2 * (steps + 2) * np.finfo(float).eps * big
+    top = np.iinfo(costs.dtype).max if costs.dtype.kind in "iu" else np.inf
+
     c = costs.copy()
     optimal = []
     for t in range(space.num_tiers - 1):
-        here = c[space.tier_slice(t)]
-        cost = costs[space.tier_slice(t + 1)]
-        # every state has an in-edge, so each entry is lowered to its minimum
-        best = np.full(len(cost), here.max(), dtype=costs.dtype)
+        here = c[tiers[t]]
+        cost = costs[tiers[t + 1]]
+        rows = np.flatnonzero(here <= min(ub - to_go[t] + margin, top - 1))
+        best = np.full(len(cost), top, dtype=costs.dtype)
         found = []
-        for s, d in tier_edges(space, t):
+        for s, d in tier_edges(space, t, rows):
             reach = here[s]
             np.minimum.at(best, d, reach)
             keep = _ties(reach + cost[d], cost[d] + best[d])
             found.append((s[keep], d[keep]))
-        there = c[space.tier_slice(t + 1)] = cost + best
+        hit = best < top
+        there = c[tiers[t + 1]]
+        there[~hit] = top
+        there[hit] = cost[hit] + best[hit]
         s, d = (np.concatenate(parts) for parts in zip(*found))
         keep = _ties(here[s] + cost[d], there[d])
         s, d = s[keep], d[keep]

@@ -199,13 +199,14 @@ def _tier_rows(space, t, rows=None):
     return indptr, cols, numer
 
 
-def tier_edges(space, t):
-    """The edges of tier t as (src, dst) local indices, at most ROW_CHUNK
+def tier_edges(space, t, rows):
+    """The out-edges of the tier-t states ``rows`` (an index array of
+    canonical local indices) as (src, dst) local indices, at most ROW_CHUNK
     source rows at a time, without building the tier's block. Chunks hold
     rows of one popcount class each, so neither the rows nor the targets of
     a row come in order."""
-    for src, cols, _ in _successors(space, t):
-        yield np.tile(src, len(cols)), cols.ravel()
+    for src, cols, _ in _successors(space, t, rows):
+        yield np.tile(rows[src], len(cols)), cols.ravel()
 
 
 def tier_blocks(space):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankedcoal import CapacityError, ValidationError, kingman
@@ -129,13 +129,16 @@ def test_n6_antecedent_sets(space6):
 
 def forward_table(space, mean):
     """The forward pass of ``_solve`` as a table: the cumulative cost of
-    every state (exact Fractions for a rational mean) and the 1-based
-    optimal antecedents of every state."""
+    every state (exact Fractions for a rational mean; None for a state the
+    pruned pass never reaches) and the 1-based optimal antecedents of every
+    state."""
     _, c, optimal, scale = _solve(space, mean, None)
-    cumulative = c.tolist()
+    # unreached states hold the int64 maximum or inf, above every path sum
+    top = np.iinfo(c.dtype).max if c.dtype.kind == "i" else np.inf
+    cumulative = [None if v == top else v for v in c.tolist()]
     if scale is not None:
         denom, const = scale
-        cumulative = [F(int(v), denom) + const[t]
+        cumulative = [None if v is None else F(int(v), denom) + const[t]
                       for v, t in zip(cumulative, space.tier_of.tolist())]
     preds = [[] for _ in range(space.num_states)]
     for t, (s, d) in enumerate(optimal):
@@ -145,14 +148,30 @@ def forward_table(space, mean):
     return cumulative, [tuple(p) for p in preds]
 
 
+def assert_forward_on_optimal_paths(space, mean, paths, c, preds):
+    """The pruned pass keeps every state of an optimal path, the states the
+    backtrack reads, with the oracle's cumulative cost and optimal
+    antecedents (0-based ``c`` and ``preds`` of ``loop_vitreebi``)."""
+    cumulative, antecedents = forward_table(space, mean)
+    on_path = sorted({v for p in paths for v in p})
+    assert all(cumulative[v - 1] is not None for v in on_path)
+    # rational cumulative costs are the oracle's Fractions, not floats
+    assert [cumulative[v - 1] for v in on_path] == [c[v - 1] for v in on_path]
+    assert ([antecedents[v - 1] for v in on_path]
+            == [tuple(p + 1 for p in preds[v - 1]) for v in on_path])
+
+
 def test_n6_cost_matrix(space6):
-    """The cumulative costs and optimal antecedents of the n = 6 cost table."""
-    cumulative, antecedents = forward_table(space6, mean_matrix_exact(space6))
-    assert cumulative == N6_CUMULATIVE
-    assert all(isinstance(v, F) for v in cumulative)
-    assert antecedents[0] == ()
+    """The n = 6 cost table of the loop oracle on all 12 states, and the
+    pruned pass on the states of the optimal paths."""
+    mean = mean_matrix_exact(space6)
+    _, paths, c, preds = loop_vitreebi(space6, state_costs(space6, mean), DEFAULT_TIE_TOL)
+    assert c == N6_CUMULATIVE
+    assert all(isinstance(v, F) for v in c)
+    assert preds[0] == []
     for d in range(2, 13):
-        assert antecedents[d - 1] == N6_OPTIMAL_PREDECESSORS[d]
+        assert tuple(p + 1 for p in preds[d - 1]) == N6_OPTIMAL_PREDECESSORS[d]
+    assert_forward_on_optimal_paths(space6, mean, paths, c, preds)
 
 
 def test_n6_frechet_means(space6):
@@ -289,8 +308,7 @@ def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
         for chunk in (1, 3, ROW_CHUNK):
             monkeypatch.setattr(kingman, "ROW_CHUNK", chunk)
             assert vitreebi(space, mean) == (best, paths)
-            # rational cumulative costs are the oracle's Fractions, not floats
-            assert forward_table(space, mean) == (c, [tuple(p + 1 for p in ps) for ps in preds])
+            assert_forward_on_optimal_paths(space, mean, paths, c, preds)
         vitreebi(space, mean, path_cap=len(paths))
         if len(paths) > 1:
             with pytest.raises(CapacityError):
@@ -300,14 +318,14 @@ def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
 def test_cost_matrix_builds_no_kernel(monkeypatch):
     space = enumerate_states(10)
     mean = _tie_heavy_mean(space, 0, exact=True)
-    _, _, _, preds = loop_vitreebi(space, state_costs(space, mean), DEFAULT_TIE_TOL)
+    _, paths, c, preds = loop_vitreebi(space, state_costs(space, mean), DEFAULT_TIE_TOL)
 
     def whole_kernel(*args, **kwargs):
         raise AssertionError("ViTreebi built the whole kernel")
 
     monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
     monkeypatch.setattr(kingman, "edge_table", whole_kernel)
-    assert forward_table(space, mean)[1] == [tuple(p + 1 for p in ps) for ps in preds]
+    assert_forward_on_optimal_paths(space, mean, paths, c, preds)
 
 
 @pytest.mark.parametrize("n", range(17, 21))
@@ -335,3 +353,49 @@ def test_path_cap_bounds(space6):
     for cap in (0, MAX_PATH_CAP + 1):
         with pytest.raises(ValidationError):
             vitreebi(space6, mean, path_cap=cap)
+
+
+@pytest.fixture(scope="module")
+def small_spaces():
+    return {n: enumerate_states(n) for n in range(5, 12)}
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=5, max_value=11),
+       kind=st.sampled_from(["int64", "object", "float"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pruned_pass_matches_loop_oracle_on_random_costs(small_spaces, n, kind, seed):
+    """Cost vectors unlike any mean's: small int64 ranges with negative
+    values and many ties, Python ints beyond int64, and floats whose
+    differences sit inside DEFAULT_TIE_TOL."""
+    space = small_spaces[n]
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-3, 4, space.num_states)
+    if kind == "int64":
+        costs = ints
+    elif kind == "object":
+        costs = np.array([v * 2 ** 64 + 1 for v in ints.tolist()], dtype=object)
+    else:
+        # with spread 0 every cost is a few tie windows wide, so tied steps
+        # compound along a path
+        spread = rng.choice([0, 1 / 3])
+        costs = spread * rng.integers(-3, 4, space.num_states) + ints * 0.45 * DEFAULT_TIE_TOL
+    best, paths, _, _ = loop_vitreebi(space, costs, DEFAULT_TIE_TOL)
+    assert vitreebi(space, None, costs=costs) == (best, paths)
+
+
+def test_pruned_pass_expands_few_states(monkeypatch):
+    """Under the Kingman mean at n = 20 the bounds leave fewer than one
+    state in ten to expand (569 of 10,945), counted as the rows whose
+    successors are generated."""
+    space = enumerate_states(20)
+    rows = []
+    successors = kingman._successors
+
+    def counting(space, t, chosen=None):
+        rows.append(space.tier_size(t) if chosen is None else len(chosen))
+        return successors(space, t, chosen)
+
+    monkeypatch.setattr(kingman, "_successors", counting)
+    vitreebi(space, mean_matrix_exact(space))
+    assert sum(rows) < space.num_states / 10
