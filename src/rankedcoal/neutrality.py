@@ -13,7 +13,7 @@ the BCP stay the oracles for these in the tests.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite, log, sqrt
+from math import erfc, isfinite, isqrt, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -96,7 +96,8 @@ def _as_float(arr):
 # ufuncs behind scipy.stats' chi2 and norm, bitwise equal to those. The
 # clip and the 0.0 - keep scipy.stats' value at x < 0 (1.0) and at
 # q = 0.5 (+0.0). scipy is imported here, not at module level, so that
-# CLI calls that run no test do not load it.
+# CLI calls that run no test do not load it; a power sweep calls the
+# quantiles only on a near-tie (see FILTER).
 
 def _chi2_sf(x, df):
     from scipy.special import chdtrc
@@ -120,6 +121,91 @@ def _norm_isf(q):
     from scipy.special import ndtri
 
     return float(0.0 - ndtri(q))
+
+
+# A power sweep needs only its decisions "statistic > critical value", not
+# the critical values themselves. Each is first taken against a float
+# estimate c~ of scipy's quantile c, which stays within 1e-9 of c relative
+# to max(|c|, 1) (tested on a grid of df and q): a statistic above
+# c~ + FILTER max(|c~|, 1) exceeds c, one at or below c~ - FILTER max(|c~|, 1)
+# does not, and only a statistic between the two, or a q with no estimate,
+# calls scipy. So every decision is that of the scipy comparison, and a
+# sweep whose statistics keep clear of the critical values loads no scipy
+# (the filter of Shewchuk's adaptive-precision predicates, 1997).
+FILTER = 1e-6
+# The least positive normal float. Below it q carries fewer than 53 bits,
+# and the estimates are not checked against scipy there.
+_NORMAL_MIN = 2.0 ** -1022
+
+
+def _log_erfc(z):
+    """log erfc(z) for z >= 0; past z = 26, where erfc nears the least
+    normal float, from its asymptotic series (relative error below 1e-12)."""
+    if z < 26.0:
+        return log(erfc(z))
+    s = 1 / (2 * z * z)
+    return -z * z - log(z * sqrt(pi)) + log1p(-s * (1 - 3 * s * (1 - 5 * s * (1 - 7 * s))))
+
+
+def _chi2_isf_estimate(q, df):
+    """A float estimate of ``_chi2_isf(q, df)`` for integer df >= 1, or None
+    unless q is a normal float in (0, 1).
+
+    With y = x/2, h = (df % 2)/2 and m = df // 2, both tails of chi2(df) at
+    x are sums of the terms t_k = e^-y y^(k+h) / Gamma(k+h+1): the upper
+    tail is t_0 .. t_(m-1), plus erfc(sqrt y) for odd df, and the lower
+    tail is t_m, t_(m+1), .... The quantile is bisected on the log of the
+    smaller tail, summed in log space so that no term underflows. The lower
+    tail is used only for q > 1/2, where x < median < df and the terms
+    fall from t_m on; the ones past the 100 + 10 sqrt(m)-th are below
+    e^-50 of t_m.
+    """
+    if not _NORMAL_MIN <= q < 1:
+        return None
+    upper = q <= 0.5
+    target = log(q) if upper else log1p(-q)
+    half, m = (df % 2) / 2, df // 2
+    k = np.arange(m) if upper else np.arange(m, m + 100 + 10 * isqrt(m))
+    k = k + half
+    log_gamma = np.array([lgamma(v + 1) for v in k])
+
+    def log_tail(x):
+        y = x / 2
+        logs = k * log(y) - y - log_gamma
+        if upper and half:
+            logs = np.append(logs, _log_erfc(sqrt(y)))
+        top = logs.max()
+        return top + log(np.exp(logs - top).sum())
+
+    lo, hi = 0.0, float(df)
+    if upper:
+        while log_tail(hi) > target:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1e-13 * hi:  # far inside the 1e-9 the estimate promises
+        mid = (lo + hi) / 2
+        if (log_tail(mid) > target) == upper:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _norm_isf_estimate(q):
+    """A float estimate of ``_norm_isf(q)`` for q <= 1/2, or None: the
+    standard normal's upper-q point is the root of chi2(1)'s upper-2q point."""
+    c = _chi2_isf_estimate(2 * q, 1) if q >= _NORMAL_MIN else None
+    return None if c is None else sqrt(c)
+
+
+def _exceeds(values, estimate, exact):
+    """``values > exact()``, decided against ``estimate`` of it where
+    FILTER allows; ``exact`` is called only when it does not."""
+    if estimate is not None:
+        margin = FILTER * max(abs(estimate), 1.0)
+        above = values > estimate + margin
+        if np.all(above | (values <= estimate - margin)):
+            return above
+    return values > exact()
 
 
 def sym_inv_sqrt(sigma, floor=EIG_FLOOR):
@@ -192,20 +278,41 @@ def e_boxes(e_pmf, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
     return BoxScheme(uppers=uppers, probs=probs)
 
 
+# The four statistics alone, without a p-value: the reports below add
+# theirs, and the power harness, which needs none, calls these directly.
+
+def _ge_statistic(stats, boxes):
+    observed = boxes.counts(stats.e_values)
+    expected = stats.m * boxes.probs
+    return float(2.0 * sum(o * log(o / a) for o, a in zip(observed, expected) if o > 0))
+
+
+def _wf_statistic(stats, mean, root):
+    n = stats.n
+    diff = stats.nf_mean - mean
+    return sqrt(2 * stats.m / ((n - 2) * (n - 3))) * float((root @ diff).sum())
+
+
+def _wse_statistic(stats, mu_se, root):
+    diff = np.array([stats.s_mean, stats.e_mean]) - mu_se
+    return sqrt(stats.m / 2) * float((root @ diff).sum())
+
+
+def _ht_statistic(stats, mean, root):
+    diff = root @ (stats.nf_mean - mean)
+    return stats.m * float(diff @ diff)
+
+
 def test_GE(sample, e_pmf, K=DEFAULT_K, boxes=None):
     """Likelihood-ratio test of the E distribution against its null."""
     stats = _coerce_sample(sample)
     if boxes is None:
         boxes = e_boxes(e_pmf, K=K, m=stats.m)
-    observed = boxes.counts(stats.e_values)
-    expected = stats.m * boxes.probs
-    statistic = 2.0 * sum(
-        o * log(o / a) for o, a in zip(observed, expected) if o > 0
-    )
+    statistic = _ge_statistic(stats, boxes)
     df = boxes.K - 1
     p = _chi2_sf(statistic, df)
     return TestReport(
-        statistic=float(statistic),
+        statistic=statistic,
         null_dist=f"chi2({df})",
         p_value=p,
         config={"n": stats.n, "m": stats.m, "K": boxes.K,
@@ -226,8 +333,7 @@ def test_WF(sample, mean, sigma, root=None):
         raise ValidationError(f"mean vector must have length {q}, got {len(mean)}")
     if root is None:
         root = sym_inv_sqrt(sigma)
-    diff = stats.nf_mean - mean
-    statistic = sqrt(2 * m / ((n - 2) * (n - 3))) * float((root @ diff).sum())
+    statistic = _wf_statistic(stats, mean, root)
     p = 2 * _norm_sf(abs(statistic))
     return TestReport(
         statistic=statistic,
@@ -246,8 +352,7 @@ def test_WSE(sample, mu_se, sigma_se, root=None):
     mu_se = _as_float(mu_se)
     if root is None:
         root = sym_inv_sqrt(sigma_se)
-    diff = np.array([stats.s_mean, stats.e_mean]) - mu_se
-    statistic = sqrt(stats.m / 2) * float((root @ diff).sum())
+    statistic = _wse_statistic(stats, mu_se, root)
     p = 2 * _norm_sf(abs(statistic))
     return TestReport(
         statistic=statistic,
@@ -266,8 +371,7 @@ def test_hotelling(sample, mean, sigma, root=None):
     mean = _as_float(mean)
     if root is None:
         root = sym_inv_sqrt(sigma)
-    diff = root @ (stats.nf_mean - mean)
-    statistic = stats.m * float(diff @ diff)
+    statistic = _ht_statistic(stats, mean, root)
     df = len(mean)
     p = _chi2_sf(statistic, df)
     return TestReport(
@@ -395,15 +499,29 @@ def parse_tests(text):
     names = [t.strip().upper() for t in text.split(",") if t.strip()]
     if not names:
         raise ValidationError(f"no test named; choose from {','.join(ALL_TESTS)}")
-    bad = [t for t in names if t not in ALL_TESTS]
+    _check_tests(None, names)
+    return tuple(dict.fromkeys(names))
+
+
+def _check_tests(n, tests):
+    """Refuse an unknown test name, and WSE at n = 4: there the one
+    non-fixed entry F_3,1 is also the whole non-fixed last row, so
+    E = S + 6 and the (S, E) covariance is singular."""
+    bad = [t for t in tests if t not in ALL_TESTS]
     if bad:
         raise ValidationError(f"unknown tests {bad}; choose from {','.join(ALL_TESTS)}")
-    return tuple(dict.fromkeys(names))
+    if n == 4 and "WSE" in tests:
+        raise ValidationError(
+            "WSE is undefined at n = 4: the only non-fixed entry, F_3,1, makes up "
+            "the last row's non-fixed part, so E = S + 6 and the (S, E) covariance "
+            "is singular; GE, WF and HT run at n = 4"
+        )
 
 
 def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
     """All requested reports against a prepared null."""
     stats = _coerce_sample(sample)
+    _check_tests(stats.n, tests)
     out = {}
     for name in tests:
         if name == "GE":
@@ -412,11 +530,20 @@ def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
             out[name] = test_WF(stats, null.mean, null.sigma, root=null.root)
         elif name == "WSE":
             out[name] = test_WSE(stats, null.mu_se, null.sigma_se, root=null.root_se)
-        elif name == "HT":
-            out[name] = test_hotelling(stats, null.mean, null.sigma, root=null.root)
         else:
-            raise ValidationError(f"unknown test {name!r}")
+            out[name] = test_hotelling(stats, null.mean, null.sigma, root=null.root)
     return out
+
+
+def _statistic(name, stats, null, boxes):
+    """The statistic of test ``name`` against a prepared null, with no p-value."""
+    if name == "GE":
+        return _ge_statistic(stats, boxes)
+    if name == "WF":
+        return _wf_statistic(stats, null.mean, null.root)
+    if name == "WSE":
+        return _wse_statistic(stats, null.mu_se, null.root_se)
+    return _ht_statistic(stats, null.mean, null.root)
 
 
 def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEFAULT_K,
@@ -426,6 +553,7 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
     ``boxes`` may carry the GE boxes for (null, K, m) built beforehand.
     """
     n = null.n
+    _check_tests(n, tests)
     if boxes is None and "GE" in tests:
         boxes = e_boxes(null.e_pmf, K=K, m=m)
     if not isinstance(seed, np.random.SeedSequence):
@@ -437,24 +565,25 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
         rng = np.random.default_rng(child)
         s, e, nf = sample_beta_stats(config, m, rng=rng)
         stats = SampleStats.from_arrays(n, s, e, nf)
-        reports = run_tests(stats, null, tests=tests, K=K, boxes=boxes)
         for name in tests:
-            out[name][r] = reports[name].statistic
+            out[name][r] = _statistic(name, stats, null, boxes)
     return out, boxes
 
 
 def _rejections(stats_by_test, null, boxes, alpha):
+    """Which statistics exceed their level-``alpha`` critical value; each
+    decision is that of the comparison with scipy's quantile (see FILTER)."""
     n = null.n
     q = (n - 2) * (n - 3) // 2
-    z = _norm_isf(alpha / 2)
     out = {}
     for name, values in stats_by_test.items():
-        if name == "GE":
-            out[name] = values > _chi2_isf(alpha, boxes.K - 1)
-        elif name in ("WF", "WSE"):
-            out[name] = np.abs(values) > z
+        if name in ("WF", "WSE"):
+            out[name] = _exceeds(np.abs(values), _norm_isf_estimate(alpha / 2),
+                                 lambda: _norm_isf(alpha / 2))
         else:
-            out[name] = values > _chi2_isf(alpha, q)
+            df = boxes.K - 1 if name == "GE" else q
+            out[name] = _exceeds(values, _chi2_isf_estimate(alpha, df),
+                                 lambda: _chi2_isf(alpha, df))
     return out
 
 
@@ -476,6 +605,7 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     for beta in beta_grid:  # all of them before the first replicate
         if not (beta > -2 and isfinite(beta)):
             raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
+    _check_tests(n, tests)
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))

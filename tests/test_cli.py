@@ -434,6 +434,27 @@ def test_test_subcommand_subset_and_errors(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+def test_wse_is_refused_at_n4_and_the_other_tests_run(tmp_path, capsys):
+    """At n = 4, E = S + 6, so WSE has a singular null covariance: both
+    commands refuse it by name, and GE, WF and HT still run."""
+    corpus = tmp_path / "n4.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "4", "--count", "60",
+                 "--seed", "2", "--out", str(corpus)]) == 0
+    for argv in (["test", "--in", str(corpus)],
+                 ["power", "--n", "4", "--m", "60", "--reps", "4", "--beta-grid=0", "--seed", "2"]):
+        assert main(argv + ["--tests", "GE,WSE"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: WSE is undefined at n = 4") and "singular" in captured.err
+        for names in ("GE", "GE,WF,HT"):
+            assert main(argv + ["--tests", names]) == 0
+        capsys.readouterr()
+    assert main(["test", "--in", str(corpus), "--tests", "GE,WF,HT"]) == 0
+    tests = json.loads(capsys.readouterr().out)["tests"]
+    assert list(tests) == ["GE", "WF", "HT"]
+    assert all(0.0 <= rep["p_value"] <= 1.0 for rep in tests.values())
+
+
 def test_power_curve_csv(tmp_path, capsys):
     target = tmp_path / "power.csv"
     args = ["power", "--n", "6", "--m", "40", "--reps", "25",
@@ -475,6 +496,7 @@ def test_power_curve_csv(tmp_path, capsys):
     (["--reps", "2", "--beta-grid=0,inf"], "beta must be finite and exceed -2, got inf"),
     (["--reps", "2", "--beta-grid=-1,0,-3"], "beta must be finite and exceed -2, got -3.0"),
     (["--reps", "2", "--beta-grid=-2.5:0:1"], "beta must be finite and exceed -2, got -2.5"),
+    (["--reps", "2", "--n", "4"], "WSE is undefined at n = 4"),
 ])
 def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import neutrality
@@ -689,6 +711,29 @@ def test_rational_calls_do_not_import_scipy():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n[]\n[]\n[]\n[]\n"
+
+
+def test_power_loads_no_scipy():
+    """A power sweep whose statistics keep clear of the critical values
+    decides every rejection without scipy."""
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankedcoal.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['power', '--n', '8', '--m', '100', '--reps', '5',\n"
+        "                 '--beta-grid=-1:1:1', '--seed', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_test_at_n25_loads_scipy_special_but_not_sparse(tmp_path):

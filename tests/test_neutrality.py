@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from rankedcoal import bcp, feedforward, kingman, statespace
@@ -351,3 +353,114 @@ def test_report_p_values_equal_scipy_stats(null8):
             else:
                 want = float(chi2.sf(rep.statistic, int(rep.null_dist[5:-1])))
             assert _bits(rep.p_value) == _bits(want), name
+
+
+ISF_DFS = (*range(1, 13), 28, 55, 253, 1000, 3081)
+ISF_QS = (*np.logspace(-12, 0, 49), 1 - 1e-9)
+
+
+def test_isf_estimates_agree_with_scipy():
+    """The float estimates of the critical values stay within FILTER / 1000
+    of scipy's, relative to max(|c|, 1); at q = 1 there is none."""
+    from rankedcoal.neutrality import (FILTER, _chi2_isf, _chi2_isf_estimate, _norm_isf,
+                                       _norm_isf_estimate)
+
+    def close(estimate, exact):
+        return abs(estimate - exact) <= FILTER / 1000 * max(abs(exact), 1.0)
+
+    for q in ISF_QS:
+        if q == 1.0:
+            assert _chi2_isf_estimate(q, 3) is None
+            continue
+        assert close(_norm_isf_estimate(q / 2), _norm_isf(q / 2)), q
+        for df in ISF_DFS:
+            assert close(_chi2_isf_estimate(q, df), _chi2_isf(q, df)), (q, df)
+
+
+def _plain_rejections(stats_by_test, null, boxes, alpha):
+    """The decisions as the comparison with scipy's quantiles alone."""
+    from rankedcoal.neutrality import _chi2_isf, _norm_isf
+
+    q = (null.n - 2) * (null.n - 3) // 2
+    out = {}
+    for name, values in stats_by_test.items():
+        if name in ("WF", "WSE"):
+            out[name] = np.abs(values) > _norm_isf(alpha / 2)
+        else:
+            out[name] = values > _chi2_isf(alpha, boxes.K - 1 if name == "GE" else q)
+    return out
+
+
+@pytest.fixture
+def scipy_calls(monkeypatch):
+    """Count the calls of the scipy quantiles that _rejections makes."""
+    from rankedcoal import neutrality
+
+    calls = []
+    for name in ("_chi2_isf", "_norm_isf"):
+        exact = getattr(neutrality, name)
+        monkeypatch.setattr(neutrality, name,
+                            lambda *a, _exact=exact, _name=name: calls.append(_name) or _exact(*a))
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-9, 0.999])
+def test_rejections_fall_back_to_scipy_only_near_a_tie(null8, alpha, scipy_calls):
+    """Statistics on scipy's critical value and its neighbouring floats are
+    decided by scipy; ones 10% away by the estimate alone. Either way the
+    decisions are those of the plain scipy comparison."""
+    from rankedcoal.neutrality import BoxScheme, _chi2_isf, _norm_isf, _rejections
+
+    boxes = BoxScheme(uppers=list(range(7)), probs=np.full(7, 1 / 7))
+    crit = {"GE": _chi2_isf(alpha, 6), "WF": _norm_isf(alpha / 2),
+            "WSE": _norm_isf(alpha / 2), "HT": _chi2_isf(alpha, 15)}
+
+    def around(c, ties):
+        near = [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)] if ties else []
+        return np.array(near + [0.9 * c, 1.1 * c])
+
+    for ties in (False, True):
+        stats_by_test = {name: around(c, ties) for name, c in crit.items()}
+        stats_by_test["WF"] = -stats_by_test["WF"]
+        want = _plain_rejections(stats_by_test, null8, boxes, alpha)
+        scipy_calls.clear()
+        got = _rejections(stats_by_test, null8, boxes, alpha)
+        assert all(np.array_equal(got[name], want[name]) for name in crit)
+        assert len(scipy_calls) == (4 if ties else 0)
+
+
+def test_power_at_a_subnormal_alpha_decides_with_scipy(null5, scipy_calls):
+    """alpha = 1e-320 has no estimate, so every decision comes from scipy."""
+    from rankedcoal.neutrality import _chi2_isf_estimate, _norm_isf_estimate
+
+    alpha, grid, seed = 1e-320, [-1.5, 0.0], 31
+    assert _chi2_isf_estimate(alpha, 3) is None and _norm_isf_estimate(alpha / 2) is None
+    rows = power_curve(grid, 5, 60, 20, seed=seed, alpha=alpha, null=null5)
+    assert scipy_calls
+    seeds = np.random.SeedSequence(seed).spawn(len(grid))
+    want = []
+    for g, beta in enumerate(grid):
+        stats, boxes = replicate_statistics(null5, beta, 60, 20, seeds[g])
+        rejected = _plain_rejections(stats, null5, boxes, alpha)
+        want += [float(np.mean(rejected[name])) for name in ALL_TESTS]
+    assert [row["rejection_rate"] for row in rows] == want
+
+
+@given(alpha=st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                       st.sampled_from([1e-320, 0.05, 0.5, 1 - 1e-12])),
+       offsets=st.lists(st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.0, 1e-15, -1e-9])),
+                        min_size=1, max_size=6),
+       ulps=st.integers(-3, 3))
+def test_rejections_equal_the_plain_scipy_comparison(null8, alpha, offsets, ulps):
+    from rankedcoal.neutrality import BoxScheme, _chi2_isf, _norm_isf, _rejections
+
+    boxes = BoxScheme(uppers=list(range(4)), probs=np.full(4, 1 / 4))
+    stats_by_test = {}
+    for name, c in (("GE", _chi2_isf(alpha, 3)), ("WF", _norm_isf(alpha / 2)),
+                    ("WSE", -_norm_isf(alpha / 2)), ("HT", _chi2_isf(alpha, 15))):
+        values = c * (1 + np.array(offsets))
+        values[0] = c + ulps * np.spacing(c)
+        stats_by_test[name] = values
+    got = _rejections(stats_by_test, null8, boxes, alpha)
+    want = _plain_rejections(stats_by_test, null8, boxes, alpha)
+    assert all(np.array_equal(got[name], want[name]) for name in ALL_TESTS)
