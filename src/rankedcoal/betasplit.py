@@ -5,6 +5,10 @@ Gamma(b+1+i)Gamma(b+1+k-i) / (Gamma(i+1)Gamma(k-i+1)); ranks follow a
 uniform random linear extension of the node poset, realized forward in
 time by picking the next block to split with probability proportional
 to size - 1. At b = 0 this reproduces the Kingman ranked-shape law.
+
+The batch kernel keeps, per tree, only the birth rank of the block each
+event splits (n-1 integers); the F-matrix follows from these by counting
+(see ``_split_counts``).
 """
 
 from dataclasses import dataclass
@@ -14,9 +18,13 @@ from math import lgamma
 import numpy as np
 
 from ._common import ValidationError
-from .fmatrix import FMatrix, nonfixed_positions
+from .fmatrix import FMatrix, _nonfixed_index
 
-# Grid entries per batch of trees: 16 MB of int64.
+# The sampler runs GRID_CELLS // (n+3)^2 trees per block (2,674 at n = 25).
+# A block of F-matrices peaks at two int64 copies of its F entries,
+# 16(n-1)^2 bytes per tree (9.2 KB at n = 25, under 32 MiB a block at any
+# n); the split record and the kernel's state take about 45n bytes per
+# tree, and the statistics path holds one copy of F.
 GRID_CELLS = 1 << 21
 
 
@@ -40,13 +48,17 @@ def split_weights(beta, k):
         raise ValidationError(f"beta must exceed -2, got {beta}")
     if k < 2:
         raise ValidationError(f"split requires a block of size >= 2, got {k}")
+    # Within a few ulps of beta = -2, beta + 1 + k rounds to k - 1, and
+    # beta + 1 + k - i to 0 at i = k-1, where its value is beta + 2.
     logs = np.array([
-        lgamma(beta + 1 + i) + lgamma(beta + 1 + k - i)
+        lgamma(beta + 1 + i) + lgamma(beta + 1 + k - i or beta + 2)
         - lgamma(i + 1) - lgamma(k - i + 1)
         for i in range(1, k)
     ])
     w = np.exp(logs - logs.max())
-    return w / w.sum()
+    w /= w.sum()
+    w.setflags(write=False)  # shared by every caller through the cache
+    return w
 
 
 def _cumulative_table(beta, n):
@@ -58,70 +70,105 @@ def _cumulative_table(beta, n):
     return cumw
 
 
-def beta_sample_grid(n, cumw, uniforms):
-    """Sample beta-splitting ranked shapes as cumulative edge grids.
+def beta_split_ranks(n, cumw, uniforms):
+    """Sample beta-splitting ranked shapes as their split records.
 
     cumw[k, i] is the cumulative split law for a block of k leaves
-    (cumw[k, k-1] = 1). Each tree consumes one row of ``uniforms``
-    (2(n-1) values: a block pick and a split pick per event); the trees
-    advance together, one split event at a time. Returns grid of shape
-    (m, n+3, n+3) where grid[r, a, b] counts the edges of tree r with parent
-    rank <= a and child rank >= b (leaves have rank n+1), so that
-    F_ij = grid[r, j+1, i+2].
+    (cumw[k, k-1] = 1). Each tree consumes one row of the (m, 2(n-1))
+    ``uniforms``: a block pick and a split pick per event. The trees
+    advance together, one split event at a time. Event ev = 2..n splits
+    one block; the node it creates has rank ev, and both parts are born
+    at rank ev. Returns P of shape (n-1, m), trees along the last axis:
+    P[ev-2, r] is the birth rank of the block that event ev splits in
+    tree r (0 for the root block). ``fmatrix_entries`` reads F from it.
     """
     m = uniforms.shape[0]
-    rows = np.arange(m)
-    cols = np.arange(cumw.shape[1])
-    sizes = np.zeros((m, n), np.int64)
-    parents = np.zeros((m, n), np.int64)
-    sizes[:, 0] = n
-    grid = np.zeros((m, n + 3, n + 3), np.int64)
+    cols = np.arange(m)
+    # pad[c, k-1] = cumw[k, c+1] for c < k-2 and +inf after, so the left
+    # part 1 + #{c : u >= pad[c, k-1]} is where a scan of the law stops
+    pad = np.where(np.arange(n - 2)[:, None] < np.arange(n) - 1,
+                   cumw[1:n + 1, 1:n - 1].T, np.inf)
+    # Block b is picked with probability (size_b - 1) / remaining: it is
+    # the first whose prefix sum of (size - 1) exceeds the target, or the
+    # count of prefix sums at or below it. A target at or past the total
+    # (u = 1) picks the last block of size > 1, which is the count of
+    # prefix sums below the total; capping the target at total - 1/2
+    # makes both the same count.
+    remaining = np.arange(n - 1, 0, -1)[:, None]
+    u = uniforms.T
+    targets = np.minimum(u[0::2] * remaining, remaining - 0.5)
+    splits = u[1::2]
+    spare = np.zeros((n, m), np.int64)  # size - 1 of each block
+    born = np.zeros((n, m), np.int64)
+    spare[0] = n - 1
+    ranks = np.empty((n - 1, m), np.int64)
     for ev in range(2, n + 1):
         nb = ev - 1
-        # Block b is picked with probability (size_b - 1) / remaining.
-        target = uniforms[:, 2 * (ev - 2)] * (n - ev + 1)
-        hit = np.cumsum(np.maximum(sizes[:, :nb] - 1, 0), axis=1) > target[:, None]
-        pick = hit.argmax(axis=1)
-        miss = ~hit[rows, pick]
-        if miss.any():
-            pick[miss] = nb - 1 - (sizes[miss, nb - 1::-1] > 1).argmax(axis=1)
-        k = sizes[rows, pick]
-        par = parents[rows, pick]
-        inner = par > 0
-        grid[rows[inner], par[inner], ev] += 1
-        # Left part: 1 + #{1 <= i < k-1 : u >= cumw[k, i]}; rows of cumw do
-        # not decrease, so this is where a linear scan would stop.
-        u2 = uniforms[:, 2 * (ev - 2) + 1]
-        below = (u2[:, None] >= cumw[k]) & (cols >= 1) & (cols < k[:, None] - 1)
-        left = 1 + below.sum(axis=1)
-        sizes[rows, pick] = left
-        parents[rows, pick] = ev
-        sizes[:, nb] = k - left
-        parents[:, nb] = ev
-    np.add.at(grid, (rows[:, None], parents, n + 1), 1)
-    return grid[:, :, ::-1].cumsum(axis=2)[:, :, ::-1].cumsum(axis=1)
+        at = (spare[:nb].cumsum(axis=0) <= targets[ev - 2]).sum(axis=0)
+        at *= m
+        at += cols  # flat index of the picked block
+        k1 = spare.take(at)
+        born.take(at, out=ranks[ev - 2])
+        # no block has more than n - ev + 2 leaves: n - ev rows of pad suffice
+        left1 = (splits[ev - 2] >= pad[:n - ev].take(k1, axis=1)).sum(axis=0)
+        spare.put(at, left1)
+        spare[nb] = k1 - 1 - left1
+        born.put(at, ev)
+        born[nb] = ev
+    return ranks
 
 
-def _sample_grids(config, uniforms):
-    """(first row, cumulative edge grids) for successive blocks of rows of
-    ``uniforms``; see ``beta_sample_grid``. Blocks hold about GRID_CELLS
-    grid entries, so memory does not grow with the tree count."""
+def _split_counts(ranks):
+    """F from a split record P, trees along the last axis: an
+    (n-1, n-1, m) int64 array with F_ij at [i-1, j-1] (1-based, i >= j);
+    entries above the diagonal are not F.
+
+    F_ij counts the j+1 lineages of epoch j (the blocks born at rank
+    <= j+1 and not split by event j+1) that are still unsplit after event
+    i+1. Such a block is split, if at all, by one event ev >= j+2, and an
+    event ev >= j+2 splits one of them exactly when its block was born at
+    rank P_ev <= j+1. So
+
+        F_ij = (j+1) - #{ev in [j+2, i+1] : P_ev <= j+1}.
+
+    Every event ev <= j+1 has P_ev < ev <= j+1, so with the running count
+    C_ij = #{ev in [2, i+1] : P_ev <= j+1} this is F_ij = 2j + 1 - C_ij.
+    """
+    e, m = ranks.shape
+    j = np.arange(1, e + 1)[:, None]
+    # one (n-1, n-1, m) array, counted and turned into F in place; with
+    # the trees last, each step runs over contiguous rows of m values
+    f = np.empty((e, e, m), np.int64)
+    np.less_equal(ranks[:, None, :], j + 1, out=f)
+    np.cumsum(f, axis=0, out=f)
+    np.subtract(2 * j + 1, f, out=f)
+    return f
+
+
+def fmatrix_entries(ranks):
+    """The F-matrices of a split record (see ``_split_counts``), as an
+    (m, n-1, n-1) int64 array with zeros above the diagonal."""
+    f = np.ascontiguousarray(_split_counts(ranks).transpose(2, 0, 1))
+    f *= np.tri(len(ranks), dtype=bool)
+    return f
+
+
+def _sample_blocks(config, uniforms):
+    """(first row, split record) for successive blocks of rows of
+    ``uniforms``; see ``beta_split_ranks``. Blocks hold GRID_CELLS //
+    (n+3)^2 trees, so memory does not grow with the tree count."""
     n = config.n
     cumw = _cumulative_table(config.beta, n)
     rows = max(1, GRID_CELLS // (n + 3) ** 2)
     for lo in range(0, len(uniforms), rows):
-        yield lo, beta_sample_grid(n, cumw, uniforms[lo:lo + rows])
+        yield lo, beta_split_ranks(n, cumw, uniforms[lo:lo + rows])
 
 
 def _fmatrices(config, uniforms):
     n = config.n
-    i, j = np.tril_indices(n - 1)
     out = []
-    for _, grid in _sample_grids(config, uniforms):
-        entries = np.zeros((len(grid), n - 1, n - 1), dtype=np.int64)
-        # F_ij = #edges with parent rank <= j+1 and child rank >= i+2
-        entries[:, i, j] = grid[:, j + 2, i + 3]
-        out.extend(FMatrix(n=n, entries=e) for e in entries)
+    for _, ranks in _sample_blocks(config, uniforms):
+        out.extend(FMatrix(n=n, entries=e) for e in fmatrix_entries(ranks))
     return out
 
 
@@ -149,10 +196,12 @@ def sample_beta_stats(config, count, rng=None):
     n = config.n
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    i, j = np.array(nonfixed_positions(n), dtype=np.int64).reshape(-1, 2).T
-    e = np.zeros(count, np.int64)
-    nf = np.zeros((count, len(i)), np.int32)
-    for lo, grid in _sample_grids(config, rng.random((count, 2 * (n - 1)))):
-        e[lo:lo + len(grid)] = grid[:, 2:n + 1, n + 1].sum(axis=1)
-        nf[lo:lo + len(grid)] = grid[:, j + 1, i + 2]
+    i, j = _nonfixed_index(n)
+    e = np.empty(count, np.int64)
+    nf = np.empty((count, len(i)), np.int32)
+    for lo, ranks in _sample_blocks(config, rng.random((count, 2 * (n - 1)))):
+        f = _split_counts(ranks)
+        hi = lo + ranks.shape[1]
+        e[lo:hi] = f[n - 2].sum(axis=0)
+        nf[lo:hi] = f[i, j].T
     return nf.sum(axis=1, dtype=np.int64), e, nf

@@ -6,9 +6,11 @@ supporting tier. All means and covariances of the non-fixed entries then
 reduce to per-tier products, run as one sweep down the tiers. A product
 takes its arithmetic from its vector: rational vectors hold Python-int
 numerators over per-tier denominators, L_k = prod_{t<k} C(n-t, 2) for
-pi T^k, with one ``Fraction`` per output entry at the end; float vectors
-meet a CSR copy of the block, built for that step only. Blocks come from
-``kingman.tier_blocks``, which builds them once per space.
+pi T^k, with one ``Fraction`` per output entry at the end. Float right
+products meet a CSR copy of the block, built for that step only; the
+float left chain sums edge by edge, so a call builds each block's CSR at
+most once. Blocks come from ``kingman.tier_blocks``, which builds them
+once per space.
 """
 
 import math
@@ -60,9 +62,12 @@ def _tier_denominators(blocks):
 
 def _left_step(blk, w):
     """w T restricted to the next tier, for w on blk.from_tier. An object w
-    holds integer numerators, whose denominator gains blk.denom."""
+    holds integer numerators, whose denominator gains blk.denom. A float w
+    is summed edge by edge in edge order, as a CSR product would sum it,
+    without building the block's CSR copy."""
     if w.dtype != object:
-        return w @ blk.csr()
+        weights = np.repeat(w, np.diff(blk.indptr)) * blk.probs("float")
+        return np.bincount(blk.indices, weights=weights, minlength=blk.n_cols)
     out = np.zeros(blk.n_cols, dtype=object)
     np.add.at(out, blk.indices, w[blk.rows()] * blk.numer.astype(object))
     return out

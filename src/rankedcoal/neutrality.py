@@ -419,6 +419,19 @@ def _check_null_capacity(n):
         )
 
 
+def _check_sample_capacity(n, m):
+    """Refuse a replicate of ``m`` trees whose arrays would exceed the byte
+    budget: its 2(n-1) float64 uniforms, int32 non-fixed entries and int64
+    S and E per tree are alive at once."""
+    q = (n - 2) * (n - 3) // 2
+    need = m * (16 * (n - 1) + 4 * q + 16)
+    if need > NULL_MAX_BYTES:
+        raise CapacityError(
+            f"a sample of m = {m} trees at n = {n} needs about {need >> 20} MiB for its "
+            f"uniforms and statistics, over the budget of {NULL_MAX_BYTES >> 20} MiB"
+        )
+
+
 def kingman_moment_terms(n):
     """E[F] and Cov(F, F) of the non-fixed entries as exact int64 fractions.
 
@@ -554,6 +567,7 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
     """
     n = null.n
     _check_tests(n, tests)
+    _check_sample_capacity(n, m)
     if boxes is None and "GE" in tests:
         boxes = e_boxes(null.e_pmf, K=K, m=m)
     if not isinstance(seed, np.random.SeedSequence):
@@ -606,6 +620,7 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
         if not (beta > -2 and isfinite(beta)):
             raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
     _check_tests(n, tests)
+    _check_sample_capacity(n, m)
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))

@@ -87,6 +87,26 @@ def test_split_weights_shape():
     assert split_weights(-1.5, 8)[0] > split_weights(-1.5, 8)[3]
 
 
+def test_split_weights_are_read_only():
+    """The weights are cached: a write into one result would change every
+    later draw with the same (beta, k)."""
+    w = split_weights(0.5, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert split_weights(0.5, 6) is w
+
+
+def test_beta_just_above_minus_two_samples():
+    """beta + 1 + k rounds to k - 1 there; the split law stays defined."""
+    beta = np.nextafter(-2.0, 0.0)
+    for k in range(2, 31):
+        w = split_weights(beta, k)
+        assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(w, w[::-1], rtol=1e-12)
+    mats = sample_beta_fmatrices(BetaConfig(beta=beta, n=12, seed=1), 20)
+    assert len(mats) == 20
+
+
 def test_n3_is_deterministic():
     for beta, seed in [(-1.0, 1), (0.0, 2), (9.0, 3)]:
         fmat = sample_beta_tree(BetaConfig(beta=beta, n=3, seed=seed))

@@ -10,12 +10,15 @@ end of a split law).
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankedcoal import betasplit
 from rankedcoal.betasplit import (
     BetaConfig,
     _cumulative_table,
-    beta_sample_grid,
+    beta_split_ranks,
+    fmatrix_entries,
     sample_beta_fmatrices,
     sample_beta_stats,
 )
@@ -55,7 +58,9 @@ def nonfixed_index_table(n):
     return table
 
 
-def loop_beta_sample_stats(n, cumw, uniforms, pos_table):
+def loop_beta_sample_stats(n, cumw, uniforms, pos_table, fmats=None):
+    """(S, E, non-fixed entries) per tree; also fills ``fmats``, an
+    (m, n-1, n-1) int64 array of zeros, with the F-matrices if given."""
     m = uniforms.shape[0]
     q = (n - 2) * (n - 3) // 2
     s_out = np.zeros(m, np.int64)
@@ -106,6 +111,10 @@ def loop_beta_sample_stats(n, cumw, uniforms, pos_table):
         for a in range(3, n + 1):
             for b in range(2, n + 2):
                 grid[a, b] += grid[a - 1, b]
+        if fmats is not None:
+            for i in range(1, n):
+                for j in range(1, i + 1):
+                    fmats[r, i - 1, j - 1] = grid[j + 1, i + 2]
         for j in range(1, n):
             e_out[r] += grid[j + 1, n + 1]
         for i in range(3, n):
@@ -129,18 +138,37 @@ def _uniforms(rng, count, width):
     return u
 
 
+def _assert_kernel_matches_loop(n, beta, uniforms):
+    cumw = _cumulative_table(beta, n)
+    want = np.zeros((len(uniforms), n - 1, n - 1), np.int64)
+    s, e, nf = loop_beta_sample_stats(n, cumw, uniforms, nonfixed_index_table(n), fmats=want)
+    f = fmatrix_entries(beta_split_ranks(n, cumw, uniforms))
+    assert f.dtype == want.dtype and np.array_equal(f, want)
+    i, j = np.array(nonfixed_positions(n), dtype=np.int64).reshape(-1, 2).T
+    assert np.array_equal(f[:, i - 1, j - 1], nf)
+    assert np.array_equal(f[:, i - 1, j - 1].sum(axis=1), s)
+    assert np.array_equal(f[:, n - 2].sum(axis=1), e)
+
+
 @pytest.mark.parametrize("n", [3, 4, 10, 25])
 @pytest.mark.parametrize("beta", [-1.9, -1.0, 0.0, 2.5, 1000.0])
 def test_beta_grid_matches_loop_kernel(beta, n):
+    """The split-record kernel, read through ``fmatrix_entries``, against
+    the loop that builds each tree's edge grid."""
     rng = np.random.default_rng(1000 * n + int(beta * 10))
-    uniforms = _uniforms(rng, 300, 2 * (n - 1))
-    cumw = _cumulative_table(beta, n)
-    s, e, nf = loop_beta_sample_stats(n, cumw, uniforms, nonfixed_index_table(n))
-    grid = beta_sample_grid(n, cumw, uniforms)
-    i, j = np.array(nonfixed_positions(n), dtype=np.int64).reshape(-1, 2).T
-    assert np.array_equal(grid[:, j + 1, i + 2], nf)
-    assert np.array_equal(grid[:, j + 1, i + 2].sum(axis=1), s)
-    assert np.array_equal(grid[:, 2:n + 1, n + 1].sum(axis=1), e)
+    _assert_kernel_matches_loop(n, beta, _uniforms(rng, 300, 2 * (n - 1)))
+
+
+@given(n=st.integers(3, 30),
+       beta=st.floats(-2.0, 1000.0, exclude_min=True),
+       seed=st.integers(0, 2 ** 32 - 1),
+       extremes=st.floats(0.0, 1.0))
+def test_split_ranks_give_the_loop_kernels_fmatrices(n, beta, seed, extremes):
+    rng = np.random.default_rng(seed)
+    u = rng.random((20, 2 * (n - 1)))
+    cells = rng.random(u.shape) < extremes
+    u[cells] = rng.choice([0.0, JUST_BELOW_ONE, 1.0], size=int(cells.sum()))
+    _assert_kernel_matches_loop(n, beta, u)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 10, 25])

@@ -176,6 +176,28 @@ def test_null_capacity_is_refused_before_any_work(monkeypatch, capsys):
         kingman_null(3)
 
 
+def test_power_refuses_a_sample_over_the_byte_budget(null8, monkeypatch, capsys):
+    from rankedcoal import neutrality
+
+    def allocate(*args, **kwargs):
+        raise MemoryError("allocated")
+
+    monkeypatch.setattr(neutrality, "kingman_null", allocate)
+    monkeypatch.setattr(neutrality, "sample_beta_stats", allocate)
+    # per tree: 14 float64 uniforms, 15 int32 non-fixed entries, S and E
+    largest = neutrality.NULL_MAX_BYTES // (16 * 7 + 4 * 15 + 16)
+    assert main(["power", "--n", "8", "--m", str(largest + 1), "--reps", "2",
+                 "--beta-grid", "0", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"capacity: a sample of m = {largest + 1} trees at n = 8 ")
+    with pytest.raises(CapacityError, match="over the budget"):
+        replicate_statistics(null8, 0.0, largest + 1, 1, 1)
+    # at the budget the replicate goes on to allocate its sample
+    with pytest.raises(MemoryError):
+        power_curve([0.0], 8, largest, 2, 1, null=null8)
+
+
 def test_sym_inv_sqrt_inverts(null5):
     root = sym_inv_sqrt(null5.sigma)
     np.testing.assert_allclose(root, root.T, atol=1e-12)
