@@ -211,17 +211,20 @@ def _cmd_frechet(args):
     return 0
 
 
-def _moment_rows_se(space, summary):
+def _moment_rows_se(space, summary, targets):
+    """The mean and variance rows of S and of E that ``targets`` names, and
+    their covariance row when it names both."""
     from .feedforward import se_moments
 
     mean, cov = se_moments(space, summary=summary)
-    return [
-        ["S", "mean", format_number(mean[0])],
-        ["S", "var", format_number(cov[0, 0])],
-        ["E", "mean", format_number(mean[1])],
-        ["E", "var", format_number(cov[1, 1])],
-        ["SE", "cov", format_number(cov[0, 1])],
-    ]
+    rows = []
+    for k, name in enumerate(("S", "E")):
+        if name in targets:
+            rows += [[name, "mean", format_number(mean[k])],
+                     [name, "var", format_number(cov[k, k])]]
+    if "S" in targets and "E" in targets:
+        rows.append(["SE", "cov", format_number(cov[0, 1])])
+    return rows
 
 
 def _moment_rows_f(summary):
@@ -252,7 +255,7 @@ def _cmd_moments(args):
     summary = nonfixed_moments(space, mode=mode)
     rows = []
     if "S" in targets or "E" in targets:
-        rows.extend(_moment_rows_se(space, summary))
+        rows.extend(_moment_rows_se(space, summary, targets))
     if "F" in targets:
         rows.extend(_moment_rows_f(summary))
     text = _csv_text(rows, header=["target", "statistic", "value"])

@@ -169,12 +169,24 @@ def pi_U(space, *, mode=None):
     return np.concatenate(values)
 
 
+def _column_means(space, tau, w, index):
+    """The mean step of column j = n-1-tau: its reward block on tier tau, in
+    w's dtype, its covariance indices, and the numerators of its means,
+    w v, for w = pi T^tau."""
+    j = space.n - 1 - tau
+    rows = range(j + 2, space.n)
+    # a column-major copy, as the float golden's summation order expects
+    v = space.tier_states(tau)[:, [i - 1 for i in rows]].astype(w.dtype)
+    return v, [index[(i, j)] for i in rows], w.dot(v)
+
+
 def nonfixed_means(space, *, mode=None):
     """Means of all non-fixed entries, skipping the covariance chains.
 
     E[F_ij] only needs pi U against the tier-(n-1-j) slice of the state
     table, so this stays cheap even at n = 25 where the full covariance
-    runs thousands of right products.
+    runs thousands of right products. Each column's means come from the
+    mean step of ``nonfixed_moments``, so the two agree to the bit.
     """
     from .kingman import tier_blocks
 
@@ -190,16 +202,9 @@ def nonfixed_means(space, *, mode=None):
     positions = nonfixed_positions(n)
     index = {pos: a for a, pos in enumerate(positions)}
     mean = zeros(len(positions), mode)
-    for j in range(1, n - 2):
-        tau = n - 1 - j
-        sl = space.tier_slice(tau)
-        # One numpy reduction per column tier, pairwise along each
-        # contiguous column: unlike a BLAS dot, its summation order
-        # does not depend on the thread count.
-        cols = np.ascontiguousarray(space.states[sl][:, j + 1:].T,
-                                    dtype=np.float64 if mode == "float" else object)
-        col_means = (cols * piu[tau]).sum(axis=1)
-        mean[[index[(i, j)] for i in range(j + 2, n)]] = value(col_means, dens[tau])
+    for tau in range(n - 2, 1, -1):
+        _, idx, sums = _column_means(space, tau, piu[tau], index)
+        mean[idx] = value(sums, dens[tau])
     return positions, mean
 
 
@@ -243,13 +248,7 @@ def nonfixed_moments(space, *, mode=None):
         if vectors:
             _push_down(blocks[tau], vectors)
             work += blocks[tau].nnz * sum(v.shape[1] for v in vectors)
-        j = n - 1 - tau
-        rows = range(j + 2, n)
-        # a column-major copy, as the float golden's summation order expects
-        v = space.tier_states(tau)[:, [i - 1 for i in rows]]
-        v = v.astype(object if exact else np.float64)
-        idx = [index[(i, j)] for i in rows]
-        sums = piu[tau].dot(v)
+        v, idx, sums = _column_means(space, tau, piu[tau], index)
         mean[idx] = value(sums, dens[tau])
         work += v.shape[0] * len(idx)
         opened.append((tau, idx, sums))

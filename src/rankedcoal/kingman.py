@@ -47,11 +47,13 @@ class TierBlock:
         return self.numer / self.denom
 
     def csr(self):
-        """Float CSR matrix of the transition probabilities."""
+        """Float CSR matrix of the transition probabilities. scipy copies
+        the index arrays to int32 where they fit, and a product only reads
+        them, so the read-only block arrays go in uncopied."""
         import scipy.sparse
 
         return scipy.sparse.csr_matrix(
-            (self.probs("float"), self.indices.copy(), self.indptr.copy()),
+            (self.probs("float"), self.indices, self.indptr),
             shape=(self.n_rows, self.n_cols),
         )
 

@@ -88,10 +88,6 @@ def _coerce_sample(sample):
     return SampleStats.from_fmatrices(sample)
 
 
-def _as_float(arr):
-    return np.asarray(arr, dtype=np.float64)
-
-
 # Tails and quantiles of the null distributions from the scipy.special
 # ufuncs behind scipy.stats' chi2 and norm, bitwise equal to those. The
 # clip and the 0.0 - keep scipy.stats' value at x < 0 (1.0) and at
@@ -210,7 +206,7 @@ def _exceeds(values, estimate, exact):
 
 def sym_inv_sqrt(sigma, floor=EIG_FLOOR):
     """The symmetric PSD inverse square root of a covariance matrix."""
-    sigma = _as_float(sigma)
+    sigma = np.asarray(sigma, dtype=np.float64)
     vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2)
     if vals.min() < floor:
         raise ValidationError(
@@ -278,8 +274,8 @@ def e_boxes(e_pmf, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
     return BoxScheme(uppers=uppers, probs=probs)
 
 
-# The four statistics alone, without a p-value: the reports below add
-# theirs, and the power harness, which needs none, calls these directly.
+# The four statistics alone, without a p-value: ``_report`` adds one, and
+# the power harness, which needs none, calls these directly.
 
 def _ge_statistic(stats, boxes):
     observed = boxes.counts(stats.e_values)
@@ -303,83 +299,69 @@ def _ht_statistic(stats, mean, root):
     return stats.m * float(diff @ diff)
 
 
-def test_GE(sample, e_pmf, K=DEFAULT_K, boxes=None):
+def _null_df(name, n, boxes):
+    """The null law of test ``name`` at n: the df of its chi-square, K - 1
+    for GE and q = (n-2)(n-3)/2 for HT, or None for the two-sided standard
+    normal of WF and WSE."""
+    if name == "GE":
+        return boxes.K - 1
+    if name == "HT":
+        return (n - 2) * (n - 3) // 2
+    return None
+
+
+def _report(name, stats, statistic, boxes=None):
+    """The report of test ``name``: its statistic with the p-value of its
+    null law; ``boxes`` are GE's, and the other tests ignore them."""
+    df = _null_df(name, stats.n, boxes)
+    if df is None:
+        null_dist, p = "normal", 2 * _norm_sf(abs(statistic))
+    else:
+        null_dist, p = f"chi2({df})", _chi2_sf(statistic, df)
+    ge = name == "GE"
+    return TestReport(
+        statistic=statistic,
+        null_dist=null_dist,
+        p_value=p,
+        config={"n": stats.n, "m": stats.m, "K": boxes.K if ge else None,
+                "boxes": list(boxes.uppers) if ge else None, "engine": name},
+    )
+
+
+def _float_vector(values, length, what):
+    """``values`` as floats, refused unless there are ``length`` of them."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) != length:
+        raise ValidationError(f"{what} must have length {length}, got {len(values)}")
+    return values
+
+
+def test_GE(sample, e_pmf, K=DEFAULT_K):
     """Likelihood-ratio test of the E distribution against its null."""
     stats = _coerce_sample(sample)
-    if boxes is None:
-        boxes = e_boxes(e_pmf, K=K, m=stats.m)
-    statistic = _ge_statistic(stats, boxes)
-    df = boxes.K - 1
-    p = _chi2_sf(statistic, df)
-    return TestReport(
-        statistic=statistic,
-        null_dist=f"chi2({df})",
-        p_value=p,
-        config={"n": stats.n, "m": stats.m, "K": boxes.K,
-                "boxes": list(boxes.uppers), "engine": "GE"},
-    )
+    boxes = e_boxes(e_pmf, K=K, m=stats.m)
+    return _report("GE", stats, _ge_statistic(stats, boxes), boxes)
 
 
-def test_WF(sample, mean, sigma, root=None):
-    """Signed CLT statistic on the mean non-fixed vector.
-
-    ``root``, if given, is ``sym_inv_sqrt(sigma)`` computed beforehand.
-    """
+def test_WF(sample, mean, sigma):
+    """Signed CLT statistic on the mean non-fixed vector."""
     stats = _coerce_sample(sample)
-    mean = _as_float(mean)
-    n, m = stats.n, stats.m
-    q = (n - 2) * (n - 3) // 2
-    if len(mean) != q:
-        raise ValidationError(f"mean vector must have length {q}, got {len(mean)}")
-    if root is None:
-        root = sym_inv_sqrt(sigma)
-    statistic = _wf_statistic(stats, mean, root)
-    p = 2 * _norm_sf(abs(statistic))
-    return TestReport(
-        statistic=statistic,
-        null_dist="normal",
-        p_value=p,
-        config={"n": n, "m": m, "K": None, "boxes": None, "engine": "WF"},
-    )
+    mean = _float_vector(mean, len(nonfixed_positions(stats.n)), "mean vector")
+    return _report("WF", stats, _wf_statistic(stats, mean, sym_inv_sqrt(sigma)))
 
 
-def test_WSE(sample, mu_se, sigma_se, root=None):
-    """Signed CLT statistic on the (S, E) pair.
-
-    ``root``, if given, is ``sym_inv_sqrt(sigma_se)`` computed beforehand.
-    """
+def test_WSE(sample, mu_se, sigma_se):
+    """Signed CLT statistic on the (S, E) pair."""
     stats = _coerce_sample(sample)
-    mu_se = _as_float(mu_se)
-    if root is None:
-        root = sym_inv_sqrt(sigma_se)
-    statistic = _wse_statistic(stats, mu_se, root)
-    p = 2 * _norm_sf(abs(statistic))
-    return TestReport(
-        statistic=statistic,
-        null_dist="normal",
-        p_value=p,
-        config={"n": stats.n, "m": stats.m, "K": None, "boxes": None, "engine": "WSE"},
-    )
+    mu_se = _float_vector(mu_se, 2, "(S, E) mean")
+    return _report("WSE", stats, _wse_statistic(stats, mu_se, sym_inv_sqrt(sigma_se)))
 
 
-def test_hotelling(sample, mean, sigma, root=None):
-    """Chi-square baseline m (Fbar - M)' Sigma^{-1} (Fbar - M).
-
-    ``root``, if given, is ``sym_inv_sqrt(sigma)`` computed beforehand.
-    """
+def test_hotelling(sample, mean, sigma):
+    """Chi-square baseline m (Fbar - M)' Sigma^{-1} (Fbar - M)."""
     stats = _coerce_sample(sample)
-    mean = _as_float(mean)
-    if root is None:
-        root = sym_inv_sqrt(sigma)
-    statistic = _ht_statistic(stats, mean, root)
-    df = len(mean)
-    p = _chi2_sf(statistic, df)
-    return TestReport(
-        statistic=statistic,
-        null_dist=f"chi2({df})",
-        p_value=p,
-        config={"n": stats.n, "m": stats.m, "K": None, "boxes": None, "engine": "HT"},
-    )
+    mean = _float_vector(mean, len(nonfixed_positions(stats.n)), "mean vector")
+    return _report("HT", stats, _ht_statistic(stats, mean, sym_inv_sqrt(sigma)))
 
 
 @dataclass
@@ -531,21 +513,15 @@ def _check_tests(n, tests):
         )
 
 
-def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K, boxes=None):
+def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K):
     """All requested reports against a prepared null."""
     stats = _coerce_sample(sample)
+    if stats.n != null.n:
+        raise ValidationError(f"sample has n = {stats.n}, but the null has n = {null.n}")
     _check_tests(stats.n, tests)
-    out = {}
-    for name in tests:
-        if name == "GE":
-            out[name] = test_GE(stats, null.e_pmf, K=K, boxes=boxes)
-        elif name == "WF":
-            out[name] = test_WF(stats, null.mean, null.sigma, root=null.root)
-        elif name == "WSE":
-            out[name] = test_WSE(stats, null.mu_se, null.sigma_se, root=null.root_se)
-        else:
-            out[name] = test_hotelling(stats, null.mean, null.sigma, root=null.root)
-    return out
+    boxes = e_boxes(null.e_pmf, K=K, m=stats.m) if "GE" in tests else None
+    return {name: _report(name, stats, _statistic(name, stats, null, boxes), boxes)
+            for name in tests}
 
 
 def _statistic(name, stats, null, boxes):
@@ -587,15 +563,13 @@ def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEF
 def _rejections(stats_by_test, null, boxes, alpha):
     """Which statistics exceed their level-``alpha`` critical value; each
     decision is that of the comparison with scipy's quantile (see FILTER)."""
-    n = null.n
-    q = (n - 2) * (n - 3) // 2
     out = {}
     for name, values in stats_by_test.items():
-        if name in ("WF", "WSE"):
+        df = _null_df(name, null.n, boxes)
+        if df is None:
             out[name] = _exceeds(np.abs(values), _norm_isf_estimate(alpha / 2),
                                  lambda: _norm_isf(alpha / 2))
         else:
-            df = boxes.K - 1 if name == "GE" else q
             out[name] = _exceeds(values, _chi2_isf_estimate(alpha, df),
                                  lambda: _chi2_isf(alpha, df))
     return out

@@ -238,6 +238,24 @@ def test_moments_se(capsys):
     ]
 
 
+@pytest.mark.parametrize("targets, labels", [
+    ("S", ["S", "S"]),
+    ("E", ["E", "E"]),
+    ("S,E", ["S", "S", "E", "E", "SE"]),
+    ("E,S", ["S", "S", "E", "E", "SE"]),
+])
+def test_moments_print_only_the_targets_asked_for(targets, labels, capsys):
+    """S and E each print their own mean and variance rows, and the SE
+    covariance comes only with both; the values are those of ``S,E``."""
+    assert main(["moments", "--n", "5"]) == 0
+    every = {tuple(row[:2]): row for row in _rows(capsys.readouterr().out)[1:]}
+    assert main(["moments", "--n", "5", "--targets", targets]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert rows[0] == ["target", "statistic", "value"]
+    assert [row[0] for row in rows[1:]] == labels
+    assert all(row == every[tuple(row[:2])] for row in rows[1:])
+
+
 def _dense_f_rows(n):
     """The F rows of ``moments`` from the dense coalescent DPH: one reward
     solve per non-fixed entry and one cross moment per pair."""

@@ -200,6 +200,17 @@ def test_float_mode_tracks_rational(space6):
     )
 
 
+@pytest.mark.parametrize("n", [14, 20])
+def test_float_means_are_the_float_summary_means(n):
+    """The means shortcut runs the sweep's own mean step, so its float means
+    are those of ``nonfixed_moments`` to the bit."""
+    space = enumerate_states(n)
+    _, mean = nonfixed_means(space, mode="float")
+    summary = nonfixed_moments(space, mode="float")
+    assert mean.dtype == summary.mean.dtype == np.float64
+    assert mean.tobytes() == summary.mean.tobytes()
+
+
 @pytest.mark.parametrize("n", [12, 25])
 def test_float_means_match_closed_form(n):
     """E[F_ij] = j(j+1)/i; the float reduction keeps it to rounding."""

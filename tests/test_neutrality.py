@@ -28,6 +28,7 @@ from rankedcoal.neutrality import (
     sym_inv_sqrt,
 )
 from rankedcoal.phasetype import dph_pmf_range
+from rankedcoal.neutrality import test_GE as ge_report
 from rankedcoal.neutrality import test_WF as wf_report
 from rankedcoal.neutrality import test_WSE as wse_report
 from rankedcoal.neutrality import test_hotelling as hotelling_report
@@ -224,9 +225,17 @@ def test_zero_statistics_on_exact_null(null5):
 
 
 def test_wf_rejects_wrong_length(null5):
+    """WF, HT and WSE refuse a mean of the wrong length at entry, naming the
+    length they expect."""
     stats = _null_sample(null5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="must have length 3, got 2"):
         wf_report(stats, null5.mean[:2], null5.sigma[:2, :2])
+    with pytest.raises(ValidationError, match="must have length 3, got 2"):
+        hotelling_report(stats, null5.mean[:2], null5.sigma[:2, :2])
+    with pytest.raises(ValidationError, match="must have length 3, got 4"):
+        hotelling_report(stats, np.append(null5.mean, 0.0), np.eye(4))
+    with pytest.raises(ValidationError, match="must have length 2, got 1"):
+        wse_report(stats, null5.mu_se[:1], null5.sigma_se[:1, :1])
 
 
 def test_box_scheme(null8):
@@ -273,6 +282,12 @@ def test_sample_stats_errors(null5):
         SampleStats.from_fmatrices(mats)
     with pytest.raises(ValidationError):
         run_tests(_null_sample(null5), null5, tests=("GE", "nope"))
+
+
+@pytest.mark.parametrize("name", ALL_TESTS)
+def test_run_tests_refuses_a_null_of_another_n(name, null5, null8):
+    with pytest.raises(ValidationError, match="sample has n = 8, but the null has n = 5"):
+        run_tests(_null_sample(null8), null5, tests=(name,))
 
 
 def test_run_tests_reports(null8):
@@ -333,7 +348,8 @@ def test_harness_determinism(null5):
 def test_null_roots_give_the_same_statistics(null8):
     s, e, nf = sample_beta_stats(BetaConfig(beta=-0.5, n=8, seed=21), 300)
     stats = SampleStats.from_arrays(8, s, e, nf)
-    reports = run_tests(stats, null8, tests=("WF", "WSE", "HT"))
+    reports = run_tests(stats, null8)
+    assert reports["GE"] == ge_report(stats, null8.e_pmf)
     assert reports["WF"] == wf_report(stats, null8.mean, null8.sigma)
     assert reports["WSE"] == wse_report(stats, null8.mu_se, null8.sigma_se)
     assert reports["HT"] == hotelling_report(stats, null8.mean, null8.sigma)
