@@ -168,11 +168,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_balance(args):
-    from .fmatrix import balance_E, balance_S, colless, fmatrix_to_tree, iter_jsonl, sackin
+    from .fmatrix import _build_tree, balance_E, balance_S, colless, iter_jsonl, sackin
 
     rows = []
     for fmat in iter_jsonl(args.infile):
-        tree = fmatrix_to_tree(fmat)
+        tree = _build_tree(fmat)  # iter_jsonl has checked it
         rows.append([balance_E(fmat), balance_S(fmat), sackin(tree), colless(tree)])
     text = _csv_text(rows, header=["E", "S", "sackin", "colless"])
     _emit(args.out, text)

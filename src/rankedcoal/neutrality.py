@@ -93,9 +93,12 @@ def _coerce_sample(sample):
 # clip and the 0.0 - keep scipy.stats' value at x < 0 (1.0) and at
 # q = 0.5 (+0.0). scipy is imported here, not at module level, so that
 # CLI calls that run no test do not load it; a power sweep calls the
-# quantiles only on a near-tie (see FILTER).
+# quantiles only on a near-tie (see FILTER), and a tail whose log lies
+# below LOG_ZERO is 0.0 without scipy.
 
 def _chi2_sf(x, df):
+    if isfinite(x) and x > df and _chi2_log_tail(df)(x) < LOG_ZERO:
+        return 0.0
     from scipy.special import chdtrc
 
     return float(chdtrc(df, max(x, 0.0)))
@@ -108,6 +111,8 @@ def _chi2_isf(q, df):
 
 
 def _norm_sf(x):
+    if isfinite(x) and x > 0 and _log_erfc(x / sqrt(2)) - log(2) < LOG_ZERO:
+        return 0.0
     from scipy.special import ndtr
 
     return float(ndtr(-x))
@@ -118,6 +123,13 @@ def _norm_isf(q):
 
     return float(0.0 - ndtri(q))
 
+
+# A tail below 2^-1075, half the least subnormal float, rounds to 0.0. The
+# log-space tails below err by far less than the margin of 1 nat, and
+# scipy's chdtrc and ndtr already return 0.0 once the log of the tail falls
+# below -716.4 (chdtrc, df = 1) to -717.4 (df = 3,081) and -714.3 (ndtr),
+# some 29 nats above LOG_ZERO (tested bitwise on a grid of df and z).
+LOG_ZERO = -1075 * log(2) - 1
 
 # A power sweep needs only its decisions "statistic > critical value", not
 # the critical values themselves. Each is first taken against a float
@@ -143,23 +155,18 @@ def _log_erfc(z):
     return -z * z - log(z * sqrt(pi)) + log1p(-s * (1 - 3 * s * (1 - 5 * s * (1 - 7 * s))))
 
 
-def _chi2_isf_estimate(q, df):
-    """A float estimate of ``_chi2_isf(q, df)`` for integer df >= 1, or None
-    unless q is a normal float in (0, 1).
+def _chi2_log_tail(df, upper=True):
+    """The log of the upper tail of chi2(df), or with ``upper`` false of its
+    lower tail, as a function of x > 0, for integer df >= 1.
 
-    With y = x/2, h = (df % 2)/2 and m = df // 2, both tails of chi2(df) at
-    x are sums of the terms t_k = e^-y y^(k+h) / Gamma(k+h+1): the upper
-    tail is t_0 .. t_(m-1), plus erfc(sqrt y) for odd df, and the lower
-    tail is t_m, t_(m+1), .... The quantile is bisected on the log of the
-    smaller tail, summed in log space so that no term underflows. The lower
-    tail is used only for q > 1/2, where x < median < df and the terms
-    fall from t_m on; the ones past the 100 + 10 sqrt(m)-th are below
+    With y = x/2, h = (df % 2)/2 and m = df // 2, both tails at x are sums
+    of the terms t_k = e^-y y^(k+h) / Gamma(k+h+1): the upper tail is
+    t_0 .. t_(m-1), plus erfc(sqrt y) for odd df, and the lower tail is
+    t_m, t_(m+1), .... Each is summed in log space, so that no term
+    underflows. The lower tail is meant only for x < median < df, where the
+    terms fall from t_m on; the ones past the 100 + 10 sqrt(m)-th are below
     e^-50 of t_m.
     """
-    if not _NORMAL_MIN <= q < 1:
-        return None
-    upper = q <= 0.5
-    target = log(q) if upper else log1p(-q)
     half, m = (df % 2) / 2, df // 2
     k = np.arange(m) if upper else np.arange(m, m + 100 + 10 * isqrt(m))
     k = k + half
@@ -173,6 +180,20 @@ def _chi2_isf_estimate(q, df):
         top = logs.max()
         return top + log(np.exp(logs - top).sum())
 
+    return log_tail
+
+
+def _chi2_isf_estimate(q, df):
+    """A float estimate of ``_chi2_isf(q, df)`` for integer df >= 1, or None
+    unless q is a normal float in (0, 1): the root of the log of the smaller
+    tail (see ``_chi2_log_tail``), bisected; the lower tail serves q > 1/2,
+    where the root lies below the median.
+    """
+    if not _NORMAL_MIN <= q < 1:
+        return None
+    upper = q <= 0.5
+    target = log(q) if upper else log1p(-q)
+    log_tail = _chi2_log_tail(df, upper)
     lo, hi = 0.0, float(df)
     if upper:
         while log_tail(hi) > target:

@@ -125,6 +125,8 @@ def test_simulate_kingman_and_balance(tmp_path, capsys):
 
 
 def test_balance_builds_each_tree_once(tmp_path, capsys, monkeypatch):
+    """balance builds each tree once, and checks each matrix only as it
+    reads the corpus."""
     from rankedcoal import fmatrix
 
     corpus = tmp_path / "beta.jsonl"
@@ -137,8 +139,12 @@ def test_balance_builds_each_tree_once(tmp_path, capsys, monkeypatch):
         calls.append(fmat)
         return build(fmat)
 
-    build = fmatrix.fmatrix_to_tree
-    monkeypatch.setattr(fmatrix, "fmatrix_to_tree", counted)
+    def rechecked(fmat):
+        raise AssertionError("a matrix was checked again")
+
+    build = fmatrix._build_tree
+    monkeypatch.setattr(fmatrix, "_build_tree", counted)
+    monkeypatch.setattr(fmatrix.FMatrix, "validate_static", rechecked)
     assert (main(["balance", "--in", str(corpus)]), capsys.readouterr().out) == expected
     assert len(calls) == 9
 
@@ -752,6 +758,33 @@ def test_power_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_test_loads_no_scipy_when_every_p_value_underflows(tmp_path):
+    """On a strongly skewed corpus every p-value is 0.0 below LOG_ZERO, so
+    ``test`` prints its report without loading scipy."""
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    corpus = tmp_path / "skewed.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta=-1.9", "--n", "25",
+                 "--count", "600", "--seed", "8", "--out", str(corpus)]) == 0
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from rankedcoal.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['test', '--in', {str(corpus)!r}]) == 0\n"
+        "print(sorted({rep['p_value'] for rep in json.loads(out.getvalue())['tests'].values()}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[0.0]\n[]\n"
 
 
 def test_test_at_n25_loads_scipy_special_but_not_sparse(tmp_path):

@@ -2,11 +2,18 @@
 reconstruction, balance indices, and the jsonl corpus format."""
 
 import itertools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
+import reader_oracle
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankedcoal import ValidationError
+from rankedcoal import fmatrix as fmatrix_module
+from rankedcoal.betasplit import BetaConfig, sample_beta_fmatrices
 from rankedcoal.fmatrix import (
     FMatrix,
     balance_E,
@@ -16,6 +23,7 @@ from rankedcoal.fmatrix import (
     distance_sq,
     fmatrix_to_path,
     fmatrix_to_tree,
+    jsonl_line,
     nonfixed_positions,
     nonfixed_vector,
     path_to_fmatrix,
@@ -219,6 +227,16 @@ def test_from_tri_refuses_an_n_that_is_not_an_integer(n):
         FMatrix.from_tri(n, [[2], [1, 3], [1, 2, 4], [1, 1, 1, 5]])
 
 
+@pytest.mark.parametrize("n, tri", [(1, []), (2, [[2]])])
+def test_an_n_below_3_is_refused(n, tri, tmp_path):
+    with pytest.raises(ValidationError, match=f"need n >= 3, got n = {n}"):
+        FMatrix.from_tri(n, tri).validate_static()
+    target = tmp_path / "small.jsonl"
+    target.write_text(json.dumps({"n": n, "tri": tri}) + "\n")
+    with pytest.raises(ValidationError, match=f":1: F-matrices need n >= 3"):
+        read_jsonl(target)
+
+
 def test_validate_static_errors():
     bad = np.array(FIG_N5[(1, 2, 3, 5)])
     bad[0, 0] = 3
@@ -259,3 +277,151 @@ def test_validate_static_accepts_exactly_the_shapes(space6):
                 accepted += ok
     # the unchanged shapes, and some one-entry moves between shapes
     assert accepted > 16 * 15
+
+
+# The block reader against the per-line reference in reader_oracle: on
+# corpora around the block size, with blank lines and up to two corrupted
+# lines, both yield the same matrices and then raise the same message.
+PER_BLOCK = 8
+CORPUS_SIZES = (1, PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1, 3 * PER_BLOCK)
+LINE_FAULTS = ("json", "key", "bool", "big", "float", "row", "diagonal", "subdiagonal",
+               "negative", "fall", "infeasible", "mixed")
+
+
+def _static_fault(fmat):
+    try:
+        reader_oracle.validate_static(fmat)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupt_tri(tri, kind, spot):
+    """Give the lower triangle ``tri`` (lists, changed in place) a fault of
+    ``kind``; ``spot`` picks where."""
+    n = len(tri) + 1
+    i = spot % (n - 1)
+    if kind == "diagonal":
+        tri[i][i] += 1 + spot % 3
+    elif kind == "subdiagonal":
+        tri[1 + spot % (n - 2)][spot % (n - 2)] -= 1
+    elif kind in ("bool", "big", "float"):
+        tri[i][spot % (i + 1)] = {"bool": True, "big": 2 ** 63, "float": 1.0}[kind]
+    elif kind == "row":
+        tri[i].append(0)
+    else:
+        # a change below the subdiagonal: a negative entry, a fall of 2
+        # from the entry above, or one that keeps every column a state but
+        # breaks a transition, when some change does
+        below = [(r, c) for r in range(2, n - 1) for c in range(r - 1)]
+        r, c = below[spot % len(below)]
+        if kind == "negative":
+            tri[r][c] = -1
+        elif kind == "fall":
+            tri[r][c] = tri[r - 1][c] - 2
+        else:
+            for r, c in below[spot % len(below):] + below[:spot % len(below)]:
+                for step in (1, -1):
+                    tri[r][c] += step
+                    if "infeasible" in (_static_fault(reader_oracle.from_tri(n, tri)) or ""):
+                        return
+                    tri[r][c] -= step
+            tri[r][c] = -1
+
+
+def _corrupt(line, kind, spot):
+    if kind == "json":
+        return line[:len(line) // 2]
+    obj = json.loads(line)
+    if kind == "key":
+        del obj[("n", "tri")[spot % 2]]
+    elif kind == "mixed":
+        obj = json.loads(jsonl_line(sample_beta_fmatrices(BetaConfig(0.0, obj["n"] + 1, spot), 1)[0]))
+    else:
+        _corrupt_tri(obj["tri"], kind, spot)
+    return json.dumps(obj)
+
+
+def _read(reader, path):
+    """The matrices ``reader`` yields from ``path``, and the message it then raises."""
+    out = []
+    try:
+        for fmat in reader(path):
+            out.append(fmat)
+    except ValidationError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _check_reader(tmp_path, lines, blank):
+    """Write ``lines`` with a blank line after each index in ``blank``, and
+    compare the two readers with blocks of about PER_BLOCK lines."""
+    text = "".join(line + "\n" + ("  \n" if k in blank else "") for k, line in enumerate(lines))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    block = sum(len(line) + 1 for line in lines[:PER_BLOCK])
+    with mock.patch.object(fmatrix_module, "BLOCK_BYTES", block):
+        got = _read(fmatrix_module.iter_jsonl, path)
+    assert got == _read(reader_oracle.iter_jsonl, path)
+    return got
+
+
+@given(n=st.integers(5, 8), size=st.sampled_from(CORPUS_SIZES), seed=st.integers(0, 2 ** 16),
+       faults=st.lists(st.tuples(st.sampled_from(LINE_FAULTS), st.integers(0, 10 ** 6),
+                                 st.integers(0, 2 * PER_BLOCK - 2)), max_size=2),
+       blank=st.sets(st.integers(0, 3 * PER_BLOCK)))
+def test_block_reader_equals_the_per_line_reader(tmp_path_factory, n, size, seed, faults, blank):
+    """One fault at a random line, or two: the second, when drawn, lies
+    within a block of the first, before or after it."""
+    lines = [jsonl_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, n, seed), size)]
+    first = None
+    for kind, spot, offset in faults:
+        if first is None:
+            k = first = spot % size
+        else:
+            k = min(max(first - PER_BLOCK + 1 + offset, 0), size - 1)
+            if k == first:
+                continue
+        lines[k] = _corrupt(lines[k], kind, spot)
+    _check_reader(tmp_path_factory.mktemp("reader"), lines, blank)
+
+
+@pytest.mark.parametrize("kinds", [("json", "diagonal"), ("diagonal", "json"),
+                                   ("float", "fall"), ("fall", "float"),
+                                   ("big", "infeasible"), ("infeasible", "big"),
+                                   ("row", "negative"), ("negative", "row")])
+def test_first_bad_line_of_a_block_wins(tmp_path, kinds):
+    """Of two bad lines in one block, the earlier is refused, whether it is
+    caught while parsing or only when the block is checked."""
+    lines = [jsonl_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, 7, 5), 20)]
+    lines[10] = _corrupt(lines[10], kinds[0], 3)
+    lines[13] = _corrupt(lines[13], kinds[1], 4)
+    got, message = _check_reader(tmp_path, lines, blank={4})
+    assert len(got) == 10 and message.startswith(f"{tmp_path / 'corpus.jsonl'}:12: ")
+
+
+@given(count=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       faults=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(
+           ("upper", "diagonal", "subdiagonal", "negative", "fall", "infeasible", "entry")),
+           st.integers(0, 10 ** 6)), max_size=2))
+def test_stack_check_names_the_first_bad_matrix(count, seed, faults):
+    """The whole-stack check finds the first matrix that the per-matrix
+    check refuses, with its message; this covers the zeros above the
+    diagonal, which a lower triangle read from JSON cannot break."""
+    n = 7
+    mats = sample_beta_fmatrices(BetaConfig(0.5, n, seed), count)
+    stack = np.stack([f.entries for f in mats])
+    for index, kind, spot in faults:
+        arr = stack[index % count]
+        if kind == "upper":
+            arr[spot % (n - 2), n - 2] = 1 + spot % 3
+        elif kind == "entry":
+            arr[spot % (n - 1), spot % (n - 1)] = spot % 9 - 1
+            arr.flat[spot % arr.size] = spot % 7 - 1
+        else:
+            tri = FMatrix(n, arr).tri()
+            _corrupt_tri(tri, kind, spot)
+            arr[np.tri(n - 1, dtype=bool)] = [v for row in tri for v in row]
+    expected = next(((k, message) for k, arr in enumerate(stack)
+                     if (message := _static_fault(FMatrix(n, arr))) is not None), None)
+    assert fmatrix_module._first_fault(stack) == expected

@@ -379,6 +379,42 @@ def test_tails_and_quantiles_equal_scipy_stats():
     assert all(_bits(_norm_isf(q)) == _bits(norm.isf(q)) for q in qs)
 
 
+ISF_DFS = (*range(1, 13), 28, 55, 253, 1000, 3081)
+ISF_QS = (*np.logspace(-12, 0, 49), 1 - 1e-9)
+
+
+def _zero_point(sf, lo):
+    """The least float x > ``lo`` at which the decreasing tail ``sf`` is 0.0."""
+    hi = 2 * lo
+    while sf(hi) != 0:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if sf(mid) == 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_zero_tails_equal_scipy_stats():
+    """From 5% before the point where scipy's tails underflow to 0.0 to 500%
+    past it, the tails are bitwise scipy.stats', and from twice that point on
+    LOG_ZERO alone decides them, without scipy."""
+    from scipy.stats import chi2, norm
+
+    from rankedcoal.neutrality import LOG_ZERO, _chi2_log_tail, _chi2_sf, _log_erfc, _norm_sf
+
+    for df in ISF_DFS:
+        x0 = _zero_point(lambda x: chi2.sf(x, df), float(df))
+        xs = x0 * np.linspace(0.95, 6.0, 203)
+        assert all(_bits(_chi2_sf(x, df)) == _bits(chi2.sf(x, df)) for x in xs), df
+        assert _chi2_log_tail(df)(2 * x0) < LOG_ZERO, df
+    zs = np.linspace(30.0, 60.0, 601)
+    assert all(_bits(_norm_sf(z)) == _bits(norm.sf(z)) for z in zs)
+    z0 = _zero_point(norm.sf, 30.0)
+    assert _log_erfc(1.1 * z0 / np.sqrt(2)) - np.log(2) < LOG_ZERO
+
+
 def test_report_p_values_equal_scipy_stats(null8):
     from scipy.stats import chi2, norm
 
@@ -391,10 +427,6 @@ def test_report_p_values_equal_scipy_stats(null8):
             else:
                 want = float(chi2.sf(rep.statistic, int(rep.null_dist[5:-1])))
             assert _bits(rep.p_value) == _bits(want), name
-
-
-ISF_DFS = (*range(1, 13), 28, 55, 253, 1000, 3081)
-ISF_QS = (*np.logspace(-12, 0, 49), 1 - 1e-9)
 
 
 def test_isf_estimates_agree_with_scipy():

@@ -11,8 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rankedcoal
 from rankedcoal.cli import main
+from rankedcoal.fmatrix import BLOCK_BYTES
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -86,3 +89,16 @@ def test_traced_power_call_sees_the_neutrality_layers(tmp_path):
     ]
     assert counts["neutrality.inv_sqrt_calls"] == 2
     assert counts["betasplit.trees"] == 3 * 3 * 100
+
+
+@pytest.mark.parametrize("n, count", [(6, 2500), (25, 150)])
+def test_traced_test_call_counts_every_tree_of_a_corpus_of_several_blocks(tmp_path, n, count):
+    """The reader checks a corpus a block at a time, yet the traced ``test``
+    call still sees it yield each tree once, through ``fmatrix.ingest``."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "-1", "--n", str(n),
+                 "--count", str(count), "--seed", "4", "--out", str(corpus)]) == 0
+    assert corpus.stat().st_size > 2 * BLOCK_BYTES
+    spans, counts = _traced_spans(tmp_path, "test", "--in", str(corpus))
+    assert ("fmatrix.ingest", None) in spans
+    assert counts["fmatrix.trees_read"] == count
