@@ -13,7 +13,7 @@ event splits (n-1 integers); the F-matrix follows from these by counting
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma
+from math import isfinite, lgamma
 
 import numpy as np
 
@@ -35,17 +35,33 @@ class BetaConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.beta > -2:
-            raise ValidationError(f"beta must exceed -2, got {self.beta}")
         if self.n < 3:
             raise ValidationError(f"n must be >= 3, got {self.n}")
+        check_beta(self.beta, self.n)
+
+
+def check_beta(beta, k):
+    """Refuse a beta for which ``split_weights`` cannot be computed on
+    blocks of up to k leaves: one that is not finite and above -2, or one on
+    which a sum of two lgammas there overflows. lgamma is convex, so the
+    largest sum is at the ends, lgamma(beta + 2) + lgamma(beta + k), which
+    grows with k wherever it can overflow: one O(1) check at n covers every
+    block of a tree, and fills no cache."""
+    if not (beta > -2 and isfinite(beta)):
+        raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
+    try:
+        if isfinite(lgamma(beta + 2) + lgamma(beta + max(k, 2))):
+            return
+    except OverflowError:
+        pass
+    raise ValidationError(f"beta = {beta} is too large: its split weights overflow")
 
 
 @lru_cache(maxsize=4096)
 def split_weights(beta, k):
-    """P(left part = i), i = 1..k-1, for a block of k leaves."""
-    if not beta > -2:
-        raise ValidationError(f"beta must exceed -2, got {beta}")
+    """P(left part = i), i = 1..k-1, for a block of k leaves; ``check_beta``
+    refuses a beta it cannot compute."""
+    check_beta(beta, k)
     if k < 2:
         raise ValidationError(f"split requires a block of size >= 2, got {k}")
     # Within a few ulps of beta = -2, beta + 1 + k rounds to k - 1, and

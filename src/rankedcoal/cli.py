@@ -179,20 +179,33 @@ def _cmd_balance(args):
     return 0
 
 
+def _corpus(path):
+    """The first F-matrix of the corpus at ``path`` and an iterator over all
+    of it, read lazily; an empty corpus is refused."""
+    from .fmatrix import iter_jsonl
+
+    fmats = iter_jsonl(path)
+    first = next(fmats, None)
+    if first is None:
+        raise ValidationError(f"{path}: empty corpus")
+    return first, itertools.chain([first], fmats)
+
+
 def _cmd_frechet(args):
-    from .fmatrix import path_to_fmatrix, read_jsonl
+    from .fmatrix import path_to_fmatrix
     from .frechet import check_path_cap, mean_matrix_exact, mean_matrix_sample, vitreebi
     from .statespace import enumerate_states
 
     check_path_cap(args.path_cap)
+    mean = None
     if args.sample:
-        mats = read_jsonl(args.sample)
-        if not mats:
-            raise ValidationError(f"{args.sample}: empty corpus")
-        if mats[0].n != args.n:
-            raise ValidationError(f"corpus has n = {mats[0].n}, expected {args.n}")
+        first, fmats = _corpus(args.sample)
+        if first.n != args.n:
+            raise ValidationError(f"corpus has n = {first.n}, expected {args.n}")
+        mean = mean_matrix_sample(fmats)
     space = enumerate_states(args.n)
-    mean = mean_matrix_sample(mats) if args.sample else mean_matrix_exact(space)
+    if mean is None:
+        mean = mean_matrix_exact(space)
     min_cost, paths = vitreebi(space, mean, path_cap=args.path_cap)
     cost_text = format_number(min_cost)
     print(cost_text)
@@ -309,15 +322,11 @@ def _cmd_bcp(args):
 
 
 def _cmd_test(args):
-    from .fmatrix import iter_jsonl
     from .neutrality import SampleStats, kingman_null, parse_tests, run_tests
 
     tests = parse_tests(args.tests)
-    fmats = iter_jsonl(args.infile)
-    first = next(fmats, None)
-    if first is None:
-        raise ValidationError(f"{args.infile}: empty corpus")
-    stats = SampleStats.from_fmatrices(itertools.chain([first], fmats), name="corpus")
+    _, fmats = _corpus(args.infile)
+    stats = SampleStats.from_fmatrices(fmats, name="corpus")
     n, m = stats.n, stats.m
     null = kingman_null(n)
     reports = run_tests(stats, null, tests=tests, K=args.boxes)

@@ -271,10 +271,7 @@ def balance_E(fmat):
 
 def balance_S(fmat):
     """Sum of the non-fixed entries."""
-    total = 0
-    for i, j in nonfixed_positions(fmat.n):
-        total += int(fmat.entries[i - 1, j - 1])
-    return total
+    return int(nonfixed_vector(fmat).sum())
 
 
 def sackin(fmat):
@@ -387,6 +384,24 @@ def _checked_block(path, n, linenos, entries):
         yield FMatrix(n, arr)
     if fault:
         raise ValidationError(f"{path}:{linenos[index]}: {fault}")
+
+
+def corpus_sums(fmats, name="sample"):
+    """(n, m, total, e) of an iterable of F-matrices of one n, read once:
+    their count m, the int64 sum of their entries and each one's E
+    (``balance_E``) as an int64 array. ``name`` names the iterable in errors."""
+    n, total, e = None, None, []
+    for f in fmats:
+        if total is None:
+            n, total = f.n, f.entries.copy()
+        elif f.n != n:
+            raise ValidationError(f"mixed n in {name}: {f.n} vs {n}")
+        else:
+            total += f.entries
+        e.append(int(f.entries[-1].sum()))
+    if total is None:
+        raise ValidationError(f"empty {name}")
+    return n, len(e), total, np.array(e, dtype=np.int64)
 
 
 def read_jsonl(path):

@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from .fmatrix import nonfixed_positions
+from .fmatrix import corpus_sums, nonfixed_positions
 from .kingman import tier_edges
 
 DEFAULT_PATH_CAP = 10 ** 6
@@ -65,44 +65,11 @@ def mean_matrix_exact(space):
     return MeanMatrix(n=n, M=np.array(rows, dtype=object))
 
 
-def mean_matrix_sample(matrices, weights=None):
-    """Entrywise (weighted) average of F-matrices of a common n.
-
-    Unweighted and Fraction-weighted averages stay exact.
-    """
-    if not matrices:
-        raise ValidationError("mean of an empty sample")
-    n = matrices[0].n
-    if any(f.n != n for f in matrices):
-        raise ValidationError("mixed n in sample")
-    if weights is None:
-        total = np.zeros((n - 1, n - 1), dtype=np.int64)
-        for f in matrices:
-            total += f.entries
-        m = len(matrices)
-        m_arr = np.empty((n - 1, n - 1), dtype=object)
-        for idx, val in np.ndenumerate(total):
-            m_arr[idx] = Fraction(int(val), m)
-        return MeanMatrix(n=n, M=m_arr)
-    if len(weights) != len(matrices):
-        raise ValidationError("one weight per matrix required")
-    wsum = sum(weights)
-    if wsum == 0:
-        raise ValidationError("weights sum to zero")
-    exact = all(isinstance(w, (int, Fraction)) for w in weights)
-    if exact:
-        m_arr = np.empty((n - 1, n - 1), dtype=object)
-        m_arr[...] = Fraction(0)
-        for f, w in zip(matrices, weights):
-            for idx, val in np.ndenumerate(f.entries):
-                m_arr[idx] += Fraction(w) * int(val)
-        m_arr = m_arr / Fraction(wsum)
-    else:
-        m_arr = np.zeros((n - 1, n - 1))
-        for f, w in zip(matrices, weights):
-            m_arr += float(w) * f.entries
-        m_arr /= float(wsum)
-    return MeanMatrix(n=n, M=m_arr)
+def mean_matrix_sample(matrices):
+    """Entrywise average of an iterable of F-matrices of a common n, read
+    once, as exact Fractions."""
+    n, m, total, _ = corpus_sums(matrices)
+    return MeanMatrix(n=n, M=total.astype(object) * Fraction(1, m))
 
 
 def _tier_columns(space, mean):

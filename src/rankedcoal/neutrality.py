@@ -18,8 +18,8 @@ from math import erfc, isfinite, isqrt, lgamma, log, log1p, pi, sqrt
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from .betasplit import BetaConfig, sample_beta_stats
-from .fmatrix import nonfixed_positions, nonfixed_vector
+from .betasplit import BetaConfig, check_beta, sample_beta_stats
+from .fmatrix import _nonfixed_index, corpus_sums, nonfixed_positions
 
 DEFAULT_K = 10
 MIN_EXPECTED = 5.0
@@ -54,21 +54,14 @@ class SampleStats:
 
     @classmethod
     def from_fmatrices(cls, sample, name="sample"):
-        """Summaries of an iterable of F-matrices of one n, read once; ``name``
-        names the sample in errors. Every sum is an integer below 2^53, so
-        each mean is the correctly rounded quotient."""
-        n, nf_sum, e_values = None, 0, []
-        for f in sample:
-            n = n or f.n
-            if f.n != n:
-                raise ValidationError(f"mixed n in {name}: {f.n} vs {n}")
-            nf_sum = nf_sum + nonfixed_vector(f)
-            e_values.append(int(f.entries[-1].sum()))
-        if not e_values:
-            raise ValidationError(f"empty {name}")
-        m = len(e_values)
+        """Summaries of an iterable of F-matrices of one n, read once (see
+        ``fmatrix.corpus_sums``); ``name`` names the sample in errors. Every
+        sum is an integer below 2^53, so each mean is the correctly rounded
+        quotient."""
+        n, m, total, e_values = corpus_sums(sample, name)
+        nf_sum = total[_nonfixed_index(n)]
         return cls(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
-                   e_mean=sum(e_values) / m, e_values=np.array(e_values, dtype=np.int64))
+                   e_mean=int(e_values.sum()) / m, e_values=e_values)
 
     @classmethod
     def from_arrays(cls, n, s, e, nf):
@@ -611,11 +604,10 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if len(beta_grid) == 0:
         raise ValidationError("empty beta grid")
-    for beta in beta_grid:  # all of them before the first replicate
-        if not (beta > -2 and isfinite(beta)):
-            raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
     _check_tests(n, tests)
     _check_sample_capacity(n, m)
+    for beta in beta_grid:  # all of them before the null and the first replicate
+        check_beta(beta, n)
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))

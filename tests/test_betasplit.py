@@ -11,6 +11,7 @@ from scipy import stats as sps
 from rankedcoal._common import ValidationError
 from rankedcoal.betasplit import (
     BetaConfig,
+    check_beta,
     sample_beta_fmatrices,
     sample_beta_stats,
     sample_beta_tree,
@@ -94,6 +95,32 @@ def test_split_weights_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         w[0] = 1.0
     assert split_weights(0.5, 6) is w
+
+
+def test_check_beta_is_one_lgamma_pair(monkeypatch):
+    """The beta check reads the end term of the largest block only: it neither
+    builds the weights of an n-leaf block nor fills their cache."""
+    from rankedcoal import betasplit
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("split weights were built")
+
+    monkeypatch.setattr(betasplit, "split_weights", must_not_run)
+    for beta in (-1.5, 0.0, 2.5, 1e300):
+        check_beta(beta, 10 ** 12)
+        BetaConfig(beta=beta, n=10 ** 12, seed=1)
+    for beta in (float("inf"), float("nan"), -2.0, 2e305):
+        with pytest.raises(ValidationError):
+            check_beta(beta, 5)
+
+
+def test_check_beta_agrees_with_the_weights():
+    """A beta that passes the check at n has finite weights for every block
+    up to n, also just below lgamma's overflow."""
+    for beta in (np.nextafter(-2.0, 0.0), -1.0, 0.0, 1e6, 1e300, 1e305, 1.2e305):
+        check_beta(beta, 9)
+        for k in range(2, 10):
+            assert np.all(np.isfinite(split_weights(beta, k)))
 
 
 def test_beta_just_above_minus_two_samples():

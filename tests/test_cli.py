@@ -189,6 +189,61 @@ def test_frechet_sample_corpus(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
 
 
+def test_frechet_sample_streams_its_corpus(tmp_path, capsys, monkeypatch):
+    """frechet --sample sums its corpus as it reads it, into the mean of the
+    per-tree loop: it never loads the whole corpus with read_jsonl, and
+    holds no more than a few of its matrices at a time."""
+    import weakref
+
+    import sums_oracle
+
+    from rankedcoal import fmatrix
+    from rankedcoal.frechet import MeanMatrix, vitreebi
+
+    corpus = tmp_path / "kingman.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "7", "--count", "150",
+                 "--seed", "8", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    mats = read_jsonl(str(corpus))
+    mean = MeanMatrix(n=7, M=sums_oracle.mean_entries(mats))
+    min_cost, paths = vitreebi(enumerate_states(7), mean)
+    expected = [format_number(min_cost)] + [",".join(map(str, p)) for p in paths]
+
+    def no_list(path):
+        raise AssertionError("the corpus was read into a list")
+
+    alive, most = weakref.WeakSet(), [0]
+
+    def counted(path):
+        for fmat in iter_jsonl(path):
+            alive.add(fmat)
+            most[0] = max(most[0], len(alive))
+            yield fmat
+
+    iter_jsonl = fmatrix.iter_jsonl
+    monkeypatch.setattr(fmatrix, "read_jsonl", no_list)
+    monkeypatch.setattr(fmatrix, "iter_jsonl", counted)
+    assert main(["frechet", "--n", "7", "--sample", str(corpus)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert 1 <= most[0] <= 3
+
+
+def test_frechet_sample_refuses_a_first_tree_of_another_n_before_reading_on(tmp_path, capsys):
+    """The first tree's n is checked before the rest of the corpus is read,
+    so a malformed later line is not reached."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "6", "--count", "20",
+                 "--seed", "4", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    lines[16] = lines[16][:len(lines[16]) // 2]
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["frechet", "--n", "7", "--sample", str(corpus)]) == 2
+    assert capsys.readouterr().err == "error: corpus has n = 6, expected 7\n"
+    assert main(["frechet", "--n", "6", "--sample", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:17: ")
+
+
 @pytest.mark.parametrize("value", ["2.9", '"2"', "[2]", str(10 ** 30), "true"])
 @pytest.mark.parametrize("command", ["test", "balance", "frechet"])
 def test_corpus_entries_must_be_int64_integers(tmp_path, capsys, command, value):
@@ -521,6 +576,9 @@ def test_power_curve_csv(tmp_path, capsys):
     (["--reps", "2", "--beta-grid=-1,0,-3"], "beta must be finite and exceed -2, got -3.0"),
     (["--reps", "2", "--beta-grid=-2.5:0:1"], "beta must be finite and exceed -2, got -2.5"),
     (["--reps", "2", "--n", "4"], "WSE is undefined at n = 4"),
+    (["--reps", "2", "--beta-grid=inf"], "beta must be finite and exceed -2, got inf"),
+    (["--reps", "2", "--beta-grid=-inf"], "beta must be finite and exceed -2, got -inf"),
+    (["--reps", "2", "--beta-grid=0,1e308"], "beta = 1e+308 is too large: its split weights overflow"),
 ])
 def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import neutrality
@@ -534,6 +592,45 @@ def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsy
                  "--out", str(target)] + flags) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "0:9.999:0.001"])
+def test_power_refuses_a_large_n_before_computing_split_weights(grid, capsys, monkeypatch):
+    from rankedcoal import betasplit, neutrality
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work began before the capacity check")
+
+    monkeypatch.setattr(betasplit, "split_weights", must_not_run)
+    monkeypatch.setattr(neutrality, "kingman_null", must_not_run)
+    assert main(["power", "--n", str(10 ** 8), "--m", "1", "--reps", "1",
+                 f"--beta-grid={grid}", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("capacity: a sample of m = 1 trees at n = 100000000 ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("beta,message", [
+    ("inf", "beta must be finite and exceed -2, got inf"),
+    ("-inf", "beta must be finite and exceed -2, got -inf"),
+    ("nan", "beta must be finite and exceed -2, got nan"),
+    ("1e308", "beta = 1e+308 is too large: its split weights overflow"),
+    # each lgamma is finite here, but their sum is not
+    ("2e305", "beta = 2e+305 is too large: its split weights overflow"),
+])
+def test_simulate_refuses_a_beta_it_cannot_sample(beta, message, tmp_path, capsys, monkeypatch):
+    from rankedcoal import betasplit
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling began before beta was checked")
+
+    monkeypatch.setattr(betasplit, "_sample_blocks", no_sampling)
+    target = tmp_path / "out.jsonl"
+    assert main(["simulate", "--model", "beta", f"--beta={beta}", "--n", "5", "--count", "3",
+                 "--seed", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not target.exists()
 
 

@@ -3,11 +3,13 @@ reconstruction, balance indices, and the jsonl corpus format."""
 
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 import reader_oracle
+import sums_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,10 +21,12 @@ from rankedcoal.fmatrix import (
     balance_E,
     balance_S,
     colless,
+    corpus_sums,
     distance,
     distance_sq,
     fmatrix_to_path,
     fmatrix_to_tree,
+    iter_jsonl,
     jsonl_line,
     nonfixed_positions,
     nonfixed_vector,
@@ -31,7 +35,9 @@ from rankedcoal.fmatrix import (
     sackin,
     write_jsonl,
 )
+from rankedcoal.frechet import mean_matrix_sample
 from rankedcoal.kingman import enumerate_paths
+from rankedcoal.neutrality import SampleStats
 from rankedcoal.statespace import enumerate_states
 
 # The five ranked trees with n = 5, as F-matrices, and the chain paths
@@ -425,3 +431,62 @@ def test_stack_check_names_the_first_bad_matrix(count, seed, faults):
     expected = next(((k, message) for k, arr in enumerate(stack)
                      if (message := _static_fault(FMatrix(n, arr))) is not None), None)
     assert fmatrix_module._first_fault(stack) == expected
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the message of the ValidationError it raises."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _stats_fields(stats):
+    """The fields of a SampleStats, arrays as (dtype, bytes), so that == is bitwise."""
+    if isinstance(stats, str):
+        return stats
+    return [(v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
+            for v in vars(stats).values()]
+
+
+def _mean_entries(mean):
+    if isinstance(mean, str):
+        return mean
+    return mean.n, [(type(v), v) for v in mean.M.flat]
+
+
+@given(n=st.integers(3, 8), size=st.sampled_from((0,) + CORPUS_SIZES),
+       seed=st.integers(0, 2 ** 16), mixed=st.none() | st.integers(0, 3 * PER_BLOCK))
+def test_corpus_sums_equal_the_per_tree_loops(tmp_path_factory, n, size, seed, mixed):
+    """The test summaries and the sample mean of an empty corpus, of one
+    tree, of one block and of several blocks, and of a corpus with one
+    tree of another n, read from a list and streamed from ``iter_jsonl``:
+    the same fields bit for bit, or the same message, as the per-tree loops
+    of sums_oracle."""
+    mats = sample_beta_fmatrices(BetaConfig(-1.0, n, seed), size)
+    if mixed is not None and size:
+        mats[mixed % size] = sample_beta_fmatrices(BetaConfig(0.0, n + 1, seed), 1)[0]
+    path = tmp_path_factory.mktemp("sums") / "corpus.jsonl"
+    write_jsonl(path, mats)
+    want_stats = _stats_fields(_outcome(lambda: sums_oracle.sample_stats(mats, "corpus")))
+    # the sample mean refuses what the summaries refuse, naming its input "sample"
+    want_mean = _outcome(lambda: sums_oracle.sample_stats(mats))
+    if not isinstance(want_mean, str):
+        want_mean = mats[0].n, [(Fraction, v) for v in sums_oracle.mean_entries(mats).flat]
+    block = sum(len(jsonl_line(f)) + 1 for f in mats[:PER_BLOCK])
+    with mock.patch.object(fmatrix_module, "BLOCK_BYTES", block):
+        for source in (lambda: mats, lambda: iter_jsonl(path)):
+            got = _outcome(lambda: SampleStats.from_fmatrices(source(), name="corpus"))
+            assert _stats_fields(got) == want_stats
+            assert _mean_entries(_outcome(lambda: mean_matrix_sample(source()))) == want_mean
+
+
+def test_corpus_sums_read_each_matrix_once():
+    """A one-shot iterator is enough, and the matrices it yields are not changed."""
+    mats = sample_beta_fmatrices(BetaConfig(0.5, 6, 3), 5)
+    before = [f.entries.copy() for f in mats]
+    n, m, total, e = corpus_sums(iter(mats))
+    assert (n, m) == (6, 5)
+    assert np.array_equal(total, sum(before)) and total.dtype == np.int64
+    assert e.tolist() == [balance_E(f) for f in mats] and e.dtype == np.int64
+    assert all(np.array_equal(f.entries, b) for f, b in zip(mats, before))

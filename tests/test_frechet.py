@@ -78,11 +78,9 @@ def test_mean_matrix_exact_n5(space5):
 
 
 def test_mean_matrix_exact_equals_path_average(space6):
-    paths, probs = zip(*enumerate_paths(space6))
-    mats = [path_to_fmatrix(space6, p) for p in paths]
-    averaged = mean_matrix_sample(mats, weights=list(probs))
-    exact = mean_matrix_exact(space6)
-    assert np.array_equal(averaged.M, exact.M)
+    averaged = sum(prob * path_to_fmatrix(space6, path).entries.astype(object)
+                   for path, prob in enumerate_paths(space6))
+    assert np.array_equal(averaged, mean_matrix_exact(space6).M)
 
 
 def test_mean_matrix_sample_trivia(space5):
@@ -100,10 +98,6 @@ def test_mean_matrix_sample_errors(space5, space6):
         mean_matrix_sample([])
     with pytest.raises(ValidationError):
         mean_matrix_sample([f5, f6])
-    with pytest.raises(ValidationError):
-        mean_matrix_sample([f5], weights=[1, 2])
-    with pytest.raises(ValidationError):
-        mean_matrix_sample([f5, f5], weights=[1, -1])
 
 
 def test_n6_state_costs(space6):
