@@ -9,7 +9,7 @@ simulation, and neutrality tests against the Kingman null.
 
 from ._common import CapacityError, ValidationError
 from .bcp import bcp_E_distribution, bcp_chain, bcp_dph, bcp_states, partition_count
-from .betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats, sample_beta_tree
+from .betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats
 from .feedforward import frechet_variance, nonfixed_moments, se_moments
 from .fmatrix import (
     FMatrix,
@@ -24,7 +24,6 @@ from .fmatrix import (
     path_to_fmatrix,
     read_jsonl,
     sackin,
-    write_jsonl,
 )
 from .frechet import (
     MeanMatrix,
@@ -48,10 +47,6 @@ from .neutrality import (
     kingman_null,
     power_curve,
     run_tests,
-    test_GE,
-    test_WF,
-    test_WSE,
-    test_hotelling,
 )
 from .phasetype import (
     DiscretePhaseType,
@@ -90,7 +85,6 @@ __all__ = [
     "sackin",
     "colless",
     "nonfixed_positions",
-    "write_jsonl",
     "read_jsonl",
     "iter_jsonl",
     "MeanMatrix",
@@ -115,7 +109,6 @@ __all__ = [
     "bcp_dph",
     "bcp_E_distribution",
     "BetaConfig",
-    "sample_beta_tree",
     "sample_beta_fmatrices",
     "sample_beta_stats",
     "SampleStats",
@@ -123,9 +116,5 @@ __all__ = [
     "KingmanNull",
     "kingman_null",
     "run_tests",
-    "test_GE",
-    "test_WF",
-    "test_WSE",
-    "test_hotelling",
     "power_curve",
 ]

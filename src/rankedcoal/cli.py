@@ -8,7 +8,6 @@ written atomically: a temp file in the target directory, then os.replace.
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -181,14 +180,24 @@ def _cmd_balance(args):
 
 def _corpus(path):
     """The first F-matrix of the corpus at ``path`` and an iterator over all
-    of it, read lazily; an empty corpus is refused."""
+    of it, read lazily; an empty corpus, or a later tree of another n than
+    the first, is refused."""
     from .fmatrix import iter_jsonl
 
     fmats = iter_jsonl(path)
     first = next(fmats, None)
     if first is None:
         raise ValidationError(f"{path}: empty corpus")
-    return first, itertools.chain([first], fmats)
+
+    def same_n():
+        yield first
+        for number, fmat in enumerate(fmats, start=2):
+            if fmat.n != first.n:
+                raise ValidationError(f"{path}: tree {number} has n = {fmat.n}, "
+                                      f"but the first tree has n = {first.n}")
+            yield fmat
+
+    return first, same_n()
 
 
 def _cmd_frechet(args):
@@ -326,7 +335,7 @@ def _cmd_test(args):
 
     tests = parse_tests(args.tests)
     _, fmats = _corpus(args.infile)
-    stats = SampleStats.from_fmatrices(fmats, name="corpus")
+    stats = SampleStats.from_fmatrices(fmats)
     n, m = stats.n, stats.m
     null = kingman_null(n)
     reports = run_tests(stats, null, tests=tests, K=args.boxes)

@@ -327,13 +327,6 @@ def jsonl_line(fmat):
     return json.dumps({"n": fmat.n, "tri": fmat.tri()})
 
 
-def write_jsonl(path, fmats):
-    """Stream F-matrices to a file, one ``jsonl_line`` per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for fmat in fmats:
-            fh.write(jsonl_line(fmat) + "\n")
-
-
 def iter_jsonl(path):
     """Yield F-matrices from a fmat.jsonl file, each checked by ``validate_static``;
     a malformed line is refused with its number, once the lines before it
@@ -386,21 +379,21 @@ def _checked_block(path, n, linenos, entries):
         raise ValidationError(f"{path}:{linenos[index]}: {fault}")
 
 
-def corpus_sums(fmats, name="sample"):
+def corpus_sums(fmats):
     """(n, m, total, e) of an iterable of F-matrices of one n, read once:
     their count m, the int64 sum of their entries and each one's E
-    (``balance_E``) as an int64 array. ``name`` names the iterable in errors."""
+    (``balance_E``) as an int64 array."""
     n, total, e = None, None, []
     for f in fmats:
         if total is None:
             n, total = f.n, f.entries.copy()
         elif f.n != n:
-            raise ValidationError(f"mixed n in {name}: {f.n} vs {n}")
+            raise ValidationError(f"mixed n in sample: {f.n} vs {n}")
         else:
             total += f.entries
         e.append(int(f.entries[-1].sum()))
     if total is None:
-        raise ValidationError(f"empty {name}")
+        raise ValidationError("empty sample")
     return n, len(e), total, np.array(e, dtype=np.int64)
 
 

@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from .fmatrix import corpus_sums, nonfixed_positions
+from .fmatrix import corpus_sums
 from .kingman import tier_edges
 
 DEFAULT_PATH_CAP = 10 ** 6
@@ -49,13 +49,6 @@ class MeanMatrix:
     @property
     def mode(self):
         return "rational" if self.M.dtype == object else "float"
-
-    def entry(self, i, j):
-        """M_ij with 1-based indices."""
-        return self.M[i - 1, j - 1]
-
-    def nonfixed(self):
-        return [self.M[i - 1, j - 1] for i, j in nonfixed_positions(self.n)]
 
 
 def mean_matrix_exact(space):

@@ -248,18 +248,6 @@ class EdgeTable:
     numer: np.ndarray
     denom_state: np.ndarray  # float64 per-row denominator
 
-    def edge_prob(self, s, d, mode="rational"):
-        """Probability of the edge s -> d (0-based globals), 0 if absent."""
-        lo, hi = int(self.indptr[s]), int(self.indptr[s + 1])
-        pos = lo + int(np.searchsorted(self.cols[lo:hi], d))
-        if pos == hi or self.cols[pos] != d:
-            return Fraction(0) if mode == "rational" else 0.0
-        denom = int(self.denom_state[s])
-        if mode == "rational":
-            return Fraction(int(self.numer[pos]), denom)
-        return int(self.numer[pos]) / denom
-
-
 def edge_table(space):
     """Assemble the global edge CSR from the tier blocks."""
     blocks = tier_blocks(space)
@@ -362,8 +350,3 @@ def sample_paths(space, count, seed):
         raise ValidationError("an explicit seed is required")
     rng = np.random.default_rng(seed)
     return _walk_paths(space, rng.random((count, space.n - 2)))
-
-
-def sample_path(space, seed):
-    """One sampled path as a 1-based index tuple."""
-    return tuple(int(v) for v in sample_paths(space, 1, seed)[0])

@@ -53,12 +53,11 @@ class SampleStats:
     e_values: np.ndarray
 
     @classmethod
-    def from_fmatrices(cls, sample, name="sample"):
+    def from_fmatrices(cls, sample):
         """Summaries of an iterable of F-matrices of one n, read once (see
-        ``fmatrix.corpus_sums``); ``name`` names the sample in errors. Every
-        sum is an integer below 2^53, so each mean is the correctly rounded
-        quotient."""
-        n, m, total, e_values = corpus_sums(sample, name)
+        ``fmatrix.corpus_sums``). Every sum is an integer below 2^53, so
+        each mean is the correctly rounded quotient."""
+        n, m, total, e_values = corpus_sums(sample)
         nf_sum = total[_nonfixed_index(n)]
         return cls(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
                    e_mean=int(e_values.sum()) / m, e_values=e_values)
@@ -73,12 +72,6 @@ class SampleStats:
             e_mean=float(np.mean(e)),
             e_values=np.asarray(e, dtype=np.int64),
         )
-
-
-def _coerce_sample(sample):
-    if isinstance(sample, SampleStats):
-        return sample
-    return SampleStats.from_fmatrices(sample)
 
 
 # Tails and quantiles of the null distributions from the scipy.special
@@ -218,11 +211,11 @@ def _exceeds(values, estimate, exact):
     return values > exact()
 
 
-def sym_inv_sqrt(sigma, floor=EIG_FLOOR):
+def sym_inv_sqrt(sigma):
     """The symmetric PSD inverse square root of a covariance matrix."""
     sigma = np.asarray(sigma, dtype=np.float64)
     vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2)
-    if vals.min() < floor:
+    if vals.min() < EIG_FLOOR:
         raise ValidationError(
             f"covariance is numerically singular (smallest eigenvalue {vals.min():.3e})"
         )
@@ -246,13 +239,13 @@ class BoxScheme:
         return np.bincount(idx, minlength=self.K)
 
 
-def e_boxes(e_pmf, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
+def e_boxes(e_pmf, m, K=DEFAULT_K):
     """Equiprobable boxes from the null E-distribution ``e_pmf`` (with
     ``e_pmf[v]`` = P(E = v + 1)), merged until every expected count
-    m p_k reaches ``min_expected``."""
+    m p_k reaches MIN_EXPECTED."""
     if K < 2:
         raise ValidationError(f"need at least 2 boxes, got K = {K}")
-    if m is None or m < 1:
+    if m < 1:
         raise ValidationError("sample size m required for expected counts")
     pmf = np.asarray(e_pmf, dtype=np.float64)
     pmf = pmf / pmf.sum()
@@ -274,7 +267,7 @@ def e_boxes(e_pmf, K=DEFAULT_K, m=None, min_expected=MIN_EXPECTED):
     probs.append(box)
     probs = np.array(probs)
     probs = probs / probs.sum()
-    while len(uppers) > 1 and (m * probs < min_expected).any():
+    while len(uppers) > 1 and (m * probs < MIN_EXPECTED).any():
         k = int(np.argmin(m * probs))
         j = k + 1 if k + 1 < len(uppers) else k - 1
         a, b = sorted((k, j))
@@ -340,42 +333,6 @@ def _report(name, stats, statistic, boxes=None):
         config={"n": stats.n, "m": stats.m, "K": boxes.K if ge else None,
                 "boxes": list(boxes.uppers) if ge else None, "engine": name},
     )
-
-
-def _float_vector(values, length, what):
-    """``values`` as floats, refused unless there are ``length`` of them."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) != length:
-        raise ValidationError(f"{what} must have length {length}, got {len(values)}")
-    return values
-
-
-def test_GE(sample, e_pmf, K=DEFAULT_K):
-    """Likelihood-ratio test of the E distribution against its null."""
-    stats = _coerce_sample(sample)
-    boxes = e_boxes(e_pmf, K=K, m=stats.m)
-    return _report("GE", stats, _ge_statistic(stats, boxes), boxes)
-
-
-def test_WF(sample, mean, sigma):
-    """Signed CLT statistic on the mean non-fixed vector."""
-    stats = _coerce_sample(sample)
-    mean = _float_vector(mean, len(nonfixed_positions(stats.n)), "mean vector")
-    return _report("WF", stats, _wf_statistic(stats, mean, sym_inv_sqrt(sigma)))
-
-
-def test_WSE(sample, mu_se, sigma_se):
-    """Signed CLT statistic on the (S, E) pair."""
-    stats = _coerce_sample(sample)
-    mu_se = _float_vector(mu_se, 2, "(S, E) mean")
-    return _report("WSE", stats, _wse_statistic(stats, mu_se, sym_inv_sqrt(sigma_se)))
-
-
-def test_hotelling(sample, mean, sigma):
-    """Chi-square baseline m (Fbar - M)' Sigma^{-1} (Fbar - M)."""
-    stats = _coerce_sample(sample)
-    mean = _float_vector(mean, len(nonfixed_positions(stats.n)), "mean vector")
-    return _report("HT", stats, _ht_statistic(stats, mean, sym_inv_sqrt(sigma)))
 
 
 @dataclass
@@ -527,9 +484,9 @@ def _check_tests(n, tests):
         )
 
 
-def run_tests(sample, null, tests=ALL_TESTS, K=DEFAULT_K):
-    """All requested reports against a prepared null."""
-    stats = _coerce_sample(sample)
+def run_tests(stats, null, tests=ALL_TESTS, K=DEFAULT_K):
+    """The reports of ``tests`` on the summaries ``stats`` (a ``SampleStats``)
+    against a prepared null."""
     if stats.n != null.n:
         raise ValidationError(f"sample has n = {stats.n}, but the null has n = {null.n}")
     _check_tests(stats.n, tests)
@@ -611,7 +568,7 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     if null is None:
         null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))
-    boxes = e_boxes(null.e_pmf, K=K, m=m) if "GE" in tests else None
+    boxes = None  # built by the first grid point, before it samples a tree
     rows = []
     for g, beta in enumerate(beta_grid):
         stats_by_test, boxes = replicate_statistics(

@@ -90,10 +90,6 @@ class StateSpace:
     def num_tiers(self):
         return self.n - 1
 
-    @property
-    def absorbing_index(self):
-        return self.num_states + 1
-
     def tier_slice(self, t):
         return slice(int(self.tier_offsets[t]), int(self.tier_offsets[t + 1]))
 

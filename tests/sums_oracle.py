@@ -11,18 +11,18 @@ from rankedcoal.fmatrix import nonfixed_vector
 from rankedcoal.neutrality import SampleStats
 
 
-def sample_stats(sample, name="sample"):
+def sample_stats(sample):
     """``SampleStats.from_fmatrices``: the non-fixed vectors and the E of
     each tree, summed tree by tree."""
     n, nf_sum, e_values = None, 0, []
     for f in sample:
         n = n or f.n
         if f.n != n:
-            raise ValidationError(f"mixed n in {name}: {f.n} vs {n}")
+            raise ValidationError(f"mixed n in sample: {f.n} vs {n}")
         nf_sum = nf_sum + nonfixed_vector(f)
         e_values.append(int(f.entries[-1].sum()))
     if not e_values:
-        raise ValidationError(f"empty {name}")
+        raise ValidationError("empty sample")
     m = len(e_values)
     return SampleStats(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
                        e_mean=sum(e_values) / m, e_values=np.array(e_values, dtype=np.int64))

@@ -3,6 +3,7 @@ batch paths, the Kingman limit at beta = 0, and a per-tree probability
 oracle built from the forward construction."""
 
 from fractions import Fraction
+from math import lgamma
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from rankedcoal.betasplit import (
     check_beta,
     sample_beta_fmatrices,
     sample_beta_stats,
-    sample_beta_tree,
     split_weights,
 )
 from rankedcoal.fmatrix import (
@@ -106,21 +106,66 @@ def test_check_beta_is_one_lgamma_pair(monkeypatch):
         raise AssertionError("split weights were built")
 
     monkeypatch.setattr(betasplit, "split_weights", must_not_run)
-    for beta in (-1.5, 0.0, 2.5, 1e300):
-        check_beta(beta, 10 ** 12)
-        BetaConfig(beta=beta, n=10 ** 12, seed=1)
-    for beta in (float("inf"), float("nan"), -2.0, 2e305):
+    for beta in (-1.5, 0.0, 2.5, 1e6):
+        check_beta(beta, 10 ** 6)
+        BetaConfig(beta=beta, n=10 ** 6, seed=1)
+    for beta in (float("inf"), float("nan"), -2.0, 1e12, 2e305):
         with pytest.raises(ValidationError):
             check_beta(beta, 5)
 
 
+def _largest_accepted(k):
+    """The largest float beta that ``check_beta`` accepts at k, bisected
+    over the bits of positive floats (the check is monotone in beta there)."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, 1e300))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            check_beta(float(np.int64(mid).view(np.float64)), k)
+            lo = mid
+        except ValidationError:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+def _exact_weights(beta, k):
+    """The split law of a float beta in Fractions, through the ratio
+    w_(i+1) / w_i = (beta+1+i)(k-i) / ((i+1)(beta+k-i))."""
+    b = Fraction(beta)
+    w = [Fraction(1)]
+    for i in range(1, k - 1):
+        w.append(w[-1] * (b + 1 + i) * (k - i) / ((i + 1) * (b + k - i)))
+    total = sum(w)
+    return [v / total for v in w]
+
+
 def test_check_beta_agrees_with_the_weights():
     """A beta that passes the check at n has finite weights for every block
-    up to n, also just below lgamma's overflow."""
-    for beta in (np.nextafter(-2.0, 0.0), -1.0, 0.0, 1e6, 1e300, 1e305, 1.2e305):
+    up to n, also just below the precision cut-off."""
+    for beta in (np.nextafter(-2.0, 0.0), -1.0, 0.0, 1e6, _largest_accepted(9)):
         check_beta(beta, 9)
         for k in range(2, 10):
             assert np.all(np.isfinite(split_weights(beta, k)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12, 25])
+def test_accepted_weights_are_within_their_bound_of_the_exact_law(k):
+    """Up to the cut-off, the weights of every accepted beta err by at most
+    their bound, which stays at most WEIGHT_TOL; the next float up is
+    refused. The bound does not cover betas within about 1e-8 of -2, so
+    the grid starts at -1.9."""
+    from rankedcoal.betasplit import LOG_ERROR, WEIGHT_TOL
+
+    top = _largest_accepted(k)
+    assert 1e7 < top < 1e8
+    with pytest.raises(ValidationError, match="cannot be computed to a relative 1e-06"):
+        check_beta(float(np.nextafter(top, np.inf)), k)
+    grid = [-1.9, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0]
+    for beta in grid + [float(b) for b in np.geomspace(100.0, top, 12)]:
+        got = split_weights(beta, k)
+        error = max(abs(Fraction(float(g)) - w) / w for g, w in zip(got, _exact_weights(beta, k)))
+        bound = LOG_ERROR * (abs(lgamma(beta + 2)) + abs(lgamma(beta + k)) + lgamma(k + 1))
+        assert error <= bound <= WEIGHT_TOL, beta
 
 
 def test_beta_just_above_minus_two_samples():
@@ -136,7 +181,7 @@ def test_beta_just_above_minus_two_samples():
 
 def test_n3_is_deterministic():
     for beta, seed in [(-1.0, 1), (0.0, 2), (9.0, 3)]:
-        fmat = sample_beta_tree(BetaConfig(beta=beta, n=3, seed=seed))
+        fmat = sample_beta_fmatrices(BetaConfig(beta=beta, n=3, seed=seed), 1)[0]
         assert fmat.entries.tolist() == [[2, 0], [1, 3]]
 
 
@@ -157,7 +202,7 @@ def test_stream_is_two_uniforms_per_event():
     mats = sample_beta_fmatrices(config, 3)
     rng = np.random.default_rng(99)
     rng.random(2 * 2 * (config.n - 1))
-    replay = sample_beta_tree(config, rng=rng)
+    replay = sample_beta_fmatrices(config, 1, rng=rng)[0]
     assert np.array_equal(replay.entries, mats[2].entries)
 
 

@@ -244,6 +244,22 @@ def test_frechet_sample_refuses_a_first_tree_of_another_n_before_reading_on(tmp_
     assert capsys.readouterr().err.startswith(f"error: {corpus}:17: ")
 
 
+@pytest.mark.parametrize("argv", [["test", "--in"], ["frechet", "--n", "5", "--sample"]])
+def test_a_tree_of_another_n_is_refused_naming_the_corpus(argv, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    for n, count in ((5, 6), (6, 1), (5, 1)):
+        assert main(["simulate", "--model", "kingman", "--n", str(n), "--count", str(count),
+                     "--seed", "4", "--out", str(tmp_path / "part.jsonl")]) == 0
+        with open(corpus, "a") as fh:
+            fh.write((tmp_path / "part.jsonl").read_text())
+    capsys.readouterr()
+    assert main(argv + [str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {corpus}: tree 7 has n = 6, "
+                            "but the first tree has n = 5\n")
+
+
 @pytest.mark.parametrize("value", ["2.9", '"2"', "[2]", str(10 ** 30), "true"])
 @pytest.mark.parametrize("command", ["test", "balance", "frechet"])
 def test_corpus_entries_must_be_int64_integers(tmp_path, capsys, command, value):
@@ -579,6 +595,9 @@ def test_power_curve_csv(tmp_path, capsys):
     (["--reps", "2", "--beta-grid=inf"], "beta must be finite and exceed -2, got inf"),
     (["--reps", "2", "--beta-grid=-inf"], "beta must be finite and exceed -2, got -inf"),
     (["--reps", "2", "--beta-grid=0,1e308"], "beta = 1e+308 is too large: its split weights overflow"),
+    (["--reps", "2", "--beta-grid=0,1e12"],
+     "beta = 1000000000000.0 is too large at n = 6: its split weights cannot be computed "
+     "to a relative 1e-06"),
 ])
 def test_power_refuses_bad_input_before_any_work(flags, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import neutrality
@@ -618,6 +637,8 @@ def test_power_refuses_a_large_n_before_computing_split_weights(grid, capsys, mo
     ("1e308", "beta = 1e+308 is too large: its split weights overflow"),
     # each lgamma is finite here, but their sum is not
     ("2e305", "beta = 2e+305 is too large: its split weights overflow"),
+    ("1e12", "beta = 1000000000000.0 is too large at n = 5: its split weights cannot be "
+             "computed to a relative 1e-06"),
 ])
 def test_simulate_refuses_a_beta_it_cannot_sample(beta, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import betasplit

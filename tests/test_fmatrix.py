@@ -33,7 +33,6 @@ from rankedcoal.fmatrix import (
     path_to_fmatrix,
     read_jsonl,
     sackin,
-    write_jsonl,
 )
 from rankedcoal.frechet import mean_matrix_sample
 from rankedcoal.kingman import enumerate_paths
@@ -215,7 +214,7 @@ def test_nonfixed_layout():
 def test_jsonl_roundtrip(tmp_path, space5):
     mats = [path_to_fmatrix(space5, p) for p, _ in enumerate_paths(space5)]
     target = tmp_path / "corpus.jsonl"
-    write_jsonl(target, mats)
+    target.write_text("".join(jsonl_line(f) + "\n" for f in mats))
     assert read_jsonl(target) == mats
 
 
@@ -467,16 +466,16 @@ def test_corpus_sums_equal_the_per_tree_loops(tmp_path_factory, n, size, seed, m
     if mixed is not None and size:
         mats[mixed % size] = sample_beta_fmatrices(BetaConfig(0.0, n + 1, seed), 1)[0]
     path = tmp_path_factory.mktemp("sums") / "corpus.jsonl"
-    write_jsonl(path, mats)
-    want_stats = _stats_fields(_outcome(lambda: sums_oracle.sample_stats(mats, "corpus")))
-    # the sample mean refuses what the summaries refuse, naming its input "sample"
+    path.write_text("".join(jsonl_line(f) + "\n" for f in mats))
+    want_stats = _stats_fields(_outcome(lambda: sums_oracle.sample_stats(mats)))
+    # the sample mean refuses what the summaries refuse
     want_mean = _outcome(lambda: sums_oracle.sample_stats(mats))
     if not isinstance(want_mean, str):
         want_mean = mats[0].n, [(Fraction, v) for v in sums_oracle.mean_entries(mats).flat]
     block = sum(len(jsonl_line(f)) + 1 for f in mats[:PER_BLOCK])
     with mock.patch.object(fmatrix_module, "BLOCK_BYTES", block):
         for source in (lambda: mats, lambda: iter_jsonl(path)):
-            got = _outcome(lambda: SampleStats.from_fmatrices(source(), name="corpus"))
+            got = _outcome(lambda: SampleStats.from_fmatrices(source()))
             assert _stats_fields(got) == want_stats
             assert _mean_entries(_outcome(lambda: mean_matrix_sample(source()))) == want_mean
 

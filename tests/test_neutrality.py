@@ -19,6 +19,9 @@ from rankedcoal.neutrality import (
     ALL_TESTS,
     SampleStats,
     _exact_sum,
+    _ht_statistic,
+    _wf_statistic,
+    _wse_statistic,
     e_boxes,
     kingman_moment_terms,
     kingman_null,
@@ -28,10 +31,6 @@ from rankedcoal.neutrality import (
     sym_inv_sqrt,
 )
 from rankedcoal.phasetype import dph_pmf_range
-from rankedcoal.neutrality import test_GE as ge_report
-from rankedcoal.neutrality import test_WF as wf_report
-from rankedcoal.neutrality import test_WSE as wse_report
-from rankedcoal.neutrality import test_hotelling as hotelling_report
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -211,31 +210,17 @@ def test_sym_inv_sqrt_rejects_singular():
 
 
 def test_zero_statistics_on_exact_null(null5):
-    stats = _null_sample(null5)
-    wf = wf_report(stats, null5.mean, null5.sigma)
+    reports = run_tests(_null_sample(null5), null5, tests=("WF", "WSE", "HT"))
+    wf = reports["WF"]
     assert wf.statistic == pytest.approx(0, abs=1e-12)
     assert wf.p_value == pytest.approx(1.0)
-    wse = wse_report(stats, null5.mu_se, null5.sigma_se)
+    wse = reports["WSE"]
     assert wse.statistic == pytest.approx(0, abs=1e-12)
-    ht = hotelling_report(stats, null5.mean, null5.sigma)
+    ht = reports["HT"]
     assert ht.statistic == pytest.approx(0, abs=1e-12)
     assert ht.p_value == pytest.approx(1.0)
     assert wf.null_dist == "normal"
     assert ht.null_dist == "chi2(3)"
-
-
-def test_wf_rejects_wrong_length(null5):
-    """WF, HT and WSE refuse a mean of the wrong length at entry, naming the
-    length they expect."""
-    stats = _null_sample(null5)
-    with pytest.raises(ValidationError, match="must have length 3, got 2"):
-        wf_report(stats, null5.mean[:2], null5.sigma[:2, :2])
-    with pytest.raises(ValidationError, match="must have length 3, got 2"):
-        hotelling_report(stats, null5.mean[:2], null5.sigma[:2, :2])
-    with pytest.raises(ValidationError, match="must have length 3, got 4"):
-        hotelling_report(stats, np.append(null5.mean, 0.0), np.eye(4))
-    with pytest.raises(ValidationError, match="must have length 2, got 1"):
-        wse_report(stats, null5.mu_se[:1], null5.sigma_se[:1, :1])
 
 
 def test_box_scheme(null8):
@@ -256,9 +241,20 @@ def test_box_errors(null5):
     with pytest.raises(ValidationError):
         e_boxes(null5.e_pmf, K=1, m=100)
     with pytest.raises(ValidationError):
-        e_boxes(null5.e_pmf, K=4, m=None)
+        e_boxes(null5.e_pmf, K=4, m=0)
     with pytest.raises(ValidationError, match="degenerated"):
         e_boxes(kingman_null(4).e_pmf, K=10, m=6)
+
+
+def test_power_refuses_degenerate_boxes_before_sampling(monkeypatch):
+    from rankedcoal import neutrality
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a tree was sampled before the boxes were checked")
+
+    monkeypatch.setattr(neutrality, "sample_beta_stats", no_sampling)
+    with pytest.raises(ValidationError, match="degenerated"):
+        power_curve([0.0, 1.0], 4, 6, 2, 1, tests=("GE",))
 
 
 def test_sample_stats_agreement():
@@ -348,11 +344,11 @@ def test_harness_determinism(null5):
 def test_null_roots_give_the_same_statistics(null8):
     s, e, nf = sample_beta_stats(BetaConfig(beta=-0.5, n=8, seed=21), 300)
     stats = SampleStats.from_arrays(8, s, e, nf)
-    reports = run_tests(stats, null8)
-    assert reports["GE"] == ge_report(stats, null8.e_pmf)
-    assert reports["WF"] == wf_report(stats, null8.mean, null8.sigma)
-    assert reports["WSE"] == wse_report(stats, null8.mu_se, null8.sigma_se)
-    assert reports["HT"] == hotelling_report(stats, null8.mean, null8.sigma)
+    reports = run_tests(stats, null8, tests=("WF", "WSE", "HT"))
+    root, root_se = sym_inv_sqrt(null8.sigma), sym_inv_sqrt(null8.sigma_se)
+    assert reports["WF"].statistic == _wf_statistic(stats, null8.mean, root)
+    assert reports["WSE"].statistic == _wse_statistic(stats, null8.mu_se, root_se)
+    assert reports["HT"].statistic == _ht_statistic(stats, null8.mean, root)
 
 
 def _bits(x):
@@ -420,7 +416,7 @@ def test_report_p_values_equal_scipy_stats(null8):
 
     config = BetaConfig(beta=-0.5, n=8, seed=3)
     for m in (30, 300):
-        reports = run_tests(sample_beta_fmatrices(config, m), null8)
+        reports = run_tests(SampleStats.from_fmatrices(sample_beta_fmatrices(config, m)), null8)
         for name, rep in reports.items():
             if rep.null_dist == "normal":
                 want = 2 * float(norm.sf(abs(rep.statistic)))
