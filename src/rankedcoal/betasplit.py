@@ -32,8 +32,16 @@ GRID_CELLS = 1 << 21
 # was at most 2.2 x 2^-52 (|lgamma(beta + 2)| + |lgamma(beta + k)| +
 # lgamma(k + 1)) against exact Fraction weights; LOG_ERROR = 2^-49 leaves a
 # factor of three. The bound passes WEIGHT_TOL from beta = 1.79e7 at n <= 60.
-# It misses the rounding of beta + 1 + k - i within about 1e-8 of beta = -2.
 LOG_ERROR = 2.0 ** -49
+# Near beta = -2 the argument beta + 1 + k - i of the last weight is about
+# beta + 2, but it is computed as (beta + 1 + k) - i and keeps the rounding
+# of beta + 1 + k, up to (k - 1) 2^-53. lgamma's slope there is about
+# -1 / (beta + 2), so that weight errs by up to about (k - 1) 2^-53 / (beta + 2).
+# At 1,320 (beta, k), beta in (-2 + 1e-15, -2 + 1e-5) and k <= 60, the error
+# beyond the LOG_ERROR bound was at most 0.56 of that; CANCEL_ERROR =
+# 2^-52 leaves a factor of 3.6. This bound passes WEIGHT_TOL within
+# 2.2e-10 (k - 1) of -2.
+CANCEL_ERROR = 2.0 ** -52
 WEIGHT_TOL = 1e-6
 
 
@@ -55,8 +63,9 @@ def check_beta(beta, k):
     which a sum of two lgammas there overflows, or one whose weights may err
     by more than WEIGHT_TOL. lgamma is convex, so the largest sum is at the
     ends, lgamma(beta + 2) + lgamma(beta + k), which grows with k wherever
-    it can overflow, and so does the error bound of LOG_ERROR: one O(1)
-    check at n covers every block of a tree, and fills no cache."""
+    it can overflow, and so do the error bounds of LOG_ERROR and
+    CANCEL_ERROR: one O(1) check at n covers every block of a tree, and
+    fills no cache."""
     if not (beta > -2 and isfinite(beta)):
         raise ValidationError(f"beta must be finite and exceed -2, got {beta}")
     k = max(k, 2)
@@ -66,10 +75,10 @@ def check_beta(beta, k):
         ends = inf
     if not isfinite(ends):
         raise ValidationError(f"beta = {beta} is too large: its split weights overflow")
-    if LOG_ERROR * (ends + lgamma(k + 1)) > WEIGHT_TOL:
+    if LOG_ERROR * (ends + lgamma(k + 1)) + CANCEL_ERROR * (k - 1) / (beta + 2) > WEIGHT_TOL:
         raise ValidationError(
-            f"beta = {beta} is too large at n = {k}: its split weights cannot be "
-            f"computed to a relative {WEIGHT_TOL:g}"
+            f"beta = {beta} is too {'close to -2' if beta < -1 else 'large'} at n = {k}: "
+            f"its split weights cannot be computed to a relative {WEIGHT_TOL:g}"
         )
 
 
@@ -80,10 +89,8 @@ def split_weights(beta, k):
     check_beta(beta, k)
     if k < 2:
         raise ValidationError(f"split requires a block of size >= 2, got {k}")
-    # Within a few ulps of beta = -2, beta + 1 + k rounds to k - 1, and
-    # beta + 1 + k - i to 0 at i = k-1, where its value is beta + 2.
     logs = np.array([
-        lgamma(beta + 1 + i) + lgamma(beta + 1 + k - i or beta + 2)
+        lgamma(beta + 1 + i) + lgamma(beta + 1 + k - i)
         - lgamma(i + 1) - lgamma(k - i + 1)
         for i in range(1, k)
     ])

@@ -138,7 +138,7 @@ def _cmd_sample(args):
 def _cmd_simulate(args):
     import numpy as np
 
-    from .fmatrix import jsonl_line
+    from .fmatrix import jsonl_text
 
     _refuse_negative(args, "count", "seed")
     rng = np.random.default_rng(args.seed)
@@ -159,10 +159,8 @@ def _cmd_simulate(args):
         def draw(size):
             return paths_to_fmatrices(space, sample_paths(space, size, seed=rng))
 
-    def text(size):
-        return "".join(jsonl_line(f) + "\n" for f in draw(size))
-
-    _emit(args.out, map(text, _chunks(args.count, args.n)))
+    texts = (text for size in _chunks(args.count, args.n) for text in jsonl_text(draw(size)))
+    _emit(args.out, texts)
     return 0
 
 

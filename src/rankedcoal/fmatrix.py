@@ -46,15 +46,6 @@ class FMatrix:
         """Lower triangle row by row, for the fmat.jsonl format."""
         return [row[:i + 1] for i, row in enumerate(self.entries.tolist())]
 
-    @classmethod
-    def from_tri(cls, n, tri):
-        """The F-matrix of a lower triangle given row by row, as read from
-        JSON: n and every entry must be integers within int64, not bools."""
-        stack, fault = _stack(n, 1, _tri_entries(n, tri))
-        if fault:
-            raise ValidationError(fault)
-        return cls(n, stack[0])
-
     def validate_static(self):
         """Check that the matrix is the F-matrix of a chain path, without a state space.
 
@@ -133,8 +124,10 @@ def _first_fault(stack):
     if first:
         # the matrices before the first static fault, as one run of states:
         # row t of matrix i is its column n-1-t, the state at step t, and the
-        # merge from each matrix's last state to the next one's first is ignored
-        states = stack[:first, :, ::-1].transpose(0, 2, 1).reshape(-1, n - 1)
+        # merge from each matrix's last state to the next one's first is
+        # ignored; the static checks bound the entries to [0, n], so they
+        # fit int32, on which the pass runs about a third faster
+        states = stack[:first, :, ::-1].transpose(0, 2, 1).astype(np.int32).reshape(-1, n - 1)
         infeasible = np.zeros((first, n - 1), dtype=bool)
         infeasible.flat[:-1] = merges(states)[:, 0] == 0
         infeasible = infeasible[:, :-1]
@@ -322,9 +315,38 @@ def nonfixed_vector(fmat):
     return fmat.entries[rows, cols]
 
 
-def jsonl_line(fmat):
-    """One fmat.jsonl line, the {n, tri} object of ``fmat``, without its newline."""
-    return json.dumps({"n": fmat.n, "tri": fmat.tri()})
+@functools.lru_cache(maxsize=64)
+def _line_layout(n):
+    """The fmat.jsonl line of an F-matrix of n as ``json.dumps`` writes its
+    {n, tri} object, with a newline: the %-format of the line, with n in
+    place and a %d for each lower-triangle entry, row by row; the line's
+    skeleton, its bytes with every number removed; and each number's gap,
+    the count of skeleton bytes before it, n's first."""
+    rows = ", ".join("[" + ", ".join(["%d"] * (i + 1)) + "]" for i in range(n - 1))
+    parts = ('{"n": %d, "tri": [' + rows + "]}\n").split("%d")
+    gaps = np.cumsum([len(part) for part in parts[:-1]])
+    gaps.setflags(write=False)
+    return parts[0] + str(n) + "%d".join(parts[1:]), "".join(parts).encode("ascii"), gaps
+
+
+# Trees per % call of the writer. Formatting a 1,000-tree chunk at n = 25
+# at once raised the peak RSS of a `simulate --model beta` call by 4.7 MB,
+# from the tuple of its entries and the text. At 256 trees the traced peak
+# of a `simulate --model kingman` call still rose by 1.6 MB; 64 trees, about
+# 70 KB of text at n = 25, kept it under that of the json.dumps writer, and
+# formatted 1,000 trees as fast as groups of 32 to 512 did (19-22 ms).
+WRITE_TREES = 64
+
+
+def jsonl_text(fmats):
+    """The fmat.jsonl lines of a list of F-matrices of one n, a string of
+    at most WRITE_TREES lines at a time: each line is
+    ``json.dumps({"n": n, "tri": fmat.tri()})`` and a newline."""
+    for lo in range(0, len(fmats), WRITE_TREES):
+        part = fmats[lo:lo + WRITE_TREES]
+        n = part[0].n
+        tri = np.stack([f.entries for f in part])[:, np.tri(n - 1, dtype=bool)]
+        yield _line_layout(n)[0] * len(part) % tuple(tri.ravel().tolist())
 
 
 def iter_jsonl(path):
@@ -332,29 +354,26 @@ def iter_jsonl(path):
     a malformed line is refused with its number, once the lines before it
     have been yielded.
 
-    The lines are parsed into blocks of one n and about BLOCK_BYTES of text,
-    and each block is checked as one stack (see ``_first_fault``).
+    The lines are read in blocks of about BLOCK_BYTES of text that start
+    alike up to their first "[", and each block is checked as one stack
+    (see ``_first_fault``). A block of lines that are each just as
+    ``jsonl_text`` writes them is parsed as one array of digits (see
+    ``_parse_block``); any other block goes line by line through ``json``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        n, linenos, entries, size = None, [], [], 0
+        head, linenos, lines, size = None, [], [], 0
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                line_n = obj["n"]
-                flat = _tri_entries(line_n, obj["tri"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValidationError) as exc:
-                yield from _checked_block(path, n, linenos, entries)
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            if linenos and (line_n != n or size >= BLOCK_BYTES):
-                yield from _checked_block(path, n, linenos, entries)
-                linenos, entries, size = [], [], 0
-            n = line_n
+            if lines and (size >= BLOCK_BYTES or not line.startswith(head)):
+                yield from _read_block(path, head, linenos, lines)
+                linenos, lines, size = [], [], 0
+            if not lines:
+                head = line.partition("[")[0]
             linenos.append(lineno)
-            entries += flat
+            lines.append(line)
             size += len(line)
-        yield from _checked_block(path, n, linenos, entries)
+        yield from _read_block(path, head, linenos, lines)
 
 
 # Text per block: about 60 trees at n = 25, where a line is about 1 KB.
@@ -362,17 +381,104 @@ def iter_jsonl(path):
 # 1 MiB, but the peak RSS of a `test` call rose from 37 MB at 64 KiB to
 # 61 MB at 1 MiB, from the block's parsed lines and check temporaries.
 BLOCK_BYTES = 1 << 16
+# The longest number the digit parser reads: 10^18 - 1 < 2^63. A longer
+# one, which may still fit int64, sends its block through ``json``.
+MAX_DIGITS = 18
 
 
-def _checked_block(path, n, linenos, entries):
-    """Yield the F-matrices of the lines ``linenos`` of an n corpus, whose
-    triangle entries ``entries`` holds one after another, up to the first
-    that is malformed; refuse that one with its line number."""
-    if not linenos:
+def _read_block(path, head, linenos, lines):
+    """Yield the F-matrices of the lines ``lines`` (numbered ``linenos``),
+    which all start with ``head``, up to the first that is malformed;
+    refuse that one with its line number."""
+    if not lines:
         return
-    stack, fault = _stack(n, len(linenos), entries)
+    digits = head[6:-9]  # N of a head '{"n": N, "tri": '; _parse_block checks the rest
+    n = int(digits) if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS else 0
+    # A line of n holds n(n-1)/2 entries, each a digit and a separator or
+    # more, so the line bounds the size of the layout built for n.
+    stack = _parse_block(n, lines) if 3 <= n and n * (n - 1) <= len(lines[0]) else None
+    if stack is None:
+        yield from _json_block(path, linenos, lines)
+    else:
+        yield from _checked(path, linenos, stack)
+
+
+def _parse_block(n, lines):
+    """The (count, n-1, n-1) int64 stack of the F-matrices of n that the
+    lines ``lines``, which all start with '{"n": <n>, "tri": ', hold when
+    each line is as ``jsonl_text`` writes it: ASCII, with the skeleton of n
+    (see ``_line_layout``), and each number in its gap and of the form
+    0|[1-9][0-9]{0,17}. Otherwise None.
+
+    The block is read as one array of bytes: the non-digits bound each
+    number's run of digits, and the numbers are summed from their digits
+    with one multiply-add per digit position.
+    """
+    _, skeleton, gaps = _line_layout(n)
+    text = "".join(lines)
+    if text[-1] != "\n":  # the last line of a file without a final newline
+        text += "\n"
+    # the skeleton is ASCII, so a line with any other byte does not match it
+    raw = text.encode("utf-8")
+    if raw.translate(None, b"0123456789") != skeleton * len(lines):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # number k of the block runs from after non-digit at[k] - 1 up to
+    # non-digit at[k]; the digits of all runs add up to all digits only if
+    # no other gap between two non-digits holds one
+    nondigit = np.flatnonzero(buf - np.uint8(48) >= 10)
+    at = (np.arange(len(lines))[:, None] * len(skeleton) + gaps).ravel()
+    ends = nondigit[at]
+    width = ends - nondigit[at - 1] - 1
+    if width.min() < 1 or width.sum() != len(buf) - len(nondigit):
+        return None
+    if width.max() > MAX_DIGITS or ((width > 1) & (buf[ends - width] == 48)).any():
+        return None
+    values = buf[ends - 1] - np.int64(48)
+    for p in range(1, int(width.max())):
+        values += np.where(width > p, (buf[ends - 1 - p] - np.int64(48)) * 10 ** p, 0)
+    stack = np.zeros((len(lines), n - 1, n - 1), dtype=np.int64)
+    stack[:, np.tri(n - 1, dtype=bool)] = values.reshape(len(lines), len(gaps))[:, 1:]
+    return stack
+
+
+def _json_block(path, linenos, lines):
+    """``_read_block`` through ``json``, one line at a time: the lines
+    are checked in runs of one n."""
+    n, numbers, entries = None, [], []
+    for lineno, line in zip(linenos, lines):
+        try:
+            obj = json.loads(line)
+            line_n = obj["n"]
+            flat = _tri_entries(line_n, obj["tri"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValidationError) as exc:
+            yield from _checked_entries(path, n, numbers, entries)
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if numbers and line_n != n:
+            yield from _checked_entries(path, n, numbers, entries)
+            numbers, entries = [], []
+        n = line_n
+        numbers.append(lineno)
+        entries += flat
+    yield from _checked_entries(path, n, numbers, entries)
+
+
+def _checked_entries(path, n, linenos, entries):
+    """``_checked`` on the lines ``linenos`` of an n corpus, whose triangle
+    entries ``entries`` holds one after another; an entry that is not an
+    integer within int64 refuses its line, after the lines before it."""
+    if linenos:
+        yield from _checked(path, linenos, *_stack(n, len(linenos), entries))
+
+
+def _checked(path, linenos, stack, fault=None):
+    """Yield the F-matrices of a (count, n-1, n-1) stack read from the
+    lines ``linenos``, up to the first that is malformed; refuse that one
+    with its line number. ``fault`` is the message of the line after the
+    stack, if that line failed before it could be stacked."""
     found = _first_fault(stack)
     index, fault = found or (len(stack), fault)
+    n = stack.shape[1] + 1
     for arr in stack[:index]:
         yield FMatrix(n, arr)
     if fault:
@@ -380,10 +486,11 @@ def _checked_block(path, n, linenos, entries):
 
 
 def corpus_sums(fmats):
-    """(n, m, total, e) of an iterable of F-matrices of one n, read once:
-    their count m, the int64 sum of their entries and each one's E
-    (``balance_E``) as an int64 array."""
-    n, total, e = None, None, []
+    """(n, m, total, e_counts) of an iterable of F-matrices of one n, read
+    once: their count m, the int64 sum of their entries, and how many of
+    them have each E (``balance_E``), e_counts[v] of them E = v, in an
+    int64 array as long as the largest E plus one, at most n^2."""
+    n, m, total, e = None, 0, None, {}
     for f in fmats:
         if total is None:
             n, total = f.n, f.entries.copy()
@@ -391,10 +498,12 @@ def corpus_sums(fmats):
             raise ValidationError(f"mixed n in sample: {f.n} vs {n}")
         else:
             total += f.entries
-        e.append(int(f.entries[-1].sum()))
+        value = int(f.entries[-1].sum())
+        e[value] = e.get(value, 0) + 1
+        m += 1
     if total is None:
         raise ValidationError("empty sample")
-    return n, len(e), total, np.array(e, dtype=np.int64)
+    return n, m, total, np.bincount(list(e), weights=list(e.values())).astype(np.int64)
 
 
 def read_jsonl(path):

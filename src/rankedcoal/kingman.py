@@ -74,8 +74,12 @@ def merges(states):
     pair does. The pair solves d(x) - d(y) + e_nu = e_i + e_k, where d is
     the code (decremental bits, then the external count) and nu = max(x) - 2
     = n-2-t is the decremental index of the lineage the merge creates.
+
+    An int32 array is read as it is, and anything else as int64.
     """
-    x = np.asarray(states, dtype=np.int64)
+    x = np.asarray(states)
+    if x.dtype != np.int32:
+        x = x.astype(np.int64, copy=False)
     n = x.shape[1] + 1
     code = np.concatenate([np.maximum(x[:, :-1] - x[:, 1:], 0), x[:, -1:]], axis=1)
     diff = code[:-1] - code[1:]

@@ -43,24 +43,26 @@ class TestReport:
 
 @dataclass
 class SampleStats:
-    """Sufficient summaries: mean non-fixed vector, mean S and E, E values."""
+    """Sufficient summaries: mean non-fixed vector, mean S and E, and the
+    count of trees of each E, e_counts[v] of them E = v."""
 
     n: int
     m: int
     nf_mean: np.ndarray
     s_mean: float
     e_mean: float
-    e_values: np.ndarray
+    e_counts: np.ndarray
 
     @classmethod
     def from_fmatrices(cls, sample):
         """Summaries of an iterable of F-matrices of one n, read once (see
         ``fmatrix.corpus_sums``). Every sum is an integer below 2^53, so
         each mean is the correctly rounded quotient."""
-        n, m, total, e_values = corpus_sums(sample)
+        n, m, total, e_counts = corpus_sums(sample)
         nf_sum = total[_nonfixed_index(n)]
+        e_sum = int(np.arange(len(e_counts)) @ e_counts)
         return cls(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
-                   e_mean=int(e_values.sum()) / m, e_values=e_values)
+                   e_mean=e_sum / m, e_counts=e_counts)
 
     @classmethod
     def from_arrays(cls, n, s, e, nf):
@@ -70,7 +72,7 @@ class SampleStats:
             nf_mean=nf.mean(axis=0),
             s_mean=float(np.mean(s)),
             e_mean=float(np.mean(e)),
-            e_values=np.asarray(e, dtype=np.int64),
+            e_counts=np.bincount(e),
         )
 
 
@@ -233,10 +235,11 @@ class BoxScheme:
     def K(self):
         return len(self.uppers)
 
-    def counts(self, values):
-        edges = np.asarray(self.uppers[:-1], dtype=np.float64)
-        idx = np.searchsorted(edges, values, side="right")
-        return np.bincount(idx, minlength=self.K)
+    def counts(self, e_counts):
+        """Trees per box of a sample of which e_counts[v] trees have E = v."""
+        below = np.concatenate([[0], np.cumsum(e_counts)])  # below[v]: trees with E < v
+        edges = np.minimum(self.uppers[:-1], len(e_counts))
+        return np.diff(below[np.concatenate([[0], edges, [len(e_counts)]])])
 
 
 def e_boxes(e_pmf, m, K=DEFAULT_K):
@@ -285,7 +288,7 @@ def e_boxes(e_pmf, m, K=DEFAULT_K):
 # the power harness, which needs none, calls these directly.
 
 def _ge_statistic(stats, boxes):
-    observed = boxes.counts(stats.e_values)
+    observed = boxes.counts(stats.e_counts)
     expected = stats.m * boxes.probs
     return float(2.0 * sum(o * log(o / a) for o, a in zip(observed, expected) if o > 0))
 
@@ -547,7 +550,7 @@ def _rejections(stats_by_test, null, boxes, alpha):
 
 
 def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
-                tests=ALL_TESTS, K=DEFAULT_K, null=None):
+                tests=ALL_TESTS, K=DEFAULT_K):
     """Rejection rates per (beta, test) with Monte-Carlo standard errors.
 
     Deterministic given the seed: stream g of the grid uses the g-th
@@ -565,8 +568,7 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     _check_sample_capacity(n, m)
     for beta in beta_grid:  # all of them before the null and the first replicate
         check_beta(beta, n)
-    if null is None:
-        null = kingman_null(n)
+    null = kingman_null(n)
     grid_seeds = np.random.SeedSequence(seed).spawn(len(beta_grid))
     boxes = None  # built by the first grid point, before it samples a tree
     rows = []

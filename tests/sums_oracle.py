@@ -25,7 +25,7 @@ def sample_stats(sample):
         raise ValidationError("empty sample")
     m = len(e_values)
     return SampleStats(n=n, m=m, nf_mean=nf_sum / m, s_mean=int(np.sum(nf_sum)) / m,
-                       e_mean=sum(e_values) / m, e_values=np.array(e_values, dtype=np.int64))
+                       e_mean=sum(e_values) / m, e_counts=np.bincount(e_values))
 
 
 def mean_entries(matrices):

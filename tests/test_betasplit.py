@@ -128,6 +128,20 @@ def _largest_accepted(k):
     return float(np.int64(lo).view(np.float64))
 
 
+def _closest_accepted_to_minus_two(k):
+    """The least float beta that ``check_beta`` accepts at k, bisected over
+    the floats -2 + j 2^-52 of (-2, -1] (the check is monotone in beta there)."""
+    lo, hi = 0, 2 ** 52
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            check_beta(-2.0 + mid * 2.0 ** -52, k)
+            hi = mid
+        except ValidationError:
+            lo = mid
+    return -2.0 + hi * 2.0 ** -52
+
+
 def _exact_weights(beta, k):
     """The split law of a float beta in Fractions, through the ratio
     w_(i+1) / w_i = (beta+1+i)(k-i) / ((i+1)(beta+k-i))."""
@@ -142,7 +156,7 @@ def _exact_weights(beta, k):
 def test_check_beta_agrees_with_the_weights():
     """A beta that passes the check at n has finite weights for every block
     up to n, also just below the precision cut-off."""
-    for beta in (np.nextafter(-2.0, 0.0), -1.0, 0.0, 1e6, _largest_accepted(9)):
+    for beta in (_closest_accepted_to_minus_two(9), -1.0, 0.0, 1e6, _largest_accepted(9)):
         check_beta(beta, 9)
         for k in range(2, 10):
             assert np.all(np.isfinite(split_weights(beta, k)))
@@ -150,33 +164,45 @@ def test_check_beta_agrees_with_the_weights():
 
 @pytest.mark.parametrize("k", [2, 3, 5, 12, 25])
 def test_accepted_weights_are_within_their_bound_of_the_exact_law(k):
-    """Up to the cut-off, the weights of every accepted beta err by at most
-    their bound, which stays at most WEIGHT_TOL; the next float up is
-    refused. The bound does not cover betas within about 1e-8 of -2, so
-    the grid starts at -1.9."""
-    from rankedcoal.betasplit import LOG_ERROR, WEIGHT_TOL
+    """Between the two cut-offs, the weights of every accepted beta err by
+    at most their bound, which stays at most WEIGHT_TOL; the next float
+    beyond either cut-off is refused. Near -2 the grid runs from the
+    lowest accepted beta to -2 + 1e-6, where beta + 1 + k - i cancels."""
+    from rankedcoal.betasplit import CANCEL_ERROR, LOG_ERROR, WEIGHT_TOL
 
     top = _largest_accepted(k)
     assert 1e7 < top < 1e8
-    with pytest.raises(ValidationError, match="cannot be computed to a relative 1e-06"):
+    with pytest.raises(ValidationError, match="too large .* to a relative 1e-06"):
         check_beta(float(np.nextafter(top, np.inf)), k)
+    bottom = _closest_accepted_to_minus_two(k)
+    assert 2e-10 * (k - 1) < bottom + 2 < 3e-10 * (k - 1)
+    with pytest.raises(ValidationError, match="too close to -2 .* to a relative 1e-06"):
+        check_beta(float(np.nextafter(bottom, -np.inf)), k)
+    near = [-2.0 + float(d) for d in np.geomspace(bottom + 2, 1e-6, 12, endpoint=False)]
     grid = [-1.9, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0]
-    for beta in grid + [float(b) for b in np.geomspace(100.0, top, 12)]:
+    for beta in near + grid + [float(b) for b in np.geomspace(100.0, top, 12)]:
         got = split_weights(beta, k)
         error = max(abs(Fraction(float(g)) - w) / w for g, w in zip(got, _exact_weights(beta, k)))
-        bound = LOG_ERROR * (abs(lgamma(beta + 2)) + abs(lgamma(beta + k)) + lgamma(k + 1))
+        bound = (LOG_ERROR * (abs(lgamma(beta + 2)) + abs(lgamma(beta + k)) + lgamma(k + 1))
+                 + CANCEL_ERROR * (k - 1) / (beta + 2))
         assert error <= bound <= WEIGHT_TOL, beta
 
 
 def test_beta_just_above_minus_two_samples():
-    """beta + 1 + k rounds to k - 1 there; the split law stays defined."""
-    beta = np.nextafter(-2.0, 0.0)
+    """The lowest beta accepted at n = 30 has a symmetric split law, to
+    within the weights' bound, on every block, and samples; the float
+    just above -2 is refused."""
+    from rankedcoal.betasplit import WEIGHT_TOL
+
+    beta = _closest_accepted_to_minus_two(30)
     for k in range(2, 31):
         w = split_weights(beta, k)
         assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(w, w[::-1], rtol=1e-12)
+        np.testing.assert_allclose(w, w[::-1], rtol=2 * WEIGHT_TOL)
     mats = sample_beta_fmatrices(BetaConfig(beta=beta, n=12, seed=1), 20)
     assert len(mats) == 20
+    with pytest.raises(ValidationError, match="too close to -2"):
+        BetaConfig(beta=float(np.nextafter(-2.0, 0.0)), n=3, seed=1)
 
 
 def test_n3_is_deterministic():

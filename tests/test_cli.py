@@ -110,6 +110,28 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert target.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("model", ["beta", "kingman"])
+def test_simulate_writes_each_tree_as_json_dumps_does(model, tmp_path, capsys):
+    """Across two chunks of the samplers (2,674 trees each at n = 25), the
+    file holds json.dumps of each tree's {n, tri} object and a newline, in
+    the order of one draw of all the trees from the seed's stream."""
+    from rankedcoal.betasplit import BetaConfig, sample_beta_fmatrices
+    from rankedcoal.fmatrix import paths_to_fmatrices
+
+    n, count, seed = 25, 2700, 9
+    target = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", model, "--beta=-0.5", "--n", str(n), "--count",
+                 str(count), "--seed", str(seed), "--out", str(target)]) == 0
+    rng = np.random.default_rng(seed)
+    if model == "beta":
+        mats = sample_beta_fmatrices(BetaConfig(beta=-0.5, n=n, seed=seed), count, rng=rng)
+    else:
+        space = enumerate_states(n)
+        mats = paths_to_fmatrices(space, sample_paths(space, count, seed=rng))
+    want = "".join(json.dumps({"n": f.n, "tri": f.tri()}) + "\n" for f in mats)
+    assert target.read_bytes() == want.encode("ascii")
+
+
 def test_simulate_kingman_and_balance(tmp_path, capsys):
     corpus = tmp_path / "king.jsonl"
     assert main(["simulate", "--model", "kingman", "--n", "5", "--count", "6",
@@ -639,6 +661,9 @@ def test_power_refuses_a_large_n_before_computing_split_weights(grid, capsys, mo
     ("2e305", "beta = 2e+305 is too large: its split weights overflow"),
     ("1e12", "beta = 1000000000000.0 is too large at n = 5: its split weights cannot be "
              "computed to a relative 1e-06"),
+    # within 2.2e-10 (n - 1) of -2, beta + 1 + k - i cancels
+    ("-1.9999999995", "beta = -1.9999999995 is too close to -2 at n = 5: its split weights "
+                      "cannot be computed to a relative 1e-06"),
 ])
 def test_simulate_refuses_a_beta_it_cannot_sample(beta, message, tmp_path, capsys, monkeypatch):
     from rankedcoal import betasplit

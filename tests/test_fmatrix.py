@@ -27,15 +27,16 @@ from rankedcoal.fmatrix import (
     fmatrix_to_path,
     fmatrix_to_tree,
     iter_jsonl,
-    jsonl_line,
+    jsonl_text,
     nonfixed_positions,
     nonfixed_vector,
     path_to_fmatrix,
+    paths_to_fmatrices,
     read_jsonl,
     sackin,
 )
 from rankedcoal.frechet import mean_matrix_sample
-from rankedcoal.kingman import enumerate_paths
+from rankedcoal.kingman import enumerate_paths, sample_paths
 from rankedcoal.neutrality import SampleStats
 from rankedcoal.statespace import enumerate_states
 
@@ -86,6 +87,11 @@ N10_BALANCED = [
     [0, 0, 1, 2, 3, 5, 7, 9, 0],
     [0, 0, 1, 1, 2, 4, 6, 8, 10],
 ]
+
+
+def _line(fmat):
+    """The fmat.jsonl line of ``fmat`` through ``json``, without its newline."""
+    return json.dumps({"n": fmat.n, "tri": fmat.tri()})
 
 
 def _fmat(n, rows):
@@ -214,7 +220,7 @@ def test_nonfixed_layout():
 def test_jsonl_roundtrip(tmp_path, space5):
     mats = [path_to_fmatrix(space5, p) for p, _ in enumerate_paths(space5)]
     target = tmp_path / "corpus.jsonl"
-    target.write_text("".join(jsonl_line(f) + "\n" for f in mats))
+    target.write_text("".join(_line(f) + "\n" for f in mats))
     assert read_jsonl(target) == mats
 
 
@@ -227,15 +233,17 @@ def test_jsonl_reports_bad_line(tmp_path):
 
 
 @pytest.mark.parametrize("n", [5.0, True, "5"])
-def test_from_tri_refuses_an_n_that_is_not_an_integer(n):
-    with pytest.raises(ValidationError, match="is not an integer"):
-        FMatrix.from_tri(n, [[2], [1, 3], [1, 2, 4], [1, 1, 1, 5]])
+def test_reader_refuses_an_n_that_is_not_an_integer(n, tmp_path):
+    target = tmp_path / "one.jsonl"
+    target.write_text(json.dumps({"n": n, "tri": [[2], [1, 3], [1, 2, 4], [1, 1, 1, 5]]}) + "\n")
+    with pytest.raises(ValidationError, match=f":1: n = {n!r} is not an integer"):
+        read_jsonl(target)
 
 
 @pytest.mark.parametrize("n, tri", [(1, []), (2, [[2]])])
 def test_an_n_below_3_is_refused(n, tri, tmp_path):
     with pytest.raises(ValidationError, match=f"need n >= 3, got n = {n}"):
-        FMatrix.from_tri(n, tri).validate_static()
+        FMatrix(n, np.array(tri, dtype=np.int64).reshape(n - 1, n - 1)).validate_static()
     target = tmp_path / "small.jsonl"
     target.write_text(json.dumps({"n": n, "tri": tri}) + "\n")
     with pytest.raises(ValidationError, match=f":1: F-matrices need n >= 3"):
@@ -341,7 +349,7 @@ def _corrupt(line, kind, spot):
     if kind == "key":
         del obj[("n", "tri")[spot % 2]]
     elif kind == "mixed":
-        obj = json.loads(jsonl_line(sample_beta_fmatrices(BetaConfig(0.0, obj["n"] + 1, spot), 1)[0]))
+        obj = json.loads(_line(sample_beta_fmatrices(BetaConfig(0.0, obj["n"] + 1, spot), 1)[0]))
     else:
         _corrupt_tri(obj["tri"], kind, spot)
     return json.dumps(obj)
@@ -378,7 +386,7 @@ def _check_reader(tmp_path, lines, blank):
 def test_block_reader_equals_the_per_line_reader(tmp_path_factory, n, size, seed, faults, blank):
     """One fault at a random line, or two: the second, when drawn, lies
     within a block of the first, before or after it."""
-    lines = [jsonl_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, n, seed), size)]
+    lines = [_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, n, seed), size)]
     first = None
     for kind, spot, offset in faults:
         if first is None:
@@ -398,11 +406,109 @@ def test_block_reader_equals_the_per_line_reader(tmp_path_factory, n, size, seed
 def test_first_bad_line_of_a_block_wins(tmp_path, kinds):
     """Of two bad lines in one block, the earlier is refused, whether it is
     caught while parsing or only when the block is checked."""
-    lines = [jsonl_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, 7, 5), 20)]
+    lines = [_line(f) for f in sample_beta_fmatrices(BetaConfig(-1.0, 7, 5), 20)]
     lines[10] = _corrupt(lines[10], kinds[0], 3)
     lines[13] = _corrupt(lines[13], kinds[1], 4)
     got, message = _check_reader(tmp_path, lines, blank={4})
     assert len(got) == 10 and message.startswith(f"{tmp_path / 'corpus.jsonl'}:12: ")
+
+
+# Respellings of a canonical line, each a function of it: json reads some
+# and refuses others, and the reader must agree with the per-line reader
+# on each, whichever route it takes.
+def _swapped_keys(line):
+    obj = json.loads(line)
+    return json.dumps({"tri": obj["tri"], "n": obj["n"]})
+
+
+def _with_entry(text):
+    """A spelling that writes ``text`` in place of the last entry of row 3."""
+    def spell(line):
+        head, sep, tail = line.partition("], [")
+        row3, sep2, rest = tail.partition("], [")
+        row3 = row3.rpartition(", ")[0] + ", " + text
+        return head + sep + row3 + sep2 + rest
+    return spell
+
+
+SPELLINGS = {
+    "swapped keys": _swapped_keys,
+    "another key than n": lambda line: line.replace('"n"', '"m"', 1),
+    "no spaces": lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+    "extra spaces": lambda line: line.replace(", ", ",  ").replace('"n": ', '"n":   '),
+    "space before the line": lambda line: " " + line,
+    "leading zero in n": lambda line: line.replace('"n": ', '"n": 0', 1),
+    "leading zero in an entry": _with_entry("03"),
+    "19-digit entry": _with_entry("3000000000000000000"),
+    "19-digit entry past int64": _with_entry("9300000000000000000"),
+    "18-digit entry": _with_entry("300000000000000000"),
+    "negative entry": _with_entry("-3"),
+    "float entry": _with_entry("3.0"),
+    "bool entry": _with_entry("true"),
+    "non-ASCII digit": _with_entry("\u0663"),
+    "non-ASCII digit after a digit": _with_entry("3\u0663"),
+    "fullwidth digit": _with_entry("\uff13"),
+    "n of another tree": lambda line: _line(sample_beta_fmatrices(BetaConfig(0.0, 8, 1), 1)[0]),
+    "n off by one": lambda line: line.replace('"n": 7', '"n": 8', 1),
+    "empty entry": _with_entry(""),
+    "cut short": lambda line: line[:len(line) // 2],
+    "digit between two rows": lambda line: line.replace("], [", "], 5[", 1),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_reader_equals_the_per_line_reader_on_other_spellings(tmp_path, spelling):
+    """Lines respelled as json allows, or as it refuses, at none, one, two
+    or many places of a corpus of canonical lines with LF or CRLF endings,
+    with or without a final newline, and with or without a diagonal fault
+    later on: the block reader yields the same matrices and then raises
+    the same message as the per-line reader."""
+    mats = sample_beta_fmatrices(BetaConfig(-1.0, 7, 11), 21)
+    path = tmp_path / "corpus.jsonl"
+    for where, ending, fault in itertools.product(
+            [(), (5,), (9, 10), (20,), tuple(range(0, 21, 3))], ["\n", "\r\n", None],
+            [None, 14]):
+        lines = [_line(f) for f in mats]
+        if fault is not None:
+            lines[fault] = _corrupt(lines[fault], "diagonal", 2)
+        for k in where:
+            lines[k] = SPELLINGS[spelling](lines[k])
+        data = "\n".join(lines) if ending is None else "".join(line + ending for line in lines)
+        path.write_bytes(data.encode("utf-8"))
+        block = sum(len(line) + 1 for line in lines[:PER_BLOCK])
+        with mock.patch.object(fmatrix_module, "BLOCK_BYTES", block):
+            got = _read(fmatrix_module.iter_jsonl, path)
+        assert got == _read(reader_oracle.iter_jsonl, path), (where, ending, fault)
+        if not where and fault is None:
+            assert got == (mats, None)
+
+
+@pytest.mark.parametrize("n", [3, 9, 25])
+def test_canonical_lines_are_read_without_json(tmp_path, n):
+    """A corpus as the writer spells it never reaches json, also without
+    its final newline: each block is read as one array of digits, and
+    yields what json reads."""
+    mats = sample_beta_fmatrices(BetaConfig(0.5, n, 2), 300)
+    path = tmp_path / "corpus.jsonl"
+    text = "".join(jsonl_text(mats))
+    for data in (text, text[:-1]):
+        path.write_text(data, encoding="utf-8")
+        with mock.patch.object(fmatrix_module.json, "loads", side_effect=AssertionError("json")):
+            got = read_jsonl(path)
+        assert got == mats == list(reader_oracle.iter_jsonl(path))
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_writer_spells_each_line_as_json_does(n):
+    """Each line the writer emits is json.dumps of its {n, tri} object and
+    a newline, for either sampler, and across the writer's groups of trees."""
+    beta = sample_beta_fmatrices(BetaConfig(-1.0, n, n), fmatrix_module.WRITE_TREES + 3)
+    space = enumerate_states(n)
+    kingman = paths_to_fmatrices(space, sample_paths(space, 70, seed=np.random.default_rng(n)))
+    for mats in (beta, kingman, beta[:1]):
+        assert "".join(jsonl_text(mats)) == "".join(_line(f) + "\n" for f in mats)
+        assert all(len(text.splitlines()) <= fmatrix_module.WRITE_TREES
+                   for text in jsonl_text(mats))
 
 
 @given(count=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
@@ -466,13 +572,13 @@ def test_corpus_sums_equal_the_per_tree_loops(tmp_path_factory, n, size, seed, m
     if mixed is not None and size:
         mats[mixed % size] = sample_beta_fmatrices(BetaConfig(0.0, n + 1, seed), 1)[0]
     path = tmp_path_factory.mktemp("sums") / "corpus.jsonl"
-    path.write_text("".join(jsonl_line(f) + "\n" for f in mats))
+    path.write_text("".join(_line(f) + "\n" for f in mats))
     want_stats = _stats_fields(_outcome(lambda: sums_oracle.sample_stats(mats)))
     # the sample mean refuses what the summaries refuse
     want_mean = _outcome(lambda: sums_oracle.sample_stats(mats))
     if not isinstance(want_mean, str):
         want_mean = mats[0].n, [(Fraction, v) for v in sums_oracle.mean_entries(mats).flat]
-    block = sum(len(jsonl_line(f)) + 1 for f in mats[:PER_BLOCK])
+    block = sum(len(_line(f)) + 1 for f in mats[:PER_BLOCK])
     with mock.patch.object(fmatrix_module, "BLOCK_BYTES", block):
         for source in (lambda: mats, lambda: iter_jsonl(path)):
             got = _outcome(lambda: SampleStats.from_fmatrices(source()))
@@ -487,5 +593,6 @@ def test_corpus_sums_read_each_matrix_once():
     n, m, total, e = corpus_sums(iter(mats))
     assert (n, m) == (6, 5)
     assert np.array_equal(total, sum(before)) and total.dtype == np.int64
-    assert e.tolist() == [balance_E(f) for f in mats] and e.dtype == np.int64
+    assert e.tolist() == np.bincount([balance_E(f) for f in mats]).tolist()
+    assert e.dtype == np.int64 and len(e) == max(map(balance_E, mats)) + 1 <= 6 * 6
     assert all(np.array_equal(f.entries, b) for f, b in zip(mats, before))

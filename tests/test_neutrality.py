@@ -52,7 +52,7 @@ def _null_sample(null, m=100):
         nf_mean=null.mean.copy(),
         s_mean=float(null.mu_se[0]),
         e_mean=float(null.mu_se[1]),
-        e_values=np.full(m, int(round(null.mu_se[1]))),
+        e_counts=np.bincount(np.full(m, int(round(null.mu_se[1])))),
     )
 
 
@@ -194,8 +194,9 @@ def test_power_refuses_a_sample_over_the_byte_budget(null8, monkeypatch, capsys)
     with pytest.raises(CapacityError, match="over the budget"):
         replicate_statistics(null8, 0.0, largest + 1, 1, 1)
     # at the budget the replicate goes on to allocate its sample
+    monkeypatch.setattr(neutrality, "kingman_null", lambda n: null8)
     with pytest.raises(MemoryError):
-        power_curve([0.0], 8, largest, 2, 1, null=null8)
+        power_curve([0.0], 8, largest, 2, 1)
 
 
 def test_sym_inv_sqrt_inverts(null5):
@@ -231,10 +232,14 @@ def test_box_scheme(null8):
     assert boxes.uppers == sorted(boxes.uppers)
     # Right-open boxes: a value equal to an upper falls in the next box.
     first_upper = boxes.uppers[0]
-    counts = boxes.counts(np.array([first_upper - 1, first_upper]))
+    counts = boxes.counts(np.bincount([first_upper - 1, first_upper]))
     assert counts[0] == 1 and counts[1] == 1
-    values = np.arange(boxes.uppers[-1] + 3)
-    assert boxes.counts(values).sum() == len(values)
+    assert boxes.counts(np.ones(boxes.uppers[-1] + 3, dtype=np.int64)).sum() == boxes.uppers[-1] + 3
+    # the counts per box of E counts are those of the values themselves
+    values = np.random.default_rng(3).integers(0, boxes.uppers[-1] + 3, 500)
+    by_value = np.bincount(np.searchsorted(boxes.uppers[:-1], values, side="right"),
+                           minlength=boxes.K)
+    assert boxes.counts(np.bincount(values)).tolist() == by_value.tolist()
 
 
 def test_box_errors(null5):
@@ -266,7 +271,8 @@ def test_sample_stats_agreement():
     np.testing.assert_allclose(from_mats.nf_mean, from_arrays.nf_mean)
     assert from_mats.s_mean == from_arrays.s_mean
     assert from_mats.e_mean == from_arrays.e_mean
-    assert np.array_equal(from_mats.e_values, from_arrays.e_values)
+    assert np.array_equal(from_mats.e_counts, from_arrays.e_counts)
+    assert from_mats.e_counts.dtype == from_arrays.e_counts.dtype == np.int64
 
 
 def test_sample_stats_errors(null5):
@@ -307,23 +313,22 @@ def test_null_statistics_match_limit_laws(null8):
     assert kstest(stats["HT"], "chi2", args=(q,)).pvalue > 0.003
 
 
-def test_levels_near_alpha(null8):
-    rows = power_curve([0.0], 8, 300, 400, seed=1234, null=null8)
+def test_levels_near_alpha():
+    rows = power_curve([0.0], 8, 300, 400, seed=1234)
     for row in rows:
         assert row["beta"] == 0.0
         assert 0.02 <= row["rejection_rate"] <= 0.10
         assert row["mc_se"] <= 0.02
 
 
-def test_power_against_imbalance(null8):
-    rows = power_curve([-1.5], 8, 300, 200, seed=777, null=null8)
+def test_power_against_imbalance():
+    rows = power_curve([-1.5], 8, 300, 200, seed=777)
     for row in rows:
         assert row["rejection_rate"] > 0.9
 
 
 def test_power_ordering_mild_alternative():
-    null = kingman_null(10)
-    rows = power_curve([-0.5], 10, 200, 300, seed=555, null=null)
+    rows = power_curve([-0.5], 10, 200, 300, seed=555)
     rates = {row["test"]: row for row in rows}
     slack = 2 * (rates["HT"]["mc_se"] + max(
         rates[t]["mc_se"] for t in ("GE", "WF", "WSE")))
@@ -336,8 +341,8 @@ def test_harness_determinism(null5):
     b, _ = replicate_statistics(null5, beta=0.5, m=50, replicates=20, seed=8)
     for name in ALL_TESTS:
         assert np.array_equal(a[name], b[name])
-    r1 = power_curve([0.0, 1.0], 5, 40, 30, seed=6, null=null5)
-    r2 = power_curve([0.0, 1.0], 5, 40, 30, seed=6, null=null5)
+    r1 = power_curve([0.0, 1.0], 5, 40, 30, seed=6)
+    r2 = power_curve([0.0, 1.0], 5, 40, 30, seed=6)
     assert r1 == r2
 
 
@@ -501,7 +506,7 @@ def test_power_at_a_subnormal_alpha_decides_with_scipy(null5, scipy_calls):
 
     alpha, grid, seed = 1e-320, [-1.5, 0.0], 31
     assert _chi2_isf_estimate(alpha, 3) is None and _norm_isf_estimate(alpha / 2) is None
-    rows = power_curve(grid, 5, 60, 20, seed=seed, alpha=alpha, null=null5)
+    rows = power_curve(grid, 5, 60, 20, seed=seed, alpha=alpha)
     assert scipy_calls
     seeds = np.random.SeedSequence(seed).spawn(len(grid))
     want = []

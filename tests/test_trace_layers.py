@@ -102,3 +102,17 @@ def test_traced_test_call_counts_every_tree_of_a_corpus_of_several_blocks(tmp_pa
     spans, counts = _traced_spans(tmp_path, "test", "--in", str(corpus))
     assert ("fmatrix.ingest", None) in spans
     assert counts["fmatrix.trees_read"] == count
+
+
+@pytest.mark.parametrize("model", ["beta", "kingman"])
+def test_traced_simulate_call_draws_each_chunk_through_its_sampler(tmp_path, model):
+    """``simulate`` formats its trees itself, but draws each chunk through
+    the sampler layer the benchmark traces: two chunks at n = 25, and every
+    tree counted there for the beta model."""
+    out = tmp_path / "corpus.jsonl"
+    spans, counts = _traced_spans(tmp_path, "simulate", "--model", model, "--n", "25",
+                                  "--count", "3000", "--seed", "2", "--out", str(out))
+    layer = {"beta": "betasplit.sample_fmatrices", "kingman": "kingman.sample_paths"}[model]
+    assert [span for span in spans if span[0] == layer] == [(layer, None)] * 2
+    assert counts.get("betasplit.trees", 0) == (3000 if model == "beta" else 0)
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3000
