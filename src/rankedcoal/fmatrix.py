@@ -111,9 +111,10 @@ def _first_fault(stack):
          lambda a, i: f"diagonal F_{i + 1},{i + 1} = {a[i, i]}, expected {i + 2}"),
         (np.diagonal(stack, -1, 1, 2) != np.arange(1, n - 1),
          lambda a, j: f"subdiagonal F_{j + 2},{j + 1} = {a[j + 1, j]}, expected {j + 1}"),
-        (np.triu(stack, 1) != 0, lambda a, *_: "entries above the diagonal must be 0"),
+        ((stack != 0) & ~np.tri(*stack.shape[1:], dtype=bool),
+         lambda a, *_: "entries above the diagonal must be 0"),
         (stack < 0, lambda a, *_: "negative entry"),
-        (np.tril((fall < 0) | (fall > 1)),
+        (((fall < 0) | (fall > 1)) & np.tri(*fall.shape[1:], dtype=bool),
          lambda a, k, c: f"column {c + 1}: F_{k + 2},{c + 1} = {a[k + 1, c]} is not "
                          f"F_{k + 1},{c + 1} = {a[k, c]} or one less"),
     ]
@@ -318,35 +319,59 @@ def nonfixed_vector(fmat):
 @functools.lru_cache(maxsize=64)
 def _line_layout(n):
     """The fmat.jsonl line of an F-matrix of n as ``json.dumps`` writes its
-    {n, tri} object, with a newline: the %-format of the line, with n in
-    place and a %d for each lower-triangle entry, row by row; the line's
-    skeleton, its bytes with every number removed; and each number's gap,
-    the count of skeleton bytes before it, n's first."""
+    {n, tri} object, with a newline, as its skeleton, the bytes of the line
+    with every number removed, and each number's gap, the count of
+    skeleton bytes before it: n's first, then the lower triangle's entries
+    row by row."""
     rows = ", ".join("[" + ", ".join(["%d"] * (i + 1)) + "]" for i in range(n - 1))
     parts = ('{"n": %d, "tri": [' + rows + "]}\n").split("%d")
     gaps = np.cumsum([len(part) for part in parts[:-1]])
     gaps.setflags(write=False)
-    return parts[0] + str(n) + "%d".join(parts[1:]), "".join(parts).encode("ascii"), gaps
+    return "".join(parts).encode("ascii"), gaps
 
 
-# Trees per % call of the writer. Formatting a 1,000-tree chunk at n = 25
-# at once raised the peak RSS of a `simulate --model beta` call by 4.7 MB,
-# from the tuple of its entries and the text. At 256 trees the traced peak
-# of a `simulate --model kingman` call still rose by 1.6 MB; 64 trees, about
-# 70 KB of text at n = 25, kept it under that of the json.dumps writer, and
-# formatted 1,000 trees as fast as groups of 32 to 512 did (19-22 ms).
-WRITE_TREES = 64
+@functools.lru_cache(maxsize=64)
+def _line_template(n):
+    """The line of ``_line_layout(n)`` as a uint8 array, with n in place
+    and a slot of zero bytes in each entry's gap, as wide as n, the largest
+    entry; the index of each slot byte, slot by slot; and the slot bytes
+    of each value 0..n, right-aligned on zero bytes."""
+    skeleton, gaps = _line_layout(n)
+    width = len(str(n))
+    fill = np.zeros(width * len(gaps), dtype=np.uint8)
+    fill[:width] = np.frombuffer(str(n).encode("ascii"), dtype=np.uint8)
+    template = np.insert(np.frombuffer(skeleton, dtype=np.uint8), np.repeat(gaps, width), fill)
+    slots = (gaps + width * np.arange(len(gaps)))[1:, None] + np.arange(width)
+    text = "".join(str(v).rjust(width, "\0") for v in range(n + 1))
+    digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n + 1, width)
+    return template, slots.ravel(), digits
+
+
+# Trees per template fill of the writer. At n = 25, groups of 16, 32 and
+# 64 trees wrote 1,000 trees in about the same time, but with 64 the peak
+# RSS of a `simulate --model kingman` call was 0.3 MB above that with 32.
+WRITE_TREES = 32
 
 
 def jsonl_text(fmats):
     """The fmat.jsonl lines of a list of F-matrices of one n, a string of
     at most WRITE_TREES lines at a time: each line is
-    ``json.dumps({"n": n, "tri": fmat.tri()})`` and a newline."""
+    ``json.dumps({"n": n, "tri": fmat.tri()})`` and a newline.
+
+    Each group of trees fills one copy of n's line template per tree with
+    the slot bytes of its lower-triangle entries, row by row, and then
+    deletes the zero bytes left in the slots.
+    """
     for lo in range(0, len(fmats), WRITE_TREES):
         part = fmats[lo:lo + WRITE_TREES]
         n = part[0].n
         tri = np.stack([f.entries for f in part])[:, np.tri(n - 1, dtype=bool)]
-        yield _line_layout(n)[0] * len(part) % tuple(tri.ravel().tolist())
+        if tri.min() < 0 or tri.max() > n:
+            raise ValidationError(f"the entries of an F-matrix of n = {n} lie in [0, {n}]")
+        template, slots, digits = _line_template(n)
+        text = np.tile(template, (len(part), 1))
+        text[:, slots] = digits.take(tri, axis=0).reshape(len(part), -1)
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def iter_jsonl(path):
@@ -414,7 +439,7 @@ def _parse_block(n, lines):
     number's run of digits, and the numbers are summed from their digits
     with one multiply-add per digit position.
     """
-    _, skeleton, gaps = _line_layout(n)
+    skeleton, gaps = _line_layout(n)
     text = "".join(lines)
     if text[-1] != "\n":  # the last line of a file without a final newline
         text += "\n"

@@ -498,17 +498,31 @@ def test_canonical_lines_are_read_without_json(tmp_path, n):
         assert got == mats == list(reader_oracle.iter_jsonl(path))
 
 
-@pytest.mark.parametrize("n", range(3, 31))
+@pytest.mark.parametrize("n", [*range(3, 31), 100])
 def test_writer_spells_each_line_as_json_does(n):
     """Each line the writer emits is json.dumps of its {n, tri} object and
-    a newline, for either sampler, and across the writer's groups of trees."""
-    beta = sample_beta_fmatrices(BetaConfig(-1.0, n, n), fmatrix_module.WRITE_TREES + 3)
-    space = enumerate_states(n)
-    kingman = paths_to_fmatrices(space, sample_paths(space, 70, seed=np.random.default_rng(n)))
+    a newline, for either sampler up to n = 30 and for beta trees at n =
+    100, whose numbers take up to three digits, across the writer's groups
+    of trees."""
+    beta = sample_beta_fmatrices(BetaConfig(-1.0, n, n), 2 * fmatrix_module.WRITE_TREES + 3)
+    kingman = []
+    if n <= 30:
+        space = enumerate_states(n)
+        kingman = paths_to_fmatrices(space, sample_paths(space, 70, seed=np.random.default_rng(n)))
     for mats in (beta, kingman, beta[:1]):
         assert "".join(jsonl_text(mats)) == "".join(_line(f) + "\n" for f in mats)
         assert all(len(text.splitlines()) <= fmatrix_module.WRITE_TREES
                    for text in jsonl_text(mats))
+
+
+@pytest.mark.parametrize("value", [-1, 7])
+def test_writer_refuses_an_entry_outside_0_to_n(value):
+    """The writer's template holds the numbers 0..n, the range of an
+    F-matrix's entries."""
+    arr = sample_beta_fmatrices(BetaConfig(0.0, 6, 1), 1)[0].entries.copy()
+    arr[4, 0] = value
+    with pytest.raises(ValidationError, match=r"lie in \[0, 6\]"):
+        list(jsonl_text([FMatrix(6, arr)]))
 
 
 @given(count=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
