@@ -192,15 +192,24 @@ def fmatrix_entries(ranks):
     return f
 
 
+def block_sizes(count, n):
+    """Sizes of the successive blocks of ``count`` trees at n, GRID_CELLS //
+    (n+3)^2 each but the last, so memory does not grow with the count. Blocks
+    drawn in turn from one Generator give the stream of one draw."""
+    rows = max(1, GRID_CELLS // (n + 3) ** 2)
+    for lo in range(0, count, rows):
+        yield min(rows, count - lo)
+
+
 def _sample_blocks(config, uniforms):
-    """(first row, split record) for successive blocks of rows of
-    ``uniforms``; see ``beta_split_ranks``. Blocks hold GRID_CELLS //
-    (n+3)^2 trees, so memory does not grow with the tree count."""
+    """(first row, split record) for the successive blocks of rows of
+    ``uniforms`` (``block_sizes``); see ``beta_split_ranks``."""
     n = config.n
     cumw = _cumulative_table(config.beta, n)
-    rows = max(1, GRID_CELLS // (n + 3) ** 2)
-    for lo in range(0, len(uniforms), rows):
-        yield lo, beta_split_ranks(n, cumw, uniforms[lo:lo + rows])
+    lo = 0
+    for size in block_sizes(len(uniforms), n):
+        yield lo, beta_split_ranks(n, cumw, uniforms[lo:lo + size])
+        lo += size
 
 
 def _fmatrices(config, uniforms):

@@ -8,6 +8,7 @@ written atomically: a temp file in the target directory, then os.replace.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from ._common import CapacityError, ValidationError, fib, format_number
 # The most points a ``power --beta-grid`` range may expand to; each point
 # runs every replicate.
 GRID_MAX_POINTS = 10_000
+# Items of a streamed --emit list per string written: a bounded part of its text
+EMIT_ITEMS = 4096
 
 
 def _atomic_write(path, text):
@@ -44,6 +47,28 @@ def _emit(path, text):
         _atomic_write(path, text)
     else:
         sys.stdout.writelines([text] if isinstance(text, str) else text)
+
+
+def _json_template(item, depth):
+    """``item`` as json.dumps(..., indent=1) prints it ``depth`` levels deep,
+    as a ``%`` template: each "%d" string in it becomes a bare integer."""
+    return json.dumps(item, indent=1).replace('"%d"', "%d").replace("\n", "\n" + " " * depth)
+
+
+def _json_list(template, rows, depth):
+    """A nonempty JSON list ``depth`` levels deep, as json.dumps(..., indent=1)
+    prints it, of the items ``template % row``: EMIT_ITEMS items per string."""
+    sep = "[\n" + " " * (depth + 1)
+    while batch := list(itertools.islice(rows, EMIT_ITEMS)):
+        yield sep + ("," + sep[1:]).join([template % row for row in batch])
+        sep = "," + sep[1:]
+    yield "\n" + " " * depth + "]"
+
+
+def _values(array):
+    """The entries of ``array`` as Python values, converted EMIT_ITEMS at a time."""
+    return itertools.chain.from_iterable(
+        array[lo:lo + EMIT_ITEMS].tolist() for lo in range(0, len(array), EMIT_ITEMS))
 
 
 def _csv_text(rows, header=None):
@@ -74,11 +99,10 @@ def _cmd_statespace(args):
             lines.append(f"{j},{int(counts[j])}")
     print("\n".join(lines))
     if args.emit:
-        payload = [
-            {"index": i + 1, "tier": int(space.tier_of[i]), "x": [int(v) for v in space.states[i]]}
-            for i in range(space.num_states)
-        ]
-        _atomic_write(args.emit, json.dumps(payload, indent=1) + "\n")
+        state = _json_template({"index": "%d", "tier": "%d", "x": ["%d"] * (space.n - 1)}, 1)
+        rows = zip(itertools.count(1), _values(space.tier_of), _values(space.states))
+        states = _json_list(state, ((i, tier, *x) for i, tier, x in rows), 0)
+        _atomic_write(args.emit, itertools.chain(states, ["\n"]))
     return 0
 
 
@@ -88,38 +112,30 @@ def _cmd_kernel(args):
 
     space = enumerate_states(args.n)
     mode = args.mode or default_mode(args.n)
-    payload = {"n": args.n, "blocks": []}
-    for blk in tier_blocks(space):
-        rows = space.tier_offsets[blk.from_tier] + blk.rows() + 1
-        cols = space.tier_offsets[blk.from_tier + 1] + blk.indices + 1
-        entries = [[r, c, format_number(p)]
-                   for r, c, p in zip(rows.tolist(), cols.tolist(), blk.probs(mode).tolist())]
-        payload["blocks"].append({
-            "from_tier": blk.from_tier,
-            "n_rows": blk.n_rows,
-            "n_cols": blk.n_cols,
-            "denominator": blk.denom,
-            "entries": entries,
-        })
-    _emit(args.emit, json.dumps(payload, indent=1) + "\n")
+    entry = _json_template(["%d", "%d", "%s"], 4)
+    head, tail = _json_template({"n": args.n, "blocks": "%s"}, 0).split('"%s"')
+
+    def text():
+        yield head + "["
+        for k, blk in enumerate(tier_blocks(space)):
+            block = {"from_tier": blk.from_tier, "n_rows": blk.n_rows, "n_cols": blk.n_cols,
+                     "denominator": blk.denom, "entries": "%s"}
+            block_head, block_tail = _json_template(block, 2).split('"%s"')
+            yield ("," if k else "") + "\n  " + block_head
+            rows = _values(space.tier_offsets[blk.from_tier] + blk.rows() + 1)
+            cols = _values(space.tier_offsets[blk.from_tier + 1] + blk.indices + 1)
+            yield from _json_list(entry, zip(rows, cols, map(format_number, _values(blk.probs(mode)))), 3)
+            yield block_tail
+        yield "\n ]" + tail + "\n"
+
+    _emit(args.emit, text())
     return 0
-
-
-def _chunks(count, n):
-    """Sizes of the successive chunks in which ``sample`` and ``simulate``
-    draw and write ``count`` trees: one beta-sampler block each (see
-    ``betasplit.GRID_CELLS``), so memory does not grow with the count.
-    Chunks drawn in turn from one Generator give the stream of one draw."""
-    from .betasplit import GRID_CELLS
-
-    rows = max(1, GRID_CELLS // (n + 3) ** 2)
-    for lo in range(0, count, rows):
-        yield min(rows, count - lo)
 
 
 def _cmd_sample(args):
     import numpy as np
 
+    from .betasplit import block_sizes
     from .kingman import sample_paths
     from .statespace import enumerate_states
 
@@ -131,13 +147,14 @@ def _cmd_sample(args):
         paths = sample_paths(space, size, seed=rng)
         return "".join(json.dumps({"path": [int(v) for v in p]}) + "\n" for p in paths)
 
-    _emit(args.out, map(text, _chunks(args.count, args.n)))
+    _emit(args.out, map(text, block_sizes(args.count, args.n)))
     return 0
 
 
 def _cmd_simulate(args):
     import numpy as np
 
+    from .betasplit import block_sizes
     from .fmatrix import jsonl_text
 
     _refuse_negative(args, "count", "seed")
@@ -159,7 +176,7 @@ def _cmd_simulate(args):
         def draw(size):
             return paths_to_fmatrices(space, sample_paths(space, size, seed=rng))
 
-    texts = (text for size in _chunks(args.count, args.n) for text in jsonl_text(draw(size)))
+    texts = (text for size in block_sizes(args.count, args.n) for text in jsonl_text(draw(size)))
     _emit(args.out, texts)
     return 0
 

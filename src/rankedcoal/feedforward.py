@@ -169,43 +169,11 @@ def pi_U(space, *, mode=None):
     return np.concatenate(values)
 
 
-def _column_means(space, tau, w, index):
-    """The mean step of column j = n-1-tau: its reward block on tier tau, in
-    w's dtype, its covariance indices, and the numerators of its means,
-    w v, for w = pi T^tau."""
-    j = space.n - 1 - tau
-    rows = range(j + 2, space.n)
-    # a column-major copy, as the float golden's summation order expects
-    v = space.tier_states(tau)[:, [i - 1 for i in rows]].astype(w.dtype)
-    return v, [index[(i, j)] for i in rows], w.dot(v)
-
-
 def nonfixed_means(space, *, mode=None):
-    """Means of all non-fixed entries, skipping the covariance chains.
-
-    E[F_ij] only needs pi U against the tier-(n-1-j) slice of the state
-    table, so this stays cheap even at n = 25 where the full covariance
-    runs thousands of right products. Each column's means come from the
-    mean step of ``nonfixed_moments``, so the two agree to the bit.
-    """
-    from .kingman import tier_blocks
-
-    n = space.n
-    if n < 4:
-        raise ValidationError("non-fixed moments require n >= 4")
-    if mode is None:
-        mode = default_mode(n)
-    blocks = tier_blocks(space)
-    piu = _left_chain(blocks, mode)
-    dens = _tier_denominators(blocks)
-    value = _ratio(mode)
-    positions = nonfixed_positions(n)
-    index = {pos: a for a, pos in enumerate(positions)}
-    mean = zeros(len(positions), mode)
-    for tau in range(n - 2, 1, -1):
-        _, idx, sums = _column_means(space, tau, piu[tau], index)
-        mean[idx] = value(sums, dens[tau])
-    return positions, mean
+    """Positions and means of all non-fixed entries: those of
+    ``nonfixed_moments``, which computes them in its one sweep."""
+    summary = nonfixed_moments(space, mode=mode)
+    return summary.positions, summary.mean
 
 
 def nonfixed_moments(space, *, mode=None):
@@ -248,7 +216,11 @@ def nonfixed_moments(space, *, mode=None):
         if vectors:
             _push_down(blocks[tau], vectors)
             work += blocks[tau].nnz * sum(v.shape[1] for v in vectors)
-        v, idx, sums = _column_means(space, tau, piu[tau], index)
+        # column j's rewards on tier tau, column-major as the float golden's sums expect
+        j = n - 1 - tau
+        v = space.tier_states(tau)[:, j + 1:n - 1].astype(piu[tau].dtype, order="F")
+        idx = [index[(i, j)] for i in range(j + 2, n)]
+        sums = piu[tau].dot(v)
         mean[idx] = value(sums, dens[tau])
         work += v.shape[0] * len(idx)
         opened.append((tau, idx, sums))

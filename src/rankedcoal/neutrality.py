@@ -509,17 +509,16 @@ def _statistic(name, stats, null, boxes):
     return _ht_statistic(stats, null.mean, null.root)
 
 
-def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, K=DEFAULT_K,
-                         boxes=None):
+def replicate_statistics(null, beta, m, replicates, seed, tests=ALL_TESTS, boxes=None):
     """Per-replicate statistics from independent seeded streams.
 
-    ``boxes`` may carry the GE boxes for (null, K, m) built beforehand.
+    ``boxes`` may carry the GE boxes for (null, m) built beforehand.
     """
     n = null.n
     _check_tests(n, tests)
     _check_sample_capacity(n, m)
     if boxes is None and "GE" in tests:
-        boxes = e_boxes(null.e_pmf, K=K, m=m)
+        boxes = e_boxes(null.e_pmf, m)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(replicates)
@@ -549,8 +548,7 @@ def _rejections(stats_by_test, null, boxes, alpha):
     return out
 
 
-def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
-                tests=ALL_TESTS, K=DEFAULT_K):
+def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05, tests=ALL_TESTS):
     """Rejection rates per (beta, test) with Monte-Carlo standard errors.
 
     Deterministic given the seed: stream g of the grid uses the g-th
@@ -574,7 +572,7 @@ def power_curve(beta_grid, n, m, replicates, seed, alpha=0.05,
     rows = []
     for g, beta in enumerate(beta_grid):
         stats_by_test, boxes = replicate_statistics(
-            null, beta, m, replicates, grid_seeds[g], tests=tests, K=K, boxes=boxes
+            null, beta, m, replicates, grid_seeds[g], tests=tests, boxes=boxes
         )
         rejected = _rejections(stats_by_test, null, boxes, alpha)
         for name in tests:

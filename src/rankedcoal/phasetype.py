@@ -68,7 +68,7 @@ def _solve(rows, v, left=False):
 
 @dataclass
 class DiscretePhaseType:
-    """Initial vector pi, sub-transition matrix T, and exit vector.
+    """Initial vector pi, sub-transition matrix T, and exit vector 1 - T 1.
 
     pi may be defective (sum < 1) after a reward transform; the missing
     mass is the point mass of the transformed variable at zero.
@@ -76,8 +76,8 @@ class DiscretePhaseType:
 
     pi: np.ndarray
     T: np.ndarray
-    exit: np.ndarray = field(default=None)
     mode: str = "rational"
+    exit: np.ndarray = field(init=False)
     rows: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,9 +85,8 @@ class DiscretePhaseType:
         if self.T.shape != (p, p):
             raise ValidationError(f"T must be {p}x{p}, got {self.T.shape}")
         self.rows = _row_view(self.T)
-        if self.exit is None:
-            ones = np.full(p, _one(self.mode))
-            self.exit = ones - self.T.dot(ones)
+        ones = np.full(p, _one(self.mode))
+        self.exit = ones - self.T.dot(ones)
         tol = 0 if self.mode == "rational" else 1e-9
         if any(v < -tol for v in self.pi) or sum(self.pi) > 1 + tol:
             raise ValidationError("pi must be a (sub)probability vector")

@@ -10,7 +10,7 @@ from hypothesis import settings
 from rankedcoal.kingman import tier_blocks
 from rankedcoal.statespace import enumerate_states
 
-settings.register_profile("ci", deadline=None, max_examples=50)
+settings.register_profile("ci", deadline=None, max_examples=50, print_blob=True)
 settings.load_profile("ci")
 
 

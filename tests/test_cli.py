@@ -80,6 +80,60 @@ def test_kernel_float_mode(tmp_path):
     assert value == pytest.approx(2 / 3, rel=1e-15)
 
 
+def _statespace_payload(n):
+    space = enumerate_states(n)
+    return [{"index": i + 1, "tier": int(space.tier_of[i]), "x": [int(v) for v in space.states[i]]}
+            for i in range(space.num_states)]
+
+
+def _kernel_payload(n, mode):
+    from rankedcoal.kingman import tier_blocks
+
+    space = enumerate_states(n)
+    blocks = []
+    for blk in tier_blocks(space):
+        rows = space.tier_offsets[blk.from_tier] + blk.rows() + 1
+        cols = space.tier_offsets[blk.from_tier + 1] + blk.indices + 1
+        blocks.append({
+            "from_tier": blk.from_tier, "n_rows": blk.n_rows, "n_cols": blk.n_cols,
+            "denominator": blk.denom,
+            "entries": [[r, c, format_number(p)]
+                        for r, c, p in zip(rows.tolist(), cols.tolist(), blk.probs(mode).tolist())],
+        })
+    return {"n": n, "blocks": blocks}
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_statespace_emit_streams_the_text_of_json_dumps(n, tmp_path, capsys, monkeypatch):
+    """The streamed --emit is the text of json.dumps(payload, indent=1), in
+    whole pieces and five pieces per write."""
+    import rankedcoal.cli as cli
+
+    want = json.dumps(_statespace_payload(n), indent=1) + "\n"
+    for pieces in (cli.EMIT_ITEMS, 5):
+        monkeypatch.setattr(cli, "EMIT_ITEMS", pieces)
+        target = tmp_path / f"states{pieces}.json"
+        assert main(["statespace", "--n", str(n), "--emit", str(target)]) == 0
+        assert target.read_text() == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("n", range(3, 15))
+def test_kernel_emit_streams_the_text_of_json_dumps(n, mode, tmp_path, capsys, monkeypatch):
+    """``kernel`` prints json.dumps(payload, indent=1) to stdout, and writes
+    it through --emit five pieces per write."""
+    import rankedcoal.cli as cli
+
+    want = json.dumps(_kernel_payload(n, mode), indent=1) + "\n"
+    assert main(["kernel", "--n", str(n), "--mode", mode]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(cli, "EMIT_ITEMS", 5)
+    target = tmp_path / "kernel.json"
+    assert main(["kernel", "--n", str(n), "--mode", mode, "--emit", str(target)]) == 0
+    assert target.read_text() == want
+
+
 def test_sample_matches_library(tmp_path, capsys):
     target = tmp_path / "paths.jsonl"
     assert main(["sample", "--n", "6", "--count", "5", "--seed", "3",

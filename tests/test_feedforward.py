@@ -138,13 +138,15 @@ def test_se_moments_goldens(space5):
     assert cov.tolist() == [[F(11, 9), F(5, 6)], [F(5, 6), F(2, 3)]]
 
 
-@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("n", range(4, 15))
 def test_means_shortcut_matches_full_summary(n):
     space = enumerate_states(n)
-    positions, mean = nonfixed_means(space)
-    summary = nonfixed_moments(space)
-    assert positions == summary.positions
-    assert list(mean) == list(summary.mean)
+    for mode in ("rational", "float"):
+        positions, mean = nonfixed_means(space, mode=mode)
+        summary = nonfixed_moments(space, mode=mode)
+        assert positions == summary.positions
+        assert mean.dtype == summary.mean.dtype
+        assert list(mean) == list(summary.mean)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

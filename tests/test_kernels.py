@@ -10,8 +10,9 @@ end of a split law).
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_betasplit import _closest_accepted_to_minus_two
 
 from rankedcoal import betasplit
 from rankedcoal.betasplit import (
@@ -159,11 +160,20 @@ def test_beta_grid_matches_loop_kernel(beta, n):
     _assert_kernel_matches_loop(n, beta, _uniforms(rng, 300, 2 * (n - 1)))
 
 
-@given(n=st.integers(3, 30),
-       beta=st.floats(-2.0, 1000.0, exclude_min=True),
+@st.composite
+def _n_and_accepted_beta(draw):
+    """n in 3..30 and a beta up to 1000 that ``check_beta`` accepts at n."""
+    n = draw(st.integers(3, 30))
+    return n, draw(st.floats(_closest_accepted_to_minus_two(n), 1000.0))
+
+
+@given(n_beta=_n_and_accepted_beta(),
        seed=st.integers(0, 2 ** 32 - 1),
        extremes=st.floats(0.0, 1.0))
-def test_split_ranks_give_the_loop_kernels_fmatrices(n, beta, seed, extremes):
+@example(n_beta=(3, _closest_accepted_to_minus_two(3)), seed=0, extremes=0.5)
+@example(n_beta=(30, _closest_accepted_to_minus_two(30)), seed=1, extremes=0.5)
+def test_split_ranks_give_the_loop_kernels_fmatrices(n_beta, seed, extremes):
+    n, beta = n_beta
     rng = np.random.default_rng(seed)
     u = rng.random((20, 2 * (n - 1)))
     cells = rng.random(u.shape) < extremes
