@@ -9,7 +9,6 @@ import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2, default_mode
 from .kingman import TierBlock
-from .phasetype import DENSE_MAX_ORDER, dph_from_blocks, reward_transform
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,8 @@ def bcp_chain(n):
 def _dense_chain(n):
     """``bcp_chain(n)``, refused from the state count p(n) - 1 before any
     state is built, and above SIZES_MAX_N before p(n) is counted."""
+    from .phasetype import DENSE_MAX_ORDER
+
     if n > SIZES_MAX_N:
         raise CapacityError(f"n = {n} exceeds cap {SIZES_MAX_N}")
     order = partition_count(n) - 1
@@ -178,6 +179,8 @@ def _dense_chain(n):
 
 def bcp_dph(n, mode=None):
     """The ranked BCP as a dense discrete phase-type chain."""
+    from .phasetype import dph_from_blocks
+
     if mode is None:
         mode = default_mode(n)
     return dph_from_blocks(_dense_chain(n).blocks, mode=mode)
@@ -219,6 +222,8 @@ def e_law(n):
 
 def bcp_E_distribution(n, mode=None):
     """DPH of the external branch length E via the singleton reward."""
+    from .phasetype import dph_from_blocks, reward_transform
+
     if n < 3:
         raise ValidationError(f"bcp_E_distribution requires n >= 3, got {n}")
     if mode is None:

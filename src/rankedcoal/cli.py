@@ -349,6 +349,8 @@ def _cmd_test(args):
     from .neutrality import SampleStats, kingman_null, parse_tests, run_tests
 
     tests = parse_tests(args.tests)
+    if "GE" in tests and args.boxes < 2:
+        raise ValidationError(f"GE needs --boxes of at least 2, got {args.boxes}")
     _, fmats = _corpus(args.infile)
     stats = SampleStats.from_fmatrices(fmats)
     n, m = stats.n, stats.m

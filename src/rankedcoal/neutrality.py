@@ -279,7 +279,7 @@ def e_boxes(e_pmf, m, K=DEFAULT_K):
         del uppers[a]
     if len(uppers) < 2:
         raise ValidationError(
-            f"boxing degenerated to {len(uppers)} box(es); increase m or lower K"
+            f"boxing degenerated to {len(uppers)} box(es) at m = {m}; increase m"
         )
     return BoxScheme(uppers=uppers, probs=probs)
 

@@ -605,6 +605,28 @@ def test_test_subcommand_subset_and_errors(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+def test_ge_box_refusals_name_what_the_caller_can_change(tmp_path, capsys):
+    """``test`` names its --boxes flag, before the corpus is opened; a box
+    scheme that degenerates names m, on ``test`` and on ``power``, which
+    has no box flag."""
+    missing = str(tmp_path / "missing.jsonl")
+    for boxes in ("1", "0"):
+        assert main(["test", "--in", missing, "--boxes", boxes]) == 2
+        assert capsys.readouterr().err == f"error: GE needs --boxes of at least 2, got {boxes}\n"
+    corpus = tmp_path / "six.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "6",
+                 "--count", "6", "--seed", "1", "--out", str(corpus)]) == 0
+    assert main(["test", "--in", str(corpus), "--tests", "WF", "--boxes", "1"]) == 0
+    capsys.readouterr()
+    for argv, m in ((["test", "--in", str(corpus)], 6),
+                    (["power", "--n", "5", "--m", "1", "--reps", "1", "--beta-grid", "0",
+                      "--seed", "1"], 1)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: boxing degenerated to 1 box(es) at m = {m}; increase m\n"
+
+
 def test_wse_is_refused_at_n4_and_the_other_tests_run(tmp_path, capsys):
     """At n = 4, E = S + 6, so WSE has a singular null covariance: both
     commands refuse it by name, and GE, WF and HT still run."""
@@ -982,6 +1004,45 @@ def test_test_loads_no_scipy_when_every_p_value_underflows(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[0.0]\n[]\n"
+
+
+def _modules_run(argv, tmp_path):
+    """The rankedcoal modules whose code has run after one CLI call, in a
+    process that writes no bytecode. A registered module that has not run
+    still has the lazy subclass of the module type."""
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    code = (
+        "import contextlib, io, sys, types\n"
+        "from rankedcoal.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(*(k for k, v in sys.modules.items()\n"
+        "        if k.startswith('rankedcoal.') and type(v) is types.ModuleType))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert res.returncode == 0, res.stderr
+    return {name.removeprefix("rankedcoal.") for name in res.stdout.split()} - {"cli"}
+
+
+def test_each_call_runs_only_the_modules_its_command_needs(tmp_path):
+    """The package runs a submodule on first use: ``statespace`` runs two
+    modules, ``frechet`` none of the simulation, BCP or test modules, and
+    ``test`` neither the moment sweep, the Frechet pass nor phasetype."""
+    assert _modules_run(["statespace", "--n", "3"], tmp_path) == {"_common", "statespace"}
+    ran = _modules_run(["frechet", "--n", "8"], tmp_path)
+    assert ran & {"bcp", "betasplit", "feedforward", "neutrality", "phasetype"} == set()
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "8",
+                 "--count", "60", "--seed", "3", "--out", str(corpus)]) == 0
+    ran = _modules_run(["test", "--in", str(corpus)], tmp_path)
+    assert "neutrality" in ran
+    assert ran & {"feedforward", "frechet", "phasetype"} == set()
 
 
 def test_test_at_n25_loads_scipy_special_but_not_sparse(tmp_path):
