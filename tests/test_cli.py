@@ -200,6 +200,39 @@ def test_simulate_kingman_and_balance(tmp_path, capsys):
             balance_E(fmat), balance_S(fmat), sackin(fmat), colless(fmat)]
 
 
+def test_balance_of_an_empty_corpus_is_its_header(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    assert main(["balance", "--in", str(corpus)]) == 0
+    assert capsys.readouterr().out == "E,S,sackin,colless\n"
+
+
+def test_balance_of_a_mixed_n_corpus_prints_each_tree_in_file_order(tmp_path, capsys):
+    """Runs of trees at n = 5, 7 and 5 give one row per tree, in file order,
+    with the indices of the tree each F-matrix encodes."""
+    import tree_oracle
+
+    from rankedcoal.fmatrix import iter_jsonl
+
+    corpus = tmp_path / "mixed.jsonl"
+    with open(corpus, "w") as fh:
+        for model, n, count, seed in (("kingman", 5, 3, 1), ("beta", 7, 4, 2),
+                                      ("kingman", 5, 2, 3)):
+            part = tmp_path / f"part{seed}.jsonl"
+            assert main(["simulate", "--model", model, "--n", str(n), "--count", str(count),
+                         "--seed", str(seed), "--out", str(part)]) == 0
+            fh.write(part.read_text())
+    capsys.readouterr()
+    assert main(["balance", "--in", str(corpus)]) == 0
+    rows = _rows(capsys.readouterr().out)
+    mats = list(iter_jsonl(corpus))
+    assert [f.n for f in mats] == [5] * 3 + [7] * 4 + [5] * 2
+    trees = [tree_oracle.build_tree(f) for f in mats]
+    assert rows == [["E", "S", "sackin", "colless"]] + [
+        [str(v) for v in (balance_E(f), balance_S(f), tree_oracle.sackin(t),
+                          tree_oracle.colless(t))] for f, t in zip(mats, trees)]
+
+
 def test_balance_builds_each_tree_once(tmp_path, capsys, monkeypatch):
     """balance builds each tree once, and checks each matrix only as it
     reads the corpus."""

@@ -3,7 +3,9 @@ before the samplers and the phase-type PMF were vectorised, the exact
 Frechet minimum and mean paths at n = 25, and the exact moments of S, E and
 the F-matrix at n = 12, recorded while the moment engine still multiplied
 Fractions edge by edge, and their float values at n = 14, recorded while
-the engine still kept every right product of every column."""
+the engine still kept every right product of every column, and the
+balance indices of the two simulate goldens, recorded while each tree was
+still built as Python nodes and walked."""
 
 from pathlib import Path
 
@@ -21,6 +23,10 @@ GOLDENS = {
         ["simulate", "--model", "beta", "--beta", "-1", "--n", "9", "--count", "50", "--seed", "3"],
     "simulate_kingman_n9_seed3.jsonl":
         ["simulate", "--model", "kingman", "--n", "9", "--count", "50", "--seed", "3"],
+    "balance_beta_n9_seed3.csv":
+        ["balance", "--in", str(GOLDEN_DIR / "simulate_beta_n9_seed3.jsonl")],
+    "balance_kingman_n9_seed3.csv":
+        ["balance", "--in", str(GOLDEN_DIR / "simulate_kingman_n9_seed3.jsonl")],
     "sample_n10_seed5.jsonl": ["sample", "--n", "10", "--count", "20", "--seed", "5"],
     "bcp_n10.csv": ["bcp", "--n", "10"],
     "frechet_n25.txt": ["frechet", "--n", "25"],
