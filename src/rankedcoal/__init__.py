@@ -24,8 +24,8 @@ _EXPORTS = {
     "statespace": "StateSpace diff_encoding enumerate_states tier_sizes",
     "kingman": "tier_blocks transition_prob edge_table enumerate_paths path_probability "
                "sample_paths",
-    "fmatrix": "FMatrix path_to_fmatrix fmatrix_to_path fmatrix_to_tree distance balance_E "
-               "balance_S sackin colless nonfixed_positions read_jsonl iter_jsonl",
+    "fmatrix": "FMatrix path_to_fmatrix fmatrix_to_path distance balance_E balance_S sackin "
+               "colless nonfixed_positions iter_jsonl",
     "frechet": "MeanMatrix mean_matrix_exact mean_matrix_sample state_costs vitreebi",
     "feedforward": "frechet_variance nonfixed_moments se_moments",
     "phasetype": "DiscretePhaseType coalescent_dph build_rewards dph_pmf dph_pmf_range "

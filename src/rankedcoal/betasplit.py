@@ -7,8 +7,8 @@ time by picking the next block to split with probability proportional
 to size - 1. At b = 0 this reproduces the Kingman ranked-shape law.
 
 The batch kernel keeps, per tree, only the birth rank of the block each
-event splits (n-1 integers); the F-matrix follows from these by counting
-(see ``_split_counts``).
+event splits (n-1 integers), the split record; the F-matrix follows from
+it by counting (see ``fmatrix._split_counts``).
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from math import inf, isfinite, lgamma
 import numpy as np
 
 from ._common import ValidationError
-from .fmatrix import FMatrix, _nonfixed_index
+from .fmatrix import FMatrix, _nonfixed_index, _split_counts, fmatrix_entries
 
 # The sampler runs GRID_CELLS // (n+3)^2 trees per block (2,674 at n = 25).
 # A block of F-matrices peaks at two int64 copies of its F entries,
@@ -155,41 +155,6 @@ def beta_split_ranks(n, cumw, uniforms):
         born.put(at, ev)
         born[nb] = ev
     return ranks
-
-
-def _split_counts(ranks):
-    """F from a split record P, trees along the last axis: an
-    (n-1, n-1, m) int64 array with F_ij at [i-1, j-1] (1-based, i >= j);
-    entries above the diagonal are not F.
-
-    F_ij counts the j+1 lineages of epoch j (the blocks born at rank
-    <= j+1 and not split by event j+1) that are still unsplit after event
-    i+1. Such a block is split, if at all, by one event ev >= j+2, and an
-    event ev >= j+2 splits one of them exactly when its block was born at
-    rank P_ev <= j+1. So
-
-        F_ij = (j+1) - #{ev in [j+2, i+1] : P_ev <= j+1}.
-
-    Every event ev <= j+1 has P_ev < ev <= j+1, so with the running count
-    C_ij = #{ev in [2, i+1] : P_ev <= j+1} this is F_ij = 2j + 1 - C_ij.
-    """
-    e, m = ranks.shape
-    j = np.arange(1, e + 1)[:, None]
-    # one (n-1, n-1, m) array, counted and turned into F in place; with
-    # the trees last, each step runs over contiguous rows of m values
-    f = np.empty((e, e, m), np.int64)
-    np.less_equal(ranks[:, None, :], j + 1, out=f)
-    np.cumsum(f, axis=0, out=f)
-    np.subtract(2 * j + 1, f, out=f)
-    return f
-
-
-def fmatrix_entries(ranks):
-    """The F-matrices of a split record (see ``_split_counts``), as an
-    (m, n-1, n-1) int64 array with zeros above the diagonal."""
-    f = np.ascontiguousarray(_split_counts(ranks).transpose(2, 0, 1))
-    f *= np.tri(len(ranks), dtype=bool)
-    return f
 
 
 def block_sizes(count, n):

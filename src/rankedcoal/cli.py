@@ -23,6 +23,11 @@ from ._common import CapacityError, ValidationError, fib, format_number
 GRID_MAX_POINTS = 10_000
 # Items of a streamed --emit list per string written: a bounded part of its text
 EMIT_ITEMS = 4096
+# F-matrix entries per stack of ``balance`` (227 trees at n = 25). On 10,000
+# trees at n = 25, stacks of 64, 256 and 1,024 trees took 0.33, 0.26 and
+# 0.27 s in process, with peak RSS 35, 38 and 48 MB; the sampler's blocks
+# of 2,674 trees took 0.32 s and 65 MB.
+BALANCE_CELLS = 1 << 17
 
 
 def _atomic_write(path, text):
@@ -182,12 +187,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_balance(args):
-    from .fmatrix import _build_tree, balance_E, balance_S, colless, iter_jsonl, sackin
+    from .fmatrix import _balance_rows, iter_jsonl
 
     rows = []
-    for fmat in iter_jsonl(args.infile):
-        tree = _build_tree(fmat)  # iter_jsonl has checked it
-        rows.append([balance_E(fmat), balance_S(fmat), sackin(tree), colless(tree)])
+    # each run of trees of one n in stacks of about BALANCE_CELLS entries;
+    # iter_jsonl has checked every matrix
+    for n, run in itertools.groupby(iter_jsonl(args.infile), key=lambda f: f.n):
+        stack_size = max(1, BALANCE_CELLS // (n - 1) ** 2)
+        while block := [f.entries for f in itertools.islice(run, stack_size)]:
+            rows += _balance_rows(block).tolist()
     text = _csv_text(rows, header=["E", "S", "sackin", "colless"])
     _emit(args.out, text)
     return 0

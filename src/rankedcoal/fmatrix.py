@@ -1,4 +1,4 @@
-"""F-matrix representation: path bijection, tree reconstruction, distance, balance.
+"""F-matrix representation: path bijection, the split record, distance, balance.
 
 Column j of an F-matrix is the chain state at step n-1-j; the diagonal
 F_jj = j+1 and subdiagonal F_{j+1,j} = j are fixed, and the non-fixed
@@ -9,7 +9,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -168,82 +167,86 @@ def fmatrix_to_path(space, fmat):
     return tuple(space.index_of(fmat.entries[:, j - 1]) for j in range(n - 1, 0, -1))
 
 
-@dataclass
-class TreeNode:
-    """Internal node (rank 2..n) or leaf (rank None) of a ranked tree."""
+def _split_counts(ranks):
+    """F from a split record P, trees along the last axis: an
+    (n-1, n-1, m) int64 array with F_ij at [i-1, j-1] (1-based, i >= j);
+    entries above the diagonal are not F.
 
-    rank: Optional[int]
-    size: int
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
+    F_ij counts the j+1 lineages of epoch j (the blocks born at rank
+    <= j+1 and not split by event j+1) that are still unsplit after event
+    i+1. Such a block is split, if at all, by one event ev >= j+2, and an
+    event ev >= j+2 splits one of them exactly when its block was born at
+    rank P_ev <= j+1. So
 
-    @property
-    def is_leaf(self):
-        return self.rank is None
+        F_ij = (j+1) - #{ev in [j+2, i+1] : P_ev <= j+1}.
 
-
-@dataclass
-class RankedTree:
-    """Ranked unlabelled tree; internal nodes ranked 2..n from the root down."""
-
-    n: int
-    root: TreeNode
-
-    def internal_nodes(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.append(node)
-                stack.append(node.left)
-                stack.append(node.right)
-        return sorted(out, key=lambda nd: nd.rank)
-
-
-def _leaf():
-    return TreeNode(rank=None, size=1)
-
-
-def _join(rank, a, b):
-    # canonical child order: larger subtree left, then smaller rank first
-    ka = (-a.size, a.rank if a.rank is not None else math.inf)
-    kb = (-b.size, b.rank if b.rank is not None else math.inf)
-    if kb < ka:
-        a, b = b, a
-    return TreeNode(rank=rank, size=a.size + b.size, left=a, right=b)
-
-
-def fmatrix_to_tree(fmat):
-    """Reconstruct the ranked tree, unique up to child order.
-
-    Each column pair fixes the coalescence pair (i, k) of decremental
-    indices; index n-1 refers to an external (leaf) lineage, anything
-    smaller to the unique internal lineage with that decremental index.
+    Every event ev <= j+1 has P_ev < ev <= j+1, so with the running count
+    C_ij = #{ev in [2, i+1] : P_ev <= j+1} this is F_ij = 2j + 1 - C_ij.
     """
-    return _build_tree(fmat.validate_static())
+    e, m = ranks.shape
+    j = np.arange(1, e + 1)[:, None]
+    # one (n-1, n-1, m) array, counted and turned into F in place; with
+    # the trees last, each step runs over contiguous rows of m values
+    f = np.empty((e, e, m), np.int64)
+    np.less_equal(ranks[:, None, :], j + 1, out=f)
+    np.cumsum(f, axis=0, out=f)
+    np.subtract(2 * j + 1, f, out=f)
+    return f
 
 
-def _build_tree(fmat):
-    """``fmatrix_to_tree`` of an F-matrix that ``validate_static`` has accepted."""
-    n = fmat.n
-    internal = {}
-    externals = n
-    for t, (i, k) in enumerate(merges(fmat.entries[:, ::-1].T).tolist()):
-        rank = n - t
-        if i == n - 1:
-            externals -= 2
-            node = _join(rank, _leaf(), _leaf())
-        elif k == n - 1:
-            externals -= 1
-            node = _join(rank, internal.pop(i), _leaf())
-        else:
-            node = _join(rank, internal.pop(i), internal.pop(k))
-        internal[n - 2 - t] = node
-    rest = list(internal.values()) + [_leaf() for _ in range(externals)]
-    if len(rest) != 2:
-        raise ValidationError("reconstruction did not end with two lineages")
-    return RankedTree(n, _join(2, rest[0], rest[1]))
+def fmatrix_entries(ranks):
+    """The F-matrices of a split record (see ``_split_counts``), as an
+    (m, n-1, n-1) int64 array with zeros above the diagonal."""
+    f = np.ascontiguousarray(_split_counts(ranks).transpose(2, 0, 1))
+    f *= np.tri(len(ranks), dtype=bool)
+    return f
+
+
+def split_record(stack):
+    """The split record P of a checked (m, n-1, n-1) stack of F-matrices,
+    the inverse of ``fmatrix_entries``: an (n-1, m) int64 array, trees along
+    the last axis, whose P[ev-2] is the rank of the parent of the node of
+    rank ev (0 for the root), which is the birth rank of the block that
+    event ev splits.
+
+    By ``_split_counts``, F_{i-1,j} - F_ij = [P_{i+1} <= j + 1] for j < i,
+    and F_{i-1,j} <= F_ij = 0 or i + 1 for j >= i. So P_{i+1} is the least
+    j + 1 at which F_{i-1,j} > F_ij.
+    """
+    ranks = np.zeros((stack.shape[1], len(stack)), np.int64)
+    ranks[1:] = (stack[:, :-1] > stack[:, 1:]).argmax(axis=2).T + 2
+    return ranks
+
+
+def _node_sizes(ranks):
+    """(size, child) of the internal nodes of the trees of a split record
+    P, two (n-1, m) int64 arrays indexed like P by rank - 2: the leaf count
+    of the node of each rank, and the leaf count of one of its children:
+    its split child of lowest rank, or a leaf if both children are leaves.
+
+    One pass over the events ev = n..3, each node's size complete before
+    its parent's is read: a node has two leaves until a child splits, and a
+    child of size s adds s - 1.
+    """
+    size = np.full(ranks.shape, 2, np.int64)
+    child = np.ones(ranks.shape, np.int64)
+    cols = np.arange(ranks.shape[1])
+    for ev in range(len(ranks) + 1, 2, -1):
+        parent = ranks[ev - 2] - 2
+        size[parent, cols] += size[ev - 2] - 1
+        child[parent, cols] = size[ev - 2]
+    return size, child
+
+
+def _balance_rows(entries):
+    """E, S, Sackin and Colless of each of m checked F-matrices of one n,
+    given as a sequence of their entries, as an (m, 4) int64 array (see
+    ``balance_E``, ``balance_S``, ``sackin`` and ``colless``)."""
+    stack = np.stack(entries)
+    rows, cols = _nonfixed_index(stack.shape[1] + 1)
+    size, child = _node_sizes(split_record(stack))
+    return np.column_stack([stack[:, -1].sum(axis=1), stack[:, rows, cols].sum(axis=1),
+                            size.sum(axis=0), np.abs(2 * child - size).sum(axis=0)])
 
 
 def distance(f1, f2):
@@ -269,32 +272,15 @@ def balance_S(fmat):
 
 
 def sackin(fmat):
-    """Sum of leaf depths of the reconstructed shape."""
-    tree = fmat if isinstance(fmat, RankedTree) else fmatrix_to_tree(fmat)
-    total = 0
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.is_leaf:
-            total += depth
-        else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    return total
+    """Sum of leaf depths of the encoded tree: each leaf counts once per
+    internal node above it, so this is the sum of internal node sizes."""
+    return int(_balance_rows([fmat.validate_static().entries])[0, 2])
 
 
 def colless(fmat):
-    """Sum over internal nodes of |left leaf count - right leaf count|."""
-    tree = fmat if isinstance(fmat, RankedTree) else fmatrix_to_tree(fmat)
-    total = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            total += abs(node.left.size - node.right.size)
-            stack.append(node.left)
-            stack.append(node.right)
-    return total
+    """Sum over the internal nodes of the encoded tree of |left leaf count
+    - right leaf count|."""
+    return int(_balance_rows([fmat.validate_static().entries])[0, 3])
 
 
 def nonfixed_positions(n):
@@ -529,7 +515,3 @@ def corpus_sums(fmats):
     if total is None:
         raise ValidationError("empty sample")
     return n, m, total, np.bincount(list(e), weights=list(e.values())).astype(np.int64)
-
-
-def read_jsonl(path):
-    return list(iter_jsonl(path))

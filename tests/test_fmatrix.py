@@ -1,5 +1,6 @@
-"""F-matrix encoding: the five n = 5 matrices, path bijection, tree
-reconstruction, balance indices, and the jsonl corpus format."""
+"""F-matrix encoding: the five n = 5 matrices, path bijection, the split
+record and the node sizes read from it against the rebuilt tree of
+``tree_oracle``, balance indices, and the jsonl corpus format."""
 
 import itertools
 import json
@@ -10,30 +11,38 @@ import numpy as np
 import pytest
 import reader_oracle
 import sums_oracle
+import tree_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rankedcoal import ValidationError
 from rankedcoal import fmatrix as fmatrix_module
-from rankedcoal.betasplit import BetaConfig, sample_beta_fmatrices
+from rankedcoal.betasplit import (
+    BetaConfig,
+    _cumulative_table,
+    beta_split_ranks,
+    sample_beta_fmatrices,
+)
 from rankedcoal.fmatrix import (
     FMatrix,
+    _balance_rows,
+    _node_sizes,
     balance_E,
     balance_S,
     colless,
     corpus_sums,
     distance,
     distance_sq,
+    fmatrix_entries,
     fmatrix_to_path,
-    fmatrix_to_tree,
     iter_jsonl,
     jsonl_text,
     nonfixed_positions,
     nonfixed_vector,
     path_to_fmatrix,
     paths_to_fmatrices,
-    read_jsonl,
     sackin,
+    split_record,
 )
 from rankedcoal.frechet import mean_matrix_sample
 from rankedcoal.kingman import enumerate_paths, sample_paths
@@ -194,21 +203,71 @@ def test_caterpillar_maximizes_both_indices():
             assert balance_E(fmat) <= cat_e
 
 
+def _sizes(fmat):
+    """The node sizes of ``fmat``'s tree by rank, from its split record."""
+    return _node_sizes(split_record(fmat.entries[None]))[0][:, 0].tolist()
+
+
 def test_tree_reconstruction_shapes():
-    tree = fmatrix_to_tree(_fmat(5, FIG_N5[(1, 2, 3, 5)]))
-    assert {nd.rank: nd.size for nd in tree.internal_nodes()} == {2: 5, 3: 4, 4: 3, 5: 2}
-    tree = fmatrix_to_tree(_fmat(5, FIG_N5[(1, 2, 4, 5)]))
-    assert {nd.rank: nd.size for nd in tree.internal_nodes()} == {2: 5, 3: 4, 4: 2, 5: 2}
-    for nd in tree.internal_nodes():
-        assert nd.left.size >= nd.right.size
+    for key, sizes in (((1, 2, 3, 5), [5, 4, 3, 2]), ((1, 2, 4, 5), [5, 4, 2, 2])):
+        fmat = _fmat(5, FIG_N5[key])
+        assert _sizes(fmat) == sizes
+        tree = tree_oracle.build_tree(fmat)
+        assert [nd.size for nd in tree.internal_nodes()] == sizes
+        for nd in tree.internal_nodes():
+            assert nd.left.size >= nd.right.size
 
 
 def test_sackin_equals_internal_size_sum(space6):
     """Depth accumulation agrees with counting each leaf once per ancestor."""
     for path, _ in enumerate_paths(space6):
         fmat = path_to_fmatrix(space6, path)
-        tree = fmatrix_to_tree(fmat)
-        assert sackin(fmat) == sum(nd.size for nd in tree.internal_nodes())
+        tree = tree_oracle.build_tree(fmat)
+        assert sackin(fmat) == tree_oracle.sackin(tree) == sum(_sizes(fmat))
+
+
+def _assert_matches_tree_oracle(fmats):
+    """The node sizes of a list of F-matrices of one n, read from their
+    split record, and their balance rows, against the rebuilt trees."""
+    stack = np.stack([f.entries for f in fmats])
+    size, _ = _node_sizes(split_record(stack))
+    for fmat, sizes, row in zip(fmats, size.T.tolist(), _balance_rows(stack).tolist()):
+        tree = tree_oracle.build_tree(fmat)
+        assert [nd.size for nd in tree.internal_nodes()] == sizes
+        assert row == [balance_E(fmat), balance_S(fmat),
+                       tree_oracle.sackin(tree), tree_oracle.colless(tree)]
+
+
+@pytest.mark.parametrize("beta", [-1.5, 0.0, 2.0])
+def test_split_record_gives_back_the_beta_samplers_record(beta):
+    """P(F) is the record the beta sampler drew F from, at every n in
+    3..60, so F -> P -> F holds; node sizes, Sackin and Colless agree with
+    the rebuilt trees."""
+    rng = np.random.default_rng(7)
+    for n in range(3, 61):
+        ranks = beta_split_ranks(n, _cumulative_table(beta, n), rng.random((100, 2 * (n - 1))))
+        stack = fmatrix_entries(ranks)
+        assert np.array_equal(split_record(stack), ranks)
+        if n in (3, 4, 8, 25, 60):
+            _assert_matches_tree_oracle([FMatrix(n, f) for f in stack[:40]])
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_split_record_inverts_fmatrix_entries_on_every_shape(n):
+    space = enumerate_states(n)
+    fmats = paths_to_fmatrices(space, [path for path, _ in enumerate_paths(space)])
+    stack = np.stack([f.entries for f in fmats])
+    assert np.array_equal(fmatrix_entries(split_record(stack)), stack)
+    _assert_matches_tree_oracle(fmats)
+
+
+def test_split_record_inverts_fmatrix_entries_on_kingman_paths():
+    for n in range(10, 26):
+        space = enumerate_states(n)
+        fmats = paths_to_fmatrices(space, sample_paths(space, 500, seed=n))
+        stack = np.stack([f.entries for f in fmats])
+        assert np.array_equal(fmatrix_entries(split_record(stack)), stack)
+        _assert_matches_tree_oracle(fmats[:20])
 
 
 def test_nonfixed_layout():
@@ -221,14 +280,14 @@ def test_jsonl_roundtrip(tmp_path, space5):
     mats = [path_to_fmatrix(space5, p) for p, _ in enumerate_paths(space5)]
     target = tmp_path / "corpus.jsonl"
     target.write_text("".join(_line(f) + "\n" for f in mats))
-    assert read_jsonl(target) == mats
+    assert list(iter_jsonl(target)) == mats
 
 
 def test_jsonl_reports_bad_line(tmp_path):
     target = tmp_path / "broken.jsonl"
     target.write_text('{"n": 5, "tri": [[2]]}\nnot json\n')
     with pytest.raises(ValidationError) as err:
-        read_jsonl(target)
+        list(iter_jsonl(target))
     assert ":1:" in str(err.value)
 
 
@@ -237,7 +296,7 @@ def test_reader_refuses_an_n_that_is_not_an_integer(n, tmp_path):
     target = tmp_path / "one.jsonl"
     target.write_text(json.dumps({"n": n, "tri": [[2], [1, 3], [1, 2, 4], [1, 1, 1, 5]]}) + "\n")
     with pytest.raises(ValidationError, match=f":1: n = {n!r} is not an integer"):
-        read_jsonl(target)
+        list(iter_jsonl(target))
 
 
 @pytest.mark.parametrize("n, tri", [(1, []), (2, [[2]])])
@@ -247,7 +306,7 @@ def test_an_n_below_3_is_refused(n, tri, tmp_path):
     target = tmp_path / "small.jsonl"
     target.write_text(json.dumps({"n": n, "tri": tri}) + "\n")
     with pytest.raises(ValidationError, match=f":1: F-matrices need n >= 3"):
-        read_jsonl(target)
+        list(iter_jsonl(target))
 
 
 def test_validate_static_errors():
@@ -494,7 +553,7 @@ def test_canonical_lines_are_read_without_json(tmp_path, n):
     for data in (text, text[:-1]):
         path.write_text(data, encoding="utf-8")
         with mock.patch.object(fmatrix_module.json, "loads", side_effect=AssertionError("json")):
-            got = read_jsonl(path)
+            got = list(iter_jsonl(path))
         assert got == mats == list(reader_oracle.iter_jsonl(path))
 
 

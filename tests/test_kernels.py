@@ -19,11 +19,10 @@ from rankedcoal.betasplit import (
     BetaConfig,
     _cumulative_table,
     beta_split_ranks,
-    fmatrix_entries,
     sample_beta_fmatrices,
     sample_beta_stats,
 )
-from rankedcoal.fmatrix import nonfixed_positions
+from rankedcoal.fmatrix import fmatrix_entries, nonfixed_positions
 from rankedcoal.kingman import _walk_paths, edge_table
 from rankedcoal.statespace import enumerate_states
 

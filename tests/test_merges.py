@@ -1,5 +1,6 @@
 """The one merge rule, ``kingman.merges``, on random chain paths: the path
-to F-matrix to path round trip, tree reconstruction, and agreement with
+to F-matrix to path round trip, the tree it rebuilds (``tree_oracle``)
+against the split record's node sizes, and agreement with
 the scalar rule it replaced, kept here as an oracle, on every step and on
 single-entry mutations of a state."""
 
@@ -7,11 +8,12 @@ import functools
 
 import numpy as np
 import pytest
+import tree_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rankedcoal import ValidationError
-from rankedcoal.fmatrix import fmatrix_to_path, fmatrix_to_tree, path_to_fmatrix
+from rankedcoal.fmatrix import _node_sizes, fmatrix_to_path, path_to_fmatrix, split_record
 from rankedcoal.kingman import feasible, merges, sample_paths
 from rankedcoal.statespace import diff_encoding, enumerate_states
 
@@ -58,10 +60,19 @@ def test_path_fmatrix_path_round_trip(n, seed):
 
 @given(st.integers(4, 20), st.integers(0, 2 ** 32 - 1))
 def test_tree_has_ranks_2_to_n_and_n_leaves(n, seed):
+    """The tree rebuilt from the merges has internal nodes of ranks 2..n
+    and n leaves, and the split record gives each node's size."""
     space, paths = _paths(n, seed)
-    for row in paths:
-        tree = fmatrix_to_tree(path_to_fmatrix(space, row))
+    fmats = [path_to_fmatrix(space, row) for row in paths]
+    ranks = split_record(np.stack([f.entries for f in fmats]))
+    # each node's parent has a lower rank
+    assert (ranks[0] == 0).all() and (2 <= ranks[1:]).all()
+    assert (ranks[1:] < np.arange(3, n + 1)[:, None]).all()
+    size, _ = _node_sizes(ranks)
+    for fmat, sizes in zip(fmats, size.T.tolist()):
+        tree = tree_oracle.build_tree(fmat)
         assert [nd.rank for nd in tree.internal_nodes()] == list(range(2, n + 1))
+        assert [nd.size for nd in tree.internal_nodes()] == sizes
         leaves, stack = 0, [tree.root]
         while stack:
             node = stack.pop()
@@ -69,7 +80,7 @@ def test_tree_has_ranks_2_to_n_and_n_leaves(n, seed):
                 leaves += 1
             else:
                 stack += [node.left, node.right]
-        assert leaves == tree.root.size == n
+        assert leaves == tree.root.size == sizes[0] == n
 
 
 @given(st.integers(4, 20), st.integers(0, 2 ** 32 - 1))
