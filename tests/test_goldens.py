@@ -1,11 +1,11 @@
 """CLI outputs, byte for byte, against recorded files: seeded runs recorded
 before the samplers and the phase-type PMF were vectorised, the exact
-Frechet minimum and mean paths at n = 25, and the exact moments of S, E and
-the F-matrix at n = 12, recorded while the moment engine still multiplied
-Fractions edge by edge, and their float values at n = 14, recorded while
-the engine still kept every right product of every column, and the
-balance indices of the two simulate goldens, recorded while each tree was
-still built as Python nodes and walked."""
+Frechet minimum and mean paths at n = 25 and 30, and the exact moments of
+S, E and the F-matrix at n = 12, recorded while the moment engine still
+multiplied Fractions edge by edge, and their float values at n = 14,
+recorded while the engine still kept every right product of every column,
+and the balance indices of the two simulate goldens, recorded while each
+tree was still built as Python nodes and walked."""
 
 from pathlib import Path
 
@@ -30,6 +30,7 @@ GOLDENS = {
     "sample_n10_seed5.jsonl": ["sample", "--n", "10", "--count", "20", "--seed", "5"],
     "bcp_n10.csv": ["bcp", "--n", "10"],
     "frechet_n25.txt": ["frechet", "--n", "25"],
+    "frechet_n30.txt": ["frechet", "--n", "30"],
     "moments_n12.csv": ["moments", "--targets", "S,E,F", "--n", "12"],
     "moments_float_n14.csv": ["moments", "--targets", "S,E,F", "--mode", "float", "--n", "14"],
 }
@@ -39,6 +40,15 @@ GOLDENS = {
 def test_cli_output_matches_golden(name, capsys):
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [8, 12, 25])
+def test_frechet_out_file_matches_golden(n, tmp_path, capsys):
+    """The --out JSON of the benchmark's Frechet calls, recorded while the
+    pass still ran on the enumerated state space."""
+    out = tmp_path / "frechet.json"
+    assert main(["frechet", "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"frechet_out_n{n}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["sample_n10_seed5.jsonl", "simulate_beta_n9_seed3.jsonl",
@@ -95,3 +105,15 @@ def test_power_null_builds_no_chain(capsys, monkeypatch):
     name = "power_n8_seed7.csv"
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_frechet_n32_matches_golden():
+    """The Frechet minimum and mean paths at n = 32, recorded from the pass on
+    the state space ``enumerate_states(32, max_n=32)``."""
+    from rankedcoal._common import format_number
+    from rankedcoal.frechet import mean_matrix_exact, vitreebi
+
+    space = statespace.enumerate_states(32, max_n=32)
+    best, paths = vitreebi(space, mean_matrix_exact(space))
+    text = "".join(f"{line}\n" for line in [format_number(best)] + [",".join(map(str, p)) for p in paths])
+    assert text.encode() == (GOLDEN_DIR / "frechet_n32.txt").read_bytes()
