@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2, default_mode
-from .kingman import TierBlock
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,8 @@ def bcp_chain(n):
     """The BCP states and their jump-chain probability blocks, one per tier
     boundary. Within tier t every state holds b = n - t blocks, so the
     common denominator is binom(b, 2)."""
+    from .kingman import TierBlock
+
     states = bcp_states(n)
     offsets = np.zeros(n, dtype=np.int64)
     for s in states:

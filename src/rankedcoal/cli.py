@@ -224,21 +224,19 @@ def _corpus(path):
 
 
 def _cmd_frechet(args):
-    from .fmatrix import path_to_fmatrix
-    from .frechet import check_path_cap, mean_matrix_exact, mean_matrix_sample, vitreebi
-    from .statespace import enumerate_states
+    from .frechet import (check_n, check_path_cap, mean_matrix_exact, mean_matrix_sample,
+                          path_fmatrices, vitreebi)
 
     check_path_cap(args.path_cap)
-    mean = None
+    check_n(args.n)
     if args.sample:
         first, fmats = _corpus(args.sample)
         if first.n != args.n:
             raise ValidationError(f"corpus has n = {first.n}, expected {args.n}")
         mean = mean_matrix_sample(fmats)
-    space = enumerate_states(args.n)
-    if mean is None:
-        mean = mean_matrix_exact(space)
-    min_cost, paths = vitreebi(space, mean, path_cap=args.path_cap)
+    else:
+        mean = mean_matrix_exact(args.n)
+    min_cost, paths = vitreebi(None, mean, path_cap=args.path_cap)
     cost_text = format_number(min_cost)
     print(cost_text)
     for p in paths:
@@ -248,9 +246,7 @@ def _cmd_frechet(args):
             "n": args.n,
             "min_cost": cost_text,
             "paths": [list(p) for p in paths],
-            "fmatrices": [
-                {"n": args.n, "tri": path_to_fmatrix(space, p).tri()} for p in paths
-            ],
+            "fmatrices": [{"n": args.n, "tri": f.tri()} for f in path_fmatrices(args.n, paths)],
         }
         _atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
     return 0

@@ -13,7 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import ValidationError
-from .kingman import merges, validate_path
+
+
+def merges(states):
+    """The merged pair of every step of a run of states on consecutive tiers.
+
+    Row r+1 of the (m, n-1) array ``states`` is meant to follow row r by one
+    coalescence. Returns an (m-1, 2) int64 array whose row r holds the
+    1-based decremental indices (i, k), i <= k, of the pair that merges from
+    row r to row r+1 (index n-1 is an external lineage), or (0, 0) when no
+    pair does. The pair solves d(x) - d(y) + e_nu = e_i + e_k, where d is
+    the code (decremental bits, then the external count) and nu = max(x) - 2
+    = n-2-t is the decremental index of the lineage the merge creates.
+
+    An int32 array is read as it is, and anything else as int64.
+    """
+    x = np.asarray(states)
+    if x.dtype != np.int32:
+        x = x.astype(np.int64, copy=False)
+    n = x.shape[1] + 1
+    code = np.concatenate([np.maximum(x[:, :-1] - x[:, 1:], 0), x[:, -1:]], axis=1)
+    diff = code[:-1] - code[1:]
+    diff[np.arange(len(diff)), x[:-1].max(axis=1) - 3] += 1
+    # two units on two indices, or both on the external index
+    ok = (diff.sum(axis=1) == 2) & (diff.min(axis=1) >= 0) & (diff[:, :-1].max(axis=1) <= 1)
+    hit = diff > 0
+    pairs = np.stack([hit.argmax(axis=1) + 1, n - 1 - hit[:, ::-1].argmax(axis=1)], axis=1)
+    return pairs * ok[:, None]
 
 
 @dataclass(frozen=True)
@@ -142,6 +168,8 @@ def _first_fault(stack):
 
 def path_to_fmatrix(space, path):
     """F-matrix whose column n-1-t is the state at step t of the path."""
+    from .kingman import validate_path
+
     return paths_to_fmatrices(space, [validate_path(space, path)])[0]
 
 

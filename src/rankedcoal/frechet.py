@@ -1,20 +1,23 @@
 """ViTreebi: cost recursion, exhaustive backtracking, Frechet means.
 
-A rational mean M is solved at every n in integer state costs
-K(x) = sum_i (D x_i^2 - 2 x_i N_ij), with D the lcm of the non-fixed
-denominators and N = D M: int64 when every path sum fits, Python ints
-otherwise. The minimum is K_min / D + sum M^2 exactly and ties compare
-with ``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
+A rational mean M is solved at every n in integer state costs: each
+non-fixed entry x_i of a state adds D x_i^2 - 2 x_i N_ij less the least
+value that term takes, with D the lcm of the non-fixed denominators and
+N = D M, in int64 when every path sum fits and in Python ints otherwise.
+The minimum is K_min / D plus a constant, exactly, and ties compare with
+``==``. A float mean runs in float64 with a DEFAULT_TIE_TOL window.
 
-The forward pass never builds the kernel. It is a branch and bound: it
-expands only the states whose cheapest prefix, plus the later tiers'
-cheapest state costs, is within the cost of one greedy path (3,057 of
-121,392 states at n = 25 under the Kingman mean), which keeps every state
-of every optimal path and every tie. It streams those states' edges from
-``kingman.tier_edges``, at most ``kingman.ROW_CHUNK`` source rows at a time
-in no row order, and keeps per tier only the edges that end up optimal,
-sorted by source and target, from which the backtrack and the path count
-work.
+The forward pass builds neither the state space nor the kernel. It is a
+branch and bound on the reached frontier: per tier it holds the sorted
+local indices, packed keys and cheapest prefixes of the states whose
+cheapest prefix, plus the later tiers' least state costs, is within the
+cost of one greedy path, which keeps every state of every optimal path and
+every tie. Under the Kingman mean at n = 25 it reaches 16,251 of the
+121,392 states and expands 3,034 of them. It streams the expanded states'
+edges from ``kingman.tier_edges``, costs the states they reach from their
+keys, takes each tier's least cost from a DP over positions, and keeps per
+tier only the edges that end up optimal, sorted by source and target, from
+which the backtrack and the path count work.
 """
 
 import math
@@ -25,14 +28,23 @@ from itertools import accumulate
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from .fmatrix import corpus_sums
-from .kingman import tier_edges
+from .fmatrix import FMatrix, corpus_sums, merges
+from .kingman import _out_degrees, tier_edges
+from .statespace import KEY_MAX_N, _tier_offsets, _unrank, keys_to_states
 
 DEFAULT_PATH_CAP = 10 ** 6
 # A state has fewer than n^2 < 2^12 in-edges (n <= 58), and every count
 # summed into it is at most the cap, so path counts stay far inside int64.
 MAX_PATH_CAP = 2 ** 50
 DEFAULT_TIE_TOL = 1e-9
+# The pass holds the states it keeps, about STATE_BYTES each, and one
+# tier's expanded edges at a time, about EDGE_BYTES each; it refuses a tier
+# that would take it past PASS_MAX_BYTES.
+PASS_MAX_BYTES = 512 << 20
+EDGE_BYTES = 64
+STATE_BYTES = 64
+# Edges per block of the pass's tie test
+TIE_BLOCK = 1 << 18
 
 
 @dataclass
@@ -52,8 +64,9 @@ class MeanMatrix:
 
 
 def mean_matrix_exact(space):
-    """Kingman mean matrix, E[F_ij] = j(j+1)/i, as Fractions."""
-    n = space.n
+    """Kingman mean matrix, E[F_ij] = j(j+1)/i, as Fractions, for a state
+    space or its n."""
+    n = space if isinstance(space, int) else space.n
     rows = [[Fraction(j * (j + 1) if j <= i else 0, i) for j in range(1, n)] for i in range(1, n)]
     return MeanMatrix(n=n, M=np.array(rows, dtype=object))
 
@@ -65,41 +78,75 @@ def mean_matrix_sample(matrices):
     return MeanMatrix(n=n, M=total.astype(object) * Fraction(1, m))
 
 
-def _tier_columns(space, mean):
-    """(tier, states, mean entries) over the non-fixed rows i = j+2..n-1 of
-    each tier's column j = n-1-t; tiers 0 and 1 have no such rows."""
-    n = space.n
-    if mean.n != n:
-        raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {n}")
-    return [(t, space.states[space.tier_slice(t), n - t:], mean.M[n - t:, n - 2 - t])
-            for t in range(2, space.num_tiers)]
+class _KeyCosts:
+    """The cost of a state of X_n from its packed key alone.
 
+    Entry x_k of a tier-t state is its external count plus its decremental
+    bits at indices k..n-2, so the non-fixed entries x_{n-1}, ...,
+    x_{n-t+1} come from the key bottom up. Each adds its term from a table
+    over the values 0..n-t-1 an entry of tier t can take: (v - m)^2 for a
+    float mean m. A rational mean gives integer terms v (D v - 2 N), with D
+    the lcm of the non-fixed denominators and N = D m, less their least
+    value, so that every partial sum is at least 0; ``const[t]`` turns a
+    tier-t sum K back into the cost K / D + const[t]. The terms are summed
+    in that order, one array operation per entry, so a state's cost has
+    the same bits whichever states it is evaluated with.
+    """
 
-def _scaled_costs(space, mean):
-    """Integer costs K of a rational mean, their scale D and the per-tier
-    constants S[t] = sum_i M_ij^2: c(x) = K(x) / D + S[t]. A path takes one
-    state per tier, so S adds the same to every path."""
-    tiers = [(t, x, [Fraction(v) for v in m]) for t, x, m in _tier_columns(space, mean)]
-    scale = math.lcm(*(v.denominator for _, _, m in tiers for v in m))
-    num = [[int(v * scale) for v in m] for _, _, m in tiers]
-    # A path sums one K per tier, so the tiers' largest |K| bound every path
-    # sum. Counting each x_i as at least 1 makes D and 2N fit as well. The
-    # int64 maximum itself is left free: ``_forward`` marks unreached states
-    # with it.
-    bound = 0
-    for (_, x, _), nums in zip(tiers, num):
-        for a, b in zip(x.max(axis=0, initial=1).tolist(), nums):
-            bound += a * (scale * a + 2 * abs(b))
-    dtype = np.int64 if bound < np.iinfo(np.int64).max else object
-    costs = np.zeros(space.num_states, dtype=dtype)
-    const = np.full(space.num_tiers, Fraction(0), dtype=object)
-    for (t, x, m), nums in zip(tiers, num):
-        tier_costs = costs[space.tier_slice(t)]
-        for col, b in zip(x.T, nums):  # no (tier size x columns) temporaries
-            col = col.astype(dtype)
-            tier_costs += col * (scale * col - 2 * b)
-        const[t] = sum(v * v for v in m)
-    return costs, scale, const
+    def __init__(self, mean):
+        n = self.n = mean.n
+        # the non-fixed rows n-1 down to j+2 of column j = n-1-t
+        cols = [mean.M[n - t:, n - 2 - t][::-1] for t in range(n - 1)]
+        self.scale, self.dtype = None, np.dtype(np.float64)
+        if mean.mode == "float":
+            self.tables = [[np.square(np.arange(n - t) - m) for m in col.astype(np.float64)]
+                           for t, col in enumerate(cols)]
+            return
+        cols = [[Fraction(v) for v in col] for col in cols]
+        self.scale = math.lcm(*(v.denominator for col in cols for v in col))
+        self.tables, self.const, self.dtype = [], [], np.dtype(object)
+        for t, col in enumerate(cols):
+            terms = [[v * (self.scale * v - 2 * int(m * self.scale)) for v in range(n - t)]
+                     for m in col]
+            self.tables.append([np.array([v - min(term) for v in term], object) for term in terms])
+            self.const.append(Fraction(sum(min(term) for term in terms), self.scale)
+                              + sum((m * m for m in col), Fraction(0)))
+        # Every term is at least 0, so each partial sum the pass forms is at
+        # most the sum of the tiers' largest costs. A table also holds the
+        # terms of values its entry never takes, which must fit as well. The
+        # int64 maximum itself is left free for ``_forward``'s clipped bound.
+        limit = np.iinfo(np.int64).max
+        if (all(table.max() < limit for tier in self.tables for table in tier)
+                and sum(self.extremes(t)[1] for t in range(n - 1)) < limit):
+            self.tables = [[table.astype(np.int64) for table in tier] for tier in self.tables]
+            self.dtype = np.dtype(np.int64)
+
+    def __call__(self, t, keys):
+        n = self.n
+        mask, x = keys >> 6, keys & 63
+        costs = np.zeros(len(keys), self.dtype)
+        for k, table in zip(range(n - 1, n - t, -1), self.tables[t]):
+            if k < n - 1:
+                x = x + ((mask >> (n - 1 - k)) & 1)
+            costs += table.take(x)
+        return costs
+
+    def extremes(self, t):
+        """The least and the largest cost of a tier-t state, by a DP over
+        positions: a tier's column climbs from x_{n-1} = c in steps of 0 or
+        1 to the two forced top entries, so x_{n-t+1} is n-t-1 or n-t-2.
+        Over the values v of the current entry, ``low`` and ``high`` are the
+        extreme sums of the terms at and below it, summed in ``__call__``'s
+        order; rounding is monotone, so float extremes are those of the float
+        costs bit for bit."""
+        low = high = np.zeros(1, self.dtype)
+        for k, term in enumerate(self.tables[t]):
+            if k == 0:
+                low = high = term
+                continue
+            low = term + np.minimum(low, np.concatenate((low[:1], low[:-1])))
+            high = term + np.maximum(high, np.concatenate((high[:1], high[:-1])))
+        return low[-2:].min(), high[-2:].max()
 
 
 def state_costs(space, mean):
@@ -109,14 +156,13 @@ def state_costs(space, mean):
     forced diagonal and subdiagonal of its column. A rational mean gives
     Fractions, built from the integer costs ViTreebi runs on.
     """
-    if mean.mode == "rational":
-        costs, scale, const = _scaled_costs(space, mean)
-        return costs.astype(object) * Fraction(1, scale) + const[space.tier_of]
-    costs = np.zeros(space.num_states)
-    for t, x, m in _tier_columns(space, mean):
-        diff = x - m.astype(np.float64)
-        costs[space.tier_slice(t)] = (diff * diff).sum(axis=1)
-    return costs
+    if mean.n != space.n:
+        raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {space.n}")
+    cost = _KeyCosts(mean)
+    costs = np.concatenate([cost(t, keys) for t, keys in enumerate(space._tier_keys)])
+    if cost.scale is None:
+        return costs
+    return costs.astype(object) * Fraction(1, cost.scale) + np.array(cost.const)[space.tier_of]
 
 
 def check_path_cap(path_cap):
@@ -130,29 +176,37 @@ def _ties(lhs, rhs):
     return lhs <= rhs + DEFAULT_TIE_TOL if lhs.dtype.kind == "f" else lhs == rhs
 
 
-def _forward(space, costs):
+def _forward(n, cost_of, low, big):
     """Cheapest cost of a path from state 1 to each state the pass reaches,
-    one tier at a time, and the edges (src, dst) on a path optimal to dst,
-    per tier.
+    one tier at a time, on the reached frontier only.
+
+    ``cost_of(t, ranks, keys)`` gives the costs of the tier-t states with
+    local indices ``ranks`` and packed ``keys``, ``low`` the least state
+    cost of each tier, and ``big`` is None for exact costs and, for float
+    costs, the sum over the tiers of the largest |cost| plus
+    DEFAULT_TIE_TOL. Returns, per tier, the sorted local indices of the
+    states kept and their cheapest prefixes, and per pair of tiers the
+    edges (src, dst) on a path optimal to dst, as positions in those
+    frontiers, sorted by source, then target.
 
     Branch and bound (Land & Doig 1960; the A* bound of Hart, Nilsson &
     Raphael 1968). A path takes one state per tier, so to_go[t], the sum of
-    the later tiers' cheapest state costs, is a lower bound on what any path
+    the later tiers' least state costs, is a lower bound on what any path
     adds after tier t; and ub, the cost of the greedy path that steps to the
     cheapest successor at each tier, is an upper bound on the minimum. A
     state x on an optimal path has c[x] + to_go[t] <= min <= ub, and its
-    optimal antecedents lie on optimal paths too. So the pass expands only
-    the reached states with c + to_go[t] <= ub: by induction over the tiers
-    every state on an optimal path keeps its exact c and all its optimal
-    in-edges, which are all the backtrack reads, while any other c can only
-    come out higher. A state that no expanded edge reaches holds ``top``,
-    the int64 maximum or inf, above every path sum, so it takes part in no
-    sum, in no final minimum and in no backtrack.
+    optimal antecedents lie on optimal paths too. So the pass keeps only
+    the reached states with c + to_go[t] <= ub, and expands all it keeps:
+    by induction over the tiers every state on an optimal path keeps its
+    exact c and all its optimal in-edges, which are all the backtrack
+    reads, while any other c can only come out higher. A state that is not
+    kept takes part in no later sum, in no final minimum and in no
+    backtrack.
 
     Integer costs (int64 or Python ints) run the test exactly, so every tie
     stays. It compares c with ub - to_go[t], summed in Python ints and
-    clipped below ``top``. Nothing overflows int64: c is a path prefix, and
-    ``_scaled_costs`` keeps every path sum below the int64 maximum.
+    clipped below the int64 maximum. Nothing overflows int64: c is a path
+    prefix, and ``_KeyCosts`` keeps every path sum below the int64 maximum.
 
     Float costs widen the test by a margin. On a path the backtrack returns
     with T steps, each step's tie test lets the prefix run up to tol
@@ -164,89 +218,140 @@ def _forward(space, costs):
     result: twice per step, T times in to_go, once in the final test and
     four times in the widened test itself, so under (3T+5) u (B + tol). The
     margin (T+1) tol + 2 (T+2) eps (B + tol) covers both with room for the
-    higher-order terms. Rounding is monotone, so float c too only comes out
-    higher off the returned paths, the greedy path's c stays at or below ub
-    bit for bit, and every state on a returned path keeps its bits.
+    higher-order terms. The tier minima add no rounding of their own: with
+    given costs they are minima of those costs, and from a mean,
+    ``_KeyCosts.extremes`` sums each state's terms in the order its cost
+    does, so they are the least float costs bit for bit. Rounding is
+    monotone, so float c too only comes out higher off the returned paths,
+    the greedy path's c stays at or below ub bit for bit, and every state on
+    a returned path keeps its bits.
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
     so this holds bit for bit in float64 as well as in exact arithmetic.
-    The kernel comes in chunks from ``tier_edges``, in any order. best[d]
-    only falls from chunk to chunk, so an edge that ties the final c[d] also
-    tied cost[d] + best[d] right after its own chunk: the edges kept then
-    hold every optimal one, and the exact test runs on them once the tier is
-    done. The optimal edges are then sorted by source, then target.
+    The expanded states' edges come from ``kingman.tier_edges`` in chunks,
+    in any order. Sorted by target, their runs are the reached states,
+    whose costs come from keys unranked from the local indices, and the
+    least prefix into each is one ``minimum.reduceat``. Nothing is
+    allocated per state of a tier, only per reached state and per expanded
+    edge, and a tier that would take the pass past PASS_MAX_BYTES is
+    refused.
     """
-    tiers = [space.tier_slice(t) for t in range(space.num_tiers)]
-    starts = space.tier_offsets[:-1]
-    # Python scalars, so that the bounds' sums cannot overflow
-    low = np.minimum.reduceat(costs, starts).tolist()
     to_go = list(accumulate(reversed(low[1:]), initial=0))[::-1]
-    x, path = 0, [0]  # the greedy path, as global indices
-    for t in range(space.num_tiers - 1):
-        _, d = next(tier_edges(space, t, np.array([x])))
-        x = d[np.argmin(costs[tiers[t + 1]][d])]
-        path.append(starts[t + 1] + x)
-    ub = sum(costs[path].tolist())
+    ranks, keys = np.zeros(1, np.int64), np.array([n], np.int64)
+    c = cost_of(0, ranks, keys)
+    # the greedy path, one state per tier
+    step, path = keys, [c]
+    for t in range(n - 2):
+        _, d = next(tier_edges(n, t, step))
+        cand = _unrank(n, t + 1, d)
+        cost = cost_of(t + 1, d, cand)
+        pick = int(np.argmin(cost))
+        step = cand[pick:pick + 1]
+        path.append(cost[pick:pick + 1])
+    ub = sum(np.concatenate(path).tolist())
     margin = 0
-    if costs.dtype.kind == "f":
-        steps = space.num_tiers - 1
-        big = float(np.maximum.reduceat(np.abs(costs), starts).sum()) + DEFAULT_TIE_TOL
+    if big is not None:
+        steps = n - 2
         margin = (steps + 1) * DEFAULT_TIE_TOL + 2 * (steps + 2) * np.finfo(float).eps * big
-    top = np.iinfo(costs.dtype).max if costs.dtype.kind in "iu" else np.inf
+    top = np.iinfo(c.dtype).max if c.dtype.kind in "iu" else np.inf
 
-    c = costs.copy()
-    optimal = []
-    for t in range(space.num_tiers - 1):
-        here = c[tiers[t]]
-        cost = costs[tiers[t + 1]]
-        rows = np.flatnonzero(here <= min(ub - to_go[t] + margin, top - 1))
-        best = np.full(len(cost), top, dtype=costs.dtype)
-        found = []
-        for s, d in tier_edges(space, t, rows):
-            reach = here[s]
-            np.minimum.at(best, d, reach)
-            keep = _ties(reach + cost[d], cost[d] + best[d])
-            found.append((s[keep], d[keep]))
-        hit = best < top
-        there = c[tiers[t + 1]]
-        there[~hit] = top
-        there[hit] = cost[hit] + best[hit]
-        s, d = (np.concatenate(parts) for parts in zip(*found))
-        keep = _ties(here[s] + cost[d], there[d])
-        s, d = s[keep], d[keep]
-        order = np.argsort(s * len(cost) + d)
+    def bound(t):
+        return min(ub - to_go[t] + margin, top - 1)
+
+    frontier, prefix, optimal = [ranks], [c], []
+    for t in range(n - 2):
+        edges = int(_out_degrees(n, t, keys).sum())
+        held = sum(map(len, frontier))
+        if edges * EDGE_BYTES + held * STATE_BYTES > PASS_MAX_BYTES:
+            raise CapacityError(
+                f"tier {t} of X_{n} expands {edges} edges with {held} states held, about "
+                f"{(edges * EDGE_BYTES + held * STATE_BYTES) >> 20} MiB, over the budget of "
+                f"{PASS_MAX_BYTES >> 20} MiB")
+        s, d = np.empty(edges, np.int64), np.empty(edges, np.int64)
+        at = 0
+        for src, dst in tier_edges(n, t, keys):
+            s[at:at + len(src)], d[at:at + len(src)] = src, dst
+            at += len(src)
+        # sorted by target, the runs of equal targets are the reached states
+        order = np.argsort(d)
+        s, d = s[order], d[order]
+        del order
+        head = np.concatenate(([True], d[1:] != d[:-1]))
+        starts = np.flatnonzero(head)
+        ranks = d[starts]
+        del d
+        d = np.cumsum(head)
+        del head
+        d -= 1
+        keys = _unrank(n, t + 1, ranks)
+        cost = cost_of(t + 1, ranks, keys)
+        here, c = c, cost + np.minimum.reduceat(c[s], starts)
+        live = c <= bound(t + 1)
+        # one block of edges at a time, so that the test's temporaries stay small
+        keep = np.concatenate([
+            live[d[i:i + TIE_BLOCK]]
+            & _ties(here[s[i:i + TIE_BLOCK]] + cost[d[i:i + TIE_BLOCK]], c[d[i:i + TIE_BLOCK]])
+            for i in range(0, edges, TIE_BLOCK)])
+        s, d = s[keep], (np.cumsum(live) - 1)[d[keep]]
+        ranks, keys, c = ranks[live], keys[live], c[live]
+        order = np.argsort(s * len(ranks) + d)
+        frontier.append(ranks)
+        prefix.append(c)
         optimal.append((s[order], d[order]))
-    return c, optimal
+    return frontier, prefix, optimal
 
 
-def _solve(space, mean, costs):
-    """Per-state costs, cumulative costs and per-tier optimal edges of one
-    ViTreebi problem.
+def _cost_source(n, mean, costs):
+    """``_forward``'s cost_of, low and big, and the map from the least path
+    sum of those costs to the minimum cost: from given per-state costs by
+    global index, or from ``mean``. A rational mean runs on the integer
+    costs of ``_KeyCosts``, whose least path sum K is K / D + sum_t const[t]."""
+    if costs is not None:
+        starts = _tier_offsets(n)[:-1]
+        big = None
+        if costs.dtype.kind == "f":
+            big = float(np.maximum.reduceat(np.abs(costs), starts).sum()) + DEFAULT_TIE_TOL
+        return (lambda t, ranks, keys: costs[starts[t] + ranks],
+                np.minimum.reduceat(costs, starts).tolist(), big, lambda best: best)
+    if mean.n != n:
+        raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {n}")
+    key_costs = _KeyCosts(mean)
+    low, high = (np.array(v, key_costs.dtype).tolist()
+                 for v in zip(*(key_costs.extremes(t) for t in range(n - 1))))
+    if key_costs.scale is None:
+        return (lambda t, ranks, keys: key_costs(t, keys), low,
+                float(np.sum(high)) + DEFAULT_TIE_TOL, lambda best: best)
+    const = sum(key_costs.const)
+    return (lambda t, ranks, keys: key_costs(t, keys), low, None,
+            lambda best: Fraction(int(best), key_costs.scale) + const)
 
-    Without given ``costs``, a rational mean runs on the integer costs of
-    ``_scaled_costs``; the last item is then (D, cumulative S per tier),
-    which turns a cumulative cost c at tier t into c / D + S_cum[t].
-    Otherwise it is None and the costs are true costs.
-    """
-    scale = None
-    if costs is None and mean.mode == "rational":
-        costs, denom, const = _scaled_costs(space, mean)
-        scale = denom, np.cumsum(const)
-    elif costs is None:
-        costs = state_costs(space, mean)
-    return (costs, *_forward(space, costs), scale)
+
+def check_n(n):
+    """Refuse an n the pass cannot run: below 3, or past KEY_MAX_N, whose
+    keys leave int64."""
+    if n < 3:
+        raise ValidationError(f"n must be >= 3, got {n}")
+    if n > KEY_MAX_N:
+        raise CapacityError(f"n = {n} exceeds the cap {KEY_MAX_N}: packed keys of X_{n} "
+                            "do not fit an int64")
 
 
 def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     """All cheapest chain paths under the squared deviation from ``mean``.
 
-    Returns (min_cost, paths); paths are 1-based index tuples sorted
-    lexicographically. Exceeding ``path_cap`` optimal paths raises
-    CapacityError before any path is materialized.
+    The pass reads only n from ``space``, which may be None, and then the
+    mean gives n. With ``costs``, per-state costs by global index such as
+    ``state_costs`` gives, the mean is not read. Returns (min_cost, paths);
+    paths are 1-based index tuples sorted lexicographically. Exceeding
+    ``path_cap`` optimal paths raises CapacityError before any path is
+    materialized.
     """
     check_path_cap(path_cap)
-    costs, c, optimal, scale = _solve(space, mean, costs)
-    last = c[space.tier_slice(space.num_tiers - 1)]
+    n = mean.n if space is None else space.n
+    check_n(n)
+    cost_of, low, big, true_cost = _cost_source(n, mean, costs)
+    frontier, prefix, optimal = _forward(n, cost_of, low, big)
+    last = prefix[-1]
     best = last.min()
     alive = _ties(last, best)
     finals = np.flatnonzero(alive)
@@ -256,7 +361,7 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     for t, (s, d) in reversed(list(enumerate(optimal))):
         keep = alive[d]
         kept.append((s[keep], d[keep]))
-        alive = np.zeros(space.tier_size(t), dtype=bool)
+        alive = np.zeros(len(frontier[t]), dtype=bool)
         alive[s[keep]] = True
     kept.reverse()
 
@@ -264,7 +369,7 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     # anywhere means the total is above it too.
     count = np.ones(1, dtype=np.int64)
     for t, (s, d) in enumerate(kept):
-        count, prev = np.zeros(space.tier_size(t + 1), dtype=np.int64), count
+        count, prev = np.zeros(len(frontier[t + 1]), dtype=np.int64), count
         np.add.at(count, d, prev[s])
         if count.max() > path_cap:
             raise CapacityError(f"more than {path_cap} optimal paths")
@@ -276,13 +381,31 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     # keeps the paths sorted.
     paths = np.zeros((1, 1), dtype=np.int64)
     for t, (s, d) in enumerate(kept):
-        out_deg = np.bincount(s, minlength=space.tier_size(t))
+        out_deg = np.bincount(s, minlength=len(frontier[t]))
         first = np.cumsum(out_deg) - out_deg
         reps = out_deg[paths[:, -1]]
         start = np.repeat(first[paths[:, -1]] - (np.cumsum(reps) - reps), reps)
         paths = np.column_stack([np.repeat(paths, reps, axis=0), d[start + np.arange(len(start))]])
-    paths += space.tier_offsets[:-1] + 1
-    if scale is not None:
-        denom, const = scale
-        best = Fraction(int(best), denom) + const[-1]
-    return best, [tuple(p) for p in paths.tolist()]
+    offsets = _tier_offsets(n)
+    paths = np.column_stack([ranks[paths[:, t]] + offsets[t] + 1
+                             for t, ranks in enumerate(frontier)])
+    return true_cost(best), [tuple(p) for p in paths.tolist()]
+
+
+def path_fmatrices(n, paths):
+    """The F-matrices of 1-based index paths of X_n, each state decoded from
+    its key, without a state space; a step that is not one coalescence is
+    refused, naming it."""
+    offsets = _tier_offsets(n)
+    out = []
+    for path in paths:
+        states = np.empty((n - 1, n - 1), np.int8)
+        for t, index in enumerate(path):
+            key = _unrank(n, t, np.array([index - 1 - offsets[t]]))
+            keys_to_states(key, n, t, states[t:t + 1])
+        bad = np.flatnonzero(merges(states)[:, 0] == 0)
+        if len(bad):
+            t = int(bad[0])
+            raise ValidationError(f"infeasible transition {path[t]} -> {path[t + 1]} at step {t}")
+        out.append(FMatrix(n, states[::-1].T))
+    return out

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2, to_fractions, zeros
+from .fmatrix import merges
 from .statespace import RankedState, _rank_table, diff_encoding
 
 PATH_ENUM_MAX_N = 12
@@ -64,33 +65,6 @@ class TierBlock:
         return out
 
 
-def merges(states):
-    """The merged pair of every step of a run of states on consecutive tiers.
-
-    Row r+1 of the (m, n-1) array ``states`` is meant to follow row r by one
-    coalescence. Returns an (m-1, 2) int64 array whose row r holds the
-    1-based decremental indices (i, k), i <= k, of the pair that merges from
-    row r to row r+1 (index n-1 is an external lineage), or (0, 0) when no
-    pair does. The pair solves d(x) - d(y) + e_nu = e_i + e_k, where d is
-    the code (decremental bits, then the external count) and nu = max(x) - 2
-    = n-2-t is the decremental index of the lineage the merge creates.
-
-    An int32 array is read as it is, and anything else as int64.
-    """
-    x = np.asarray(states)
-    if x.dtype != np.int32:
-        x = x.astype(np.int64, copy=False)
-    n = x.shape[1] + 1
-    code = np.concatenate([np.maximum(x[:, :-1] - x[:, 1:], 0), x[:, -1:]], axis=1)
-    diff = code[:-1] - code[1:]
-    diff[np.arange(len(diff)), x[:-1].max(axis=1) - 3] += 1
-    # two units on two indices, or both on the external index
-    ok = (diff.sum(axis=1) == 2) & (diff.min(axis=1) >= 0) & (diff[:, :-1].max(axis=1) <= 1)
-    hit = diff > 0
-    pairs = np.stack([hit.argmax(axis=1) + 1, n - 1 - hit[:, ::-1].argmax(axis=1)], axis=1)
-    return pairs * ok[:, None]
-
-
 def feasible(x, y):
     """The unique coalescence pair (i, k) turning state x into state y.
 
@@ -132,12 +106,12 @@ def transition_prob(x, y, mode="rational"):
     return Fraction(numer, denom) if mode == "rational" else numer / denom
 
 
-def _successors(space, t, rows=None):
-    """Coalescence successors of the tier-t states ``rows`` (canonical local
-    indices in an index array; all if None).
+def _successors(n, t, keys):
+    """Coalescence successors of the tier-t states of X_n with packed
+    ``keys``, an int64 array.
 
     Yields (src, cols, numer) for at most ROW_CHUNK rows of one popcount
-    class d at a time: src indexes ``rows``, cols[e, r] is the canonical
+    class d at a time: src indexes ``keys``, cols[e, r] is the canonical
     local index in tier t+1 of the e-th successor of row src[r], and
     numer[e] its Kingman numerator over C(n-t, 2), alike for the class.
 
@@ -152,8 +126,6 @@ def _successors(space, t, rows=None):
     F_0[i] - F_1[i+1] + F_1[j] - F_2[j+1] + F_2[d], bit i and an external
     lineage to F_0[i] - F_1[i+1] + F_1[d], two externals to F_0[d].
     """
-    n = space.n
-    keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
     table = _rank_table(n)
     # a tier-t code with d mask bits has c = n-t-d external lineages
     ext = keys & 63
@@ -184,6 +156,14 @@ def _successors(space, t, rows=None):
             yield src, cols[:len(numer)], numer
 
 
+def _out_degrees(n, t, keys):
+    """Number of successors of each tier-t state of X_n with packed ``keys``."""
+    c = keys & 63
+    d = n - t - c
+    # pairs of mask bits, each bit with an external lineage, two externals
+    return d * (d - 1) // 2 + d * (c >= 1) + (c >= 2)
+
+
 def _tier_rows(space, t, rows=None):
     """Out-edges of the tier-t states ``rows`` (canonical local indices; all if None).
 
@@ -191,13 +171,10 @@ def _tier_rows(space, t, rows=None):
     ordered by target column (canonical local index in tier t+1).
     """
     keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
-    c = keys & 63
-    d = space.n - t - c
-    # pairs of mask bits, each bit with an external lineage, two externals
-    indptr = np.concatenate(([0], np.cumsum(d * (d - 1) // 2 + d * (c >= 1) + (c >= 2))))
+    indptr = np.concatenate(([0], np.cumsum(_out_degrees(space.n, t, keys))))
     cols = np.empty(indptr[-1], np.int64)
     numer = np.empty(indptr[-1], np.int64)
-    for src, succ, num in _successors(space, t, rows):
+    for src, succ, num in _successors(space.n, t, keys):
         order = np.argsort(succ.T, axis=1)
         at = indptr[src, None] + np.arange(len(num))
         cols[at] = np.take_along_axis(succ.T, order, axis=1)
@@ -205,14 +182,14 @@ def _tier_rows(space, t, rows=None):
     return indptr, cols, numer
 
 
-def tier_edges(space, t, rows):
-    """The out-edges of the tier-t states ``rows`` (an index array of
-    canonical local indices) as (src, dst) local indices, at most ROW_CHUNK
-    source rows at a time, without building the tier's block. Chunks hold
-    rows of one popcount class each, so neither the rows nor the targets of
-    a row come in order."""
-    for src, cols, _ in _successors(space, t, rows):
-        yield np.tile(rows[src], len(cols)), cols.ravel()
+def tier_edges(n, t, keys):
+    """The out-edges of the tier-t states of X_n with packed ``keys`` as
+    (src, dst): src indexes ``keys`` and dst is a canonical local index in
+    tier t+1. They come at most ROW_CHUNK source rows at a time, without
+    building the tier's block. Chunks hold rows of one popcount class each,
+    so neither the rows nor the targets of a row come in order."""
+    for src, cols, _ in _successors(n, t, keys):
+        yield np.tile(src, len(cols)), cols.ravel()
 
 
 def tier_blocks(space):

@@ -15,7 +15,9 @@ index is the highest bit, and within a tier the keys ascend in the
 canonical order of the states (lexicographically descending on x).
 Shifted down by 7, a key holds mask bit b at sub position b-1; the ranks
 of a key's successors in the next tier (``kingman._successors``) are sums
-over these positions, so no target key is built or looked up.
+over these positions, so no target key is built or looked up. Tier sizes
+and offsets have a closed form (``_tier_offsets``), and ``_unrank`` turns
+local indices back into keys, so a walk over keys needs no enumeration.
 """
 
 import functools
@@ -198,6 +200,41 @@ def _rank_table(n):
         table[b, :n + 1] = table[b - 1, :n + 1] + table[b - 1, np.arange(-1, n)]
     table.flags.writeable = False
     return table
+
+
+def _tier_offsets(n):
+    """Global offset of every tier of X_n, and the state count last, as an
+    (n,) int64 array, in closed form: tier t >= 1 holds the subsets of t-1
+    bits with at most n-t-1 members (see ``_tier_keys``)."""
+    table = _rank_table(n)
+    sizes = [1] + [int(table[t - 1, n - t - 1]) for t in range(1, n - 1)]
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _unrank(n, t, ranks):
+    """Packed keys of the tier-t states with local indices ``ranks``, an
+    int64 array: the inverse of the rank that ``kingman._successors`` sums.
+
+    Bit b of a tier-t mask below the lead bit t sits at sub position b-1,
+    and a tier holds the subsets of sub positions 0..t-2 with at most
+    R = n-t-1 members, ascending. Going down from the highest position p,
+    N(p, R - l) subsets leave p out once l members are placed above it
+    (N is ``_rank_table``), so a rank at or past that count has p.
+    """
+    if t == 0:
+        return np.full(len(ranks), n, np.int64)
+    table = _rank_table(n)
+    rest = np.array(ranks, np.int64)
+    sub = np.zeros(len(rest), np.int64)
+    size = np.zeros(len(rest), np.int64)
+    for p in range(t - 2, -1, -1):
+        # a placed member past R reads N(p, -1) = 0, but no valid rank gets there
+        below = table[p].take(n - t - 1 - size)
+        has = rest >= below
+        rest -= below * has
+        sub |= has.astype(np.int64) << p
+        size += has
+    return (((sub << 1) | (1 << t)) << 6) | (n - t - 1 - size)
 
 
 def enumerate_states(n, max_n=DEFAULT_MAX_N):

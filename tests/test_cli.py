@@ -569,6 +569,40 @@ def test_statespace_refuses_by_bytes_before_building_a_tier(capsys, monkeypatch)
                             f"over the budget of {statespace.STATES_MAX_BYTES >> 20} MiB\n")
 
 
+def test_frechet_refuses_n_past_the_key_cap_before_any_work(capsys, monkeypatch):
+    import rankedcoal.frechet as frechet
+
+    monkeypatch.setattr(frechet, "_forward", lambda *args: pytest.fail("the pass ran"))
+    monkeypatch.setattr(frechet, "mean_matrix_exact", lambda n: pytest.fail("a mean was built"))
+    assert main(["frechet", "--n", "59"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("capacity: n = 59 exceeds the cap 58: packed keys of X_59 "
+                            "do not fit an int64\n")
+
+
+def test_frechet_n36_runs_or_is_refused_by_bytes(capsys):
+    """Past the count cap of the state space, the pass is refused only by
+    the bytes it would hold."""
+    code = main(["frechet", "--n", "36"])
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.out == "" and "MiB, over the budget of" in captured.err
+    else:
+        assert code == 0 and captured.out.startswith("70880129605168799/1083026646702000\n")
+
+
+def test_frechet_refuses_a_tier_over_the_byte_budget(capsys, monkeypatch):
+    import rankedcoal.frechet as frechet
+
+    monkeypatch.setattr(frechet, "PASS_MAX_BYTES", 1 << 20)
+    assert main(["frechet", "--n", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: tier ")
+    assert captured.err.endswith("MiB, over the budget of 1 MiB\n")
+
+
 def test_test_subcommand(tmp_path, capsys):
     corpus = tmp_path / "sample.jsonl"
     assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "8",
@@ -1049,16 +1083,19 @@ def _modules_run(argv, tmp_path):
 def test_each_call_runs_only_the_modules_its_command_needs(tmp_path):
     """The package runs a submodule on first use: ``statespace`` runs two
     modules, ``frechet`` none of the simulation, BCP or test modules, and
-    ``test`` neither the moment sweep, the Frechet pass nor phasetype."""
+    ``test`` and ``power`` neither the chain, the moment sweep, the Frechet
+    pass nor phasetype."""
     assert _modules_run(["statespace", "--n", "3"], tmp_path) == {"_common", "statespace"}
     ran = _modules_run(["frechet", "--n", "8"], tmp_path)
     assert ran & {"bcp", "betasplit", "feedforward", "neutrality", "phasetype"} == set()
     corpus = tmp_path / "corpus.jsonl"
     assert main(["simulate", "--model", "beta", "--beta", "0", "--n", "8",
                  "--count", "60", "--seed", "3", "--out", str(corpus)]) == 0
-    ran = _modules_run(["test", "--in", str(corpus)], tmp_path)
-    assert "neutrality" in ran
-    assert ran & {"feedforward", "frechet", "phasetype"} == set()
+    for argv in (["test", "--in", str(corpus)],
+                 ["power", "--n", "8", "--m", "20", "--reps", "2", "--beta-grid=0", "--seed", "3"]):
+        ran = _modules_run(argv, tmp_path)
+        assert "neutrality" in ran
+        assert ran & {"statespace", "kingman", "feedforward", "frechet", "phasetype"} == set()
 
 
 def test_test_at_n25_loads_scipy_special_but_not_sparse(tmp_path):

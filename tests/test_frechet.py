@@ -1,6 +1,7 @@
 """ViTreebi and mean matrices: the n = 6 cost table, exhaustive
 backtracking against brute force, and the dispersion identities."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from rankedcoal.frechet import (
     DEFAULT_TIE_TOL,
     MAX_PATH_CAP,
     MeanMatrix,
-    _scaled_costs,
-    _solve,
+    _cost_source,
+    _forward,
+    _KeyCosts,
     mean_matrix_exact,
     mean_matrix_sample,
+    path_fmatrices,
     state_costs,
     vitreebi,
 )
@@ -119,23 +122,24 @@ def test_n6_antecedent_sets(space6):
 
 
 def forward_table(space, mean):
-    """The forward pass of ``_solve`` as a table: the cumulative cost of
+    """The forward pass of ``vitreebi`` as a table: the cumulative cost of
     every state (exact Fractions for a rational mean; None for a state the
-    pruned pass never reaches) and the 1-based optimal antecedents of every
+    pruned pass does not keep) and the 1-based optimal antecedents of every
     state."""
-    _, c, optimal, scale = _solve(space, mean, None)
-    # unreached states hold the int64 maximum or inf, above every path sum
-    top = np.iinfo(c.dtype).max if c.dtype.kind == "i" else np.inf
-    cumulative = [None if v == top else v for v in c.tolist()]
-    if scale is not None:
-        denom, const = scale
-        cumulative = [None if v is None else F(int(v), denom) + const[t]
-                      for v, t in zip(cumulative, space.tier_of.tolist())]
+    n, offsets = space.n, space.tier_offsets
+    frontier, prefix, optimal = _forward(n, *_cost_source(n, mean, None)[:3])
+    costs = _KeyCosts(mean)
+    cumulative = [None] * space.num_states
+    for t, (ranks, c) in enumerate(zip(frontier, prefix)):
+        for r, v in zip(ranks.tolist(), c.tolist()):
+            if costs.scale is not None:
+                v = F(v, costs.scale) + sum(costs.const[:t + 1])
+            cumulative[offsets[t] + r] = v
     preds = [[] for _ in range(space.num_states)]
     for t, (s, d) in enumerate(optimal):
         # edges come by source, so each list is ascending
-        for a, b in zip(s.tolist(), d.tolist()):
-            preds[b + space.tier_offsets[t + 1]].append(a + space.tier_offsets[t] + 1)
+        for a, b in zip(frontier[t][s].tolist(), frontier[t + 1][d].tolist()):
+            preds[offsets[t + 1] + b].append(offsets[t] + a + 1)
     return cumulative, [tuple(p) for p in preds]
 
 
@@ -334,8 +338,8 @@ def test_huge_denominator_falls_back_to_python_ints(space6):
     for i, j in nonfixed_positions(6):
         m_arr[i - 1, j - 1] = F(int(m_arr[i - 1, j - 1] * p), p)
     mean = MeanMatrix(n=6, M=m_arr)
-    costs, scale, _ = _scaled_costs(space6, mean)
-    assert scale == p and costs.dtype == object
+    costs = _KeyCosts(mean)
+    assert costs.scale == p and costs.dtype == object
     assert vitreebi(space6, mean) == _brute_force(space6, mean)
 
 
@@ -383,10 +387,100 @@ def test_pruned_pass_expands_few_states(monkeypatch):
     rows = []
     successors = kingman._successors
 
-    def counting(space, t, chosen=None):
-        rows.append(space.tier_size(t) if chosen is None else len(chosen))
-        return successors(space, t, chosen)
+    def counting(n, t, keys):
+        rows.append(len(keys))
+        return successors(n, t, keys)
 
     monkeypatch.setattr(kingman, "_successors", counting)
     vitreebi(space, mean_matrix_exact(space))
     assert sum(rows) < space.num_states / 10
+
+
+@functools.lru_cache(maxsize=None)
+def _space(n):
+    return enumerate_states(n)
+
+
+def direct_costs(space, mean):
+    """Per-state costs straight from the state vectors, as Python numbers:
+    sum over the non-fixed entries of (x_k - M_{k, n-1-t})^2."""
+    n = space.n
+    out = []
+    for x, t in zip(space.states.tolist(), space.tier_of.tolist()):
+        j = n - 1 - t
+        out.append(sum(((x[k - 1] - mean.M[k - 1, j - 1]) ** 2 for k in range(j + 2, n)),
+                       F(0) if mean.mode == "rational" else 0.0))
+    return out
+
+
+def _random_mean(n, data, kind):
+    """The Kingman mean with every non-fixed entry replaced by a drawn
+    fraction of denominator at most 4, where ties between paths are
+    common; as floats for a float mean, which are exact."""
+    pos = nonfixed_positions(n)
+    values = data.draw(st.lists(st.fractions(min_value=0, max_value=n - 2, max_denominator=4),
+                                min_size=len(pos), max_size=len(pos)))
+    m_arr = mean_matrix_exact(n).M.copy()
+    for (i, j), v in zip(pos, values):
+        m_arr[i - 1, j - 1] = v
+    return MeanMatrix(n=n, M=m_arr if kind == "rational" else m_arr.astype(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=4, max_value=14), kind=st.sampled_from(["rational", "float"]),
+       data=st.data())
+def test_pass_matches_the_oracles_on_random_means(n, kind, data):
+    """The frontier pass, with or without a state space, against the loop
+    oracle at n = 4..14 and the search over every path at n <= 7; its costs
+    against the state vectors."""
+    space = _space(n)
+    mean = _random_mean(n, data, kind)
+    costs = state_costs(space, mean)
+    if kind == "rational":
+        assert costs.tolist() == direct_costs(space, mean)
+    else:
+        assert np.allclose(costs, direct_costs(space, mean), rtol=1e-13, atol=0)
+    best, paths, _, _ = loop_vitreebi(space, costs, DEFAULT_TIE_TOL)
+    assert vitreebi(space, mean) == vitreebi(None, mean) == (best, paths)
+    if kind == "rational" and n <= 7:
+        assert (best, paths) == _brute_force(space, mean)
+
+
+def _means(space, seed):
+    mean = mean_matrix_exact(space)
+    drawn = _tie_heavy_mean(space, seed, exact=True)
+    rng = np.random.default_rng(seed)
+    m_arr = mean.M.copy()
+    for i, j in nonfixed_positions(space.n):
+        m_arr[i - 1, j - 1] = F(int(rng.integers(0, 4 * space.n)), int(rng.integers(1, 40)))
+    return [mean, MeanMatrix(n=space.n, M=mean.M.astype(float)), drawn,
+            MeanMatrix(n=space.n, M=drawn.M.astype(float)), MeanMatrix(n=space.n, M=m_arr)]
+
+
+@pytest.mark.parametrize("n", range(4, 23))
+def test_tier_extremes_are_those_of_the_enumerated_costs(n):
+    """The DP over positions gives each tier's least and largest cost, bit
+    for bit for float means, and a drawn mean of large denominators runs on
+    Python ints."""
+    space = _space(n)
+    starts = space.tier_offsets[:-1]
+    for mean in _means(space, n):
+        costs = _KeyCosts(mean)
+        every = np.concatenate([costs(t, keys) for t, keys in enumerate(space._tier_keys)])
+        low, high = zip(*(costs.extremes(t) for t in range(n - 1)))
+        assert list(low) == np.minimum.reduceat(every, starts).tolist()
+        assert list(high) == np.maximum.reduceat(every, starts).tolist()
+        assert every.min() >= 0
+
+
+def test_path_fmatrices_decode_paths_from_keys():
+    space = _space(9)
+    paths = [tuple(p) for p in sample_paths(space, 20, seed=4).tolist()]
+    assert path_fmatrices(9, paths) == [path_to_fmatrix(space, p) for p in paths]
+    bad = list(paths[0])
+    bad[5] = space.tier_offsets[5] + 1 if bad[5] != space.tier_offsets[5] + 1 else bad[5] + 1
+    with pytest.raises(ValidationError) as oracle:
+        kingman.validate_path(space, bad)
+    with pytest.raises(ValidationError) as err:
+        path_fmatrices(9, [tuple(bad)])
+    assert str(err.value) == str(oracle.value)

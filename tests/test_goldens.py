@@ -1,11 +1,12 @@
 """CLI outputs, byte for byte, against recorded files: seeded runs recorded
 before the samplers and the phase-type PMF were vectorised, the exact
-Frechet minimum and mean paths at n = 25 and 30, and the exact moments of
-S, E and the F-matrix at n = 12, recorded while the moment engine still
-multiplied Fractions edge by edge, and their float values at n = 14,
-recorded while the engine still kept every right product of every column,
-and the balance indices of the two simulate goldens, recorded while each
-tree was still built as Python nodes and walked."""
+Frechet minimum and mean paths at n = 25, 30, 32 and 33 (the last two
+recorded in process on ``enumerate_states(n, max_n=n)``), and the exact
+moments of S, E and the F-matrix at n = 12, recorded while the moment
+engine still multiplied Fractions edge by edge, and their float values at
+n = 14, recorded while the engine still kept every right product of every
+column, and the balance indices of the two simulate goldens, recorded
+while each tree was still built as Python nodes and walked."""
 
 from pathlib import Path
 
@@ -31,6 +32,8 @@ GOLDENS = {
     "bcp_n10.csv": ["bcp", "--n", "10"],
     "frechet_n25.txt": ["frechet", "--n", "25"],
     "frechet_n30.txt": ["frechet", "--n", "30"],
+    "frechet_n32.txt": ["frechet", "--n", "32"],
+    "frechet_n33.txt": ["frechet", "--n", "33"],
     "moments_n12.csv": ["moments", "--targets", "S,E,F", "--n", "12"],
     "moments_float_n14.csv": ["moments", "--targets", "S,E,F", "--mode", "float", "--n", "14"],
 }
@@ -82,13 +85,16 @@ def test_path_sampling_builds_only_the_rows_it_visits(name, capsys, monkeypatch)
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
-def test_frechet_builds_no_kernel(capsys, monkeypatch):
-    """ViTreebi streams the kernel in row chunks and never builds it whole."""
-    def whole_kernel(*args, **kwargs):
-        raise AssertionError("ViTreebi built the whole kernel")
+def test_frechet_enumerates_no_state_space(capsys, monkeypatch):
+    """ViTreebi streams the kernel in row chunks, never builds it whole, and
+    builds no tier of the state space."""
+    def whole(*args, **kwargs):
+        raise AssertionError("ViTreebi built the whole kernel or a tier of states")
 
-    monkeypatch.setattr(kingman, "tier_blocks", whole_kernel)
-    monkeypatch.setattr(kingman, "edge_table", whole_kernel)
+    monkeypatch.setattr(kingman, "tier_blocks", whole)
+    monkeypatch.setattr(kingman, "edge_table", whole)
+    monkeypatch.setattr(statespace, "enumerate_states", whole)
+    monkeypatch.setattr(statespace, "_tier_keys", whole)
     name = "frechet_n25.txt"
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
@@ -106,14 +112,3 @@ def test_power_null_builds_no_chain(capsys, monkeypatch):
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
 
-
-def test_frechet_n32_matches_golden():
-    """The Frechet minimum and mean paths at n = 32, recorded from the pass on
-    the state space ``enumerate_states(32, max_n=32)``."""
-    from rankedcoal._common import format_number
-    from rankedcoal.frechet import mean_matrix_exact, vitreebi
-
-    space = statespace.enumerate_states(32, max_n=32)
-    best, paths = vitreebi(space, mean_matrix_exact(space))
-    text = "".join(f"{line}\n" for line in [format_number(best)] + [",".join(map(str, p)) for p in paths])
-    assert text.encode() == (GOLDEN_DIR / "frechet_n32.txt").read_bytes()

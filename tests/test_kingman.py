@@ -161,7 +161,7 @@ def test_successor_kernel_matches_key_expansion(n, tier, chunk, seed):
     src, dst, numer = expand_tier(space._tier_keys[t][rows], n, t)
     oracle = np.stack([src, np.searchsorted(space._tier_keys[t + 1], dst), numer])
     with mock.patch.object(kingman, "ROW_CHUNK", chunk):
-        parts = list(kingman._successors(space, t, rows))
+        parts = list(kingman._successors(n, t, space._tier_keys[t][rows]))
     assert all(len(part[0]) <= chunk for part in parts)
     got = np.concatenate([np.stack([np.tile(s, len(nu)), c.ravel(), np.repeat(nu, len(s))])
                           for s, c, nu in parts], axis=1)

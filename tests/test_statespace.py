@@ -17,6 +17,8 @@ from rankedcoal.statespace import (
     _pack,
     _rank_table,
     _tier_keys,
+    _tier_offsets,
+    _unrank,
     diff_encoding,
     enumerate_states,
     keys_to_states,
@@ -92,6 +94,20 @@ def test_tier_rank_inverts_tier_keys(n):
         keys_to_states(keys, n, t, states)
         got = [space.index_of(x) for x in states]
         assert got == list(range(space.tier_offsets[t] + 1, space.tier_offsets[t + 1] + 1))
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_unrank_inverts_tier_keys(n):
+    # the closed-form offsets count each tier, and a tier's local indices
+    # unrank to its keys in order
+    offsets = _tier_offsets(n)
+    assert offsets[-1] == _fib(n + 1) - 1
+    for t in range(n - 1):
+        keys = _tier_keys(n, t)
+        assert offsets[t + 1] - offsets[t] == len(keys)
+        assert np.array_equal(_unrank(n, t, np.arange(len(keys))), keys)
+        picks = np.random.default_rng(t).permutation(len(keys))[:50]
+        assert np.array_equal(_unrank(n, t, picks), keys[picks])
 
 
 @pytest.mark.parametrize("n", range(3, 26))
