@@ -78,6 +78,25 @@ def mean_matrix_sample(matrices):
     return MeanMatrix(n=n, M=total.astype(object) * Fraction(1, m))
 
 
+def _extremes(terms):
+    """The least and the largest sum of one term per entry over the states
+    of a tier, by a DP over positions. ``terms`` lists, bottom up, the
+    terms of the tier's non-fixed entries over the values 0..n-t-1. A
+    tier's column climbs from x_{n-1} = c in steps of 0 or 1 to the two
+    forced top entries, so the top non-fixed entry x_{n-t+1} is n-t-1 or
+    n-t-2. Over the values v of the current entry, ``low`` and ``high`` are
+    the extreme sums of the terms at and below it, summed as
+    ``_KeyCosts.__call__`` sums them; rounding is monotone, so float
+    extremes are those of the float costs bit for bit."""
+    if not terms:
+        return 0, 0
+    low = high = terms[0]
+    for term in terms[1:]:
+        low = [x + min(low[v], low[v - 1] if v else low[v]) for v, x in enumerate(term)]
+        high = [x + max(high[v], high[v - 1] if v else high[v]) for v, x in enumerate(term)]
+    return min(low[-2:]), max(high[-2:])
+
+
 class _KeyCosts:
     """The cost of a state of X_n from its packed key alone.
 
@@ -90,36 +109,40 @@ class _KeyCosts:
     value, so that every partial sum is at least 0; ``const[t]`` turns a
     tier-t sum K back into the cost K / D + const[t]. The terms are summed
     in that order, one array operation per entry, so a state's cost has
-    the same bits whichever states it is evaluated with.
+    the same bits whichever states it is evaluated with. ``low[t]`` and
+    ``high[t]`` are the least and the largest cost of a tier-t state.
     """
 
     def __init__(self, mean):
         n = self.n = mean.n
         # the non-fixed rows n-1 down to j+2 of column j = n-1-t
         cols = [mean.M[n - t:, n - 2 - t][::-1] for t in range(n - 1)]
-        self.scale, self.dtype = None, np.dtype(np.float64)
         if mean.mode == "float":
-            self.tables = [[np.square(np.arange(n - t) - m) for m in col.astype(np.float64)]
-                           for t, col in enumerate(cols)]
-            return
-        cols = [[Fraction(v) for v in col] for col in cols]
-        self.scale = math.lcm(*(v.denominator for col in cols for v in col))
-        self.tables, self.const, self.dtype = [], [], np.dtype(object)
-        for t, col in enumerate(cols):
-            terms = [[v * (self.scale * v - 2 * int(m * self.scale)) for v in range(n - t)]
-                     for m in col]
-            self.tables.append([np.array([v - min(term) for v in term], object) for term in terms])
-            self.const.append(Fraction(sum(min(term) for term in terms), self.scale)
-                              + sum((m * m for m in col), Fraction(0)))
-        # Every term is at least 0, so each partial sum the pass forms is at
-        # most the sum of the tiers' largest costs. A table also holds the
-        # terms of values its entry never takes, which must fit as well. The
-        # int64 maximum itself is left free for ``_forward``'s clipped bound.
-        limit = np.iinfo(np.int64).max
-        if (all(table.max() < limit for tier in self.tables for table in tier)
-                and sum(self.extremes(t)[1] for t in range(n - 1)) < limit):
-            self.tables = [[table.astype(np.int64) for table in tier] for tier in self.tables]
-            self.dtype = np.dtype(np.int64)
+            self.scale, self.dtype = None, np.dtype(np.float64)
+            terms = [[[(v - m) * (v - m) for v in range(n - t)] for m in col.astype(float).tolist()]
+                     for t, col in enumerate(cols)]
+        else:
+            cols = [[Fraction(v) for v in col] for col in cols]
+            self.scale = math.lcm(*(v.denominator for col in cols for v in col))
+            terms, self.const = [], []
+            for t, col in enumerate(cols):
+                raw = [[v * (self.scale * v - 2 * int(m * self.scale)) for v in range(n - t)]
+                       for m in col]
+                terms.append([[v - min(term) for v in term] for term in raw])
+                self.const.append(Fraction(sum(min(term) for term in raw), self.scale)
+                                  + sum((m * m for m in col), Fraction(0)))
+        self.low, self.high = zip(*(_extremes(tier) for tier in terms))
+        if self.scale is not None:
+            # Every term is at least 0, so each partial sum the pass forms is
+            # at most the sum of the tiers' largest costs. A table also holds
+            # the terms of values its entry never takes, which must fit as
+            # well. The int64 maximum itself is left free for ``_forward``'s
+            # clipped bound.
+            limit = np.iinfo(np.int64).max
+            fits = (sum(self.high) < limit
+                    and all(max(term) < limit for tier in terms for term in tier))
+            self.dtype = np.dtype(np.int64 if fits else object)
+        self.tables = [[np.array(term, self.dtype) for term in tier] for tier in terms]
 
     def __call__(self, t, keys):
         n = self.n
@@ -130,23 +153,6 @@ class _KeyCosts:
                 x = x + ((mask >> (n - 1 - k)) & 1)
             costs += table.take(x)
         return costs
-
-    def extremes(self, t):
-        """The least and the largest cost of a tier-t state, by a DP over
-        positions: a tier's column climbs from x_{n-1} = c in steps of 0 or
-        1 to the two forced top entries, so x_{n-t+1} is n-t-1 or n-t-2.
-        Over the values v of the current entry, ``low`` and ``high`` are the
-        extreme sums of the terms at and below it, summed in ``__call__``'s
-        order; rounding is monotone, so float extremes are those of the float
-        costs bit for bit."""
-        low = high = np.zeros(1, self.dtype)
-        for k, term in enumerate(self.tables[t]):
-            if k == 0:
-                low = high = term
-                continue
-            low = term + np.minimum(low, np.concatenate((low[:1], low[:-1])))
-            high = term + np.maximum(high, np.concatenate((high[:1], high[:-1])))
-        return low[-2:].min(), high[-2:].max()
 
 
 def state_costs(space, mean):
@@ -177,7 +183,7 @@ def _ties(lhs, rhs):
 
 
 def _forward(n, cost_of, low, big):
-    """Cheapest cost of a path from state 1 to each state the pass reaches,
+    """Cheapest cost of a path from state 1 to each state the pass keeps,
     one tier at a time, on the reached frontier only.
 
     ``cost_of(t, ranks, keys)`` gives the costs of the tier-t states with
@@ -219,9 +225,9 @@ def _forward(n, cost_of, low, big):
     four times in the widened test itself, so under (3T+5) u (B + tol). The
     margin (T+1) tol + 2 (T+2) eps (B + tol) covers both with room for the
     higher-order terms. The tier minima add no rounding of their own: with
-    given costs they are minima of those costs, and from a mean,
-    ``_KeyCosts.extremes`` sums each state's terms in the order its cost
-    does, so they are the least float costs bit for bit. Rounding is
+    given costs they are minima of those costs, and from a mean, the DP of
+    ``_extremes`` sums each state's terms in the order its cost does, so
+    they are the least float costs bit for bit. Rounding is
     monotone, so float c too only comes out higher off the returned paths,
     the greedy path's c stays at or below ub bit for bit, and every state on
     a returned path keeps its bits.
@@ -267,6 +273,8 @@ def _forward(n, cost_of, low, big):
                 f"tier {t} of X_{n} expands {edges} edges with {held} states held, about "
                 f"{(edges * EDGE_BYTES + held * STATE_BYTES) >> 20} MiB, over the budget of "
                 f"{PASS_MAX_BYTES >> 20} MiB")
+        # each edge array is dropped as soon as it is spent, which holds a
+        # tier's peak near EDGE_BYTES per edge
         s, d = np.empty(edges, np.int64), np.empty(edges, np.int64)
         at = 0
         for src, dst in tier_edges(n, t, keys):
@@ -316,11 +324,10 @@ def _cost_source(n, mean, costs):
     if mean.n != n:
         raise ValidationError(f"mean matrix is for n = {mean.n}, space for n = {n}")
     key_costs = _KeyCosts(mean)
-    low, high = (np.array(v, key_costs.dtype).tolist()
-                 for v in zip(*(key_costs.extremes(t) for t in range(n - 1))))
+    low = list(key_costs.low)
     if key_costs.scale is None:
         return (lambda t, ranks, keys: key_costs(t, keys), low,
-                float(np.sum(high)) + DEFAULT_TIE_TOL, lambda best: best)
+                float(sum(key_costs.high)) + DEFAULT_TIE_TOL, lambda best: best)
     const = sum(key_costs.const)
     return (lambda t, ranks, keys: key_costs(t, keys), low, None,
             lambda best: Fraction(int(best), key_costs.scale) + const)
@@ -396,16 +403,17 @@ def path_fmatrices(n, paths):
     """The F-matrices of 1-based index paths of X_n, each state decoded from
     its key, without a state space; a step that is not one coalescence is
     refused, naming it."""
+    index = np.array(paths, np.int64).reshape(-1, n - 1)
     offsets = _tier_offsets(n)
+    # states[p, t] is the state at step t of path p
+    states = np.empty((len(index), n - 1, n - 1), np.int8)
+    for t in range(n - 1):
+        keys_to_states(_unrank(n, t, index[:, t] - 1 - offsets[t]), n, t, states[:, t])
     out = []
-    for path in paths:
-        states = np.empty((n - 1, n - 1), np.int8)
-        for t, index in enumerate(path):
-            key = _unrank(n, t, np.array([index - 1 - offsets[t]]))
-            keys_to_states(key, n, t, states[t:t + 1])
-        bad = np.flatnonzero(merges(states)[:, 0] == 0)
+    for path, run in zip(index.tolist(), states):
+        bad = np.flatnonzero(merges(run)[:, 0] == 0)
         if len(bad):
             t = int(bad[0])
             raise ValidationError(f"infeasible transition {path[t]} -> {path[t + 1]} at step {t}")
-        out.append(FMatrix(n, states[::-1].T))
+        out.append(FMatrix(n, run[::-1].T))
     return out
