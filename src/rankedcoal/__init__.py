@@ -24,13 +24,13 @@ _EXPORTS = {
     "statespace": "StateSpace diff_encoding enumerate_states tier_sizes",
     "kingman": "tier_blocks transition_prob edge_table enumerate_paths path_probability "
                "sample_paths",
-    "fmatrix": "FMatrix path_to_fmatrix fmatrix_to_path distance balance_E balance_S sackin "
+    "fmatrix": "FMatrix path_to_fmatrix distance balance_E balance_S sackin "
                "colless nonfixed_positions iter_jsonl",
     "frechet": "MeanMatrix mean_matrix_exact mean_matrix_sample state_costs vitreebi",
-    "feedforward": "frechet_variance nonfixed_moments se_moments",
+    "feedforward": "nonfixed_moments se_moments",
     "phasetype": "DiscretePhaseType coalescent_dph build_rewards dph_pmf dph_pmf_range "
-                 "dph_mean_var reward_moments reward_transform",
-    "bcp": "partition_count bcp_states bcp_chain bcp_dph bcp_E_distribution",
+                 "reward_moments reward_transform",
+    "bcp": "partition_count bcp_states bcp_chain bcp_E_distribution",
     "betasplit": "BetaConfig sample_beta_fmatrices sample_beta_stats",
     "neutrality": "SampleStats TestReport KingmanNull kingman_null run_tests power_curve",
 }

@@ -178,15 +178,6 @@ def _dense_chain(n):
     return bcp_chain(n)
 
 
-def bcp_dph(n, mode=None):
-    """The ranked BCP as a dense discrete phase-type chain."""
-    from .phasetype import dph_from_blocks
-
-    if mode is None:
-        mode = default_mode(n)
-    return dph_from_blocks(_dense_chain(n).blocks, mode=mode)
-
-
 def e_law(n):
     """Exact law of E as Fractions, ``pmf[v] = P(E = v + 1)``.
 

@@ -142,14 +142,14 @@ def _cmd_sample(args):
 
     from .betasplit import block_sizes
     from .kingman import sample_paths
-    from .statespace import enumerate_states
+    from .statespace import check_n
 
     _refuse_negative(args, "count", "seed")
-    space = enumerate_states(args.n)
+    check_n(args.n)
     rng = np.random.default_rng(args.seed)
 
     def text(size):
-        paths = sample_paths(space, size, seed=rng)
+        paths = sample_paths(args.n, size, seed=rng)
         return "".join(json.dumps({"path": [int(v) for v in p]}) + "\n" for p in paths)
 
     _emit(args.out, map(text, block_sizes(args.count, args.n)))
@@ -174,12 +174,12 @@ def _cmd_simulate(args):
     else:
         from .fmatrix import paths_to_fmatrices
         from .kingman import sample_paths
-        from .statespace import enumerate_states
+        from .statespace import check_n
 
-        space = enumerate_states(args.n)
+        check_n(args.n)
 
         def draw(size):
-            return paths_to_fmatrices(space, sample_paths(space, size, seed=rng))
+            return paths_to_fmatrices(args.n, sample_paths(args.n, size, seed=rng))
 
     texts = (text for size in block_sizes(args.count, args.n) for text in jsonl_text(draw(size)))
     _emit(args.out, texts)
@@ -224,8 +224,9 @@ def _corpus(path):
 
 
 def _cmd_frechet(args):
-    from .frechet import (check_n, check_path_cap, mean_matrix_exact, mean_matrix_sample,
-                          path_fmatrices, vitreebi)
+    from .fmatrix import paths_to_fmatrices
+    from .frechet import check_path_cap, mean_matrix_exact, mean_matrix_sample, vitreebi
+    from .statespace import check_n
 
     check_path_cap(args.path_cap)
     check_n(args.n)
@@ -246,7 +247,8 @@ def _cmd_frechet(args):
             "n": args.n,
             "min_cost": cost_text,
             "paths": [list(p) for p in paths],
-            "fmatrices": [{"n": args.n, "tri": f.tri()} for f in path_fmatrices(args.n, paths)],
+            "fmatrices": [{"n": args.n, "tri": f.tri()}
+                          for f in paths_to_fmatrices(args.n, paths)],
         }
         _atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
     return 0

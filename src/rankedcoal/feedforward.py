@@ -15,7 +15,6 @@ once per space.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -266,38 +265,3 @@ def se_moments(space, *, mode=None, summary=None):
     cov[0, 1] = cov[1, 0] = value(a_s.dot(cov_f.dot(a_e)), den)
     cov[1, 1] = value(a_e.dot(cov_f.dot(a_e)), den)
     return mean, cov
-
-
-def frechet_variance(space, *, mean=None, engine="moments"):
-    """E ||F - M||^2 under Kingman: the dispersion around ``mean``.
-
-    The moment identity tr(Sigma) + ||mean_vec - M_vec||^2 over the
-    non-fixed entries gives it, exact where the moments are.
-    ``engine="enumeration"`` sums over every chain path instead, as an
-    oracle for small n.
-    """
-    from .frechet import mean_matrix_exact, state_costs
-    from .kingman import enumerate_paths
-
-    n = space.n
-    if mean is None:
-        mean = mean_matrix_exact(space)
-    if engine == "enumeration":
-        # a path's ||F - M||^2 is the sum of its states' costs
-        costs = state_costs(space, mean)
-        return sum(prob * costs[np.asarray(path) - 1].sum()
-                   for path, prob in enumerate_paths(space))
-    if engine != "moments":
-        raise ValidationError(f"unknown engine {engine!r}")
-    if n < 4:
-        return Fraction(0)  # every entry is fixed
-    summary = nonfixed_moments(space)
-    exact = summary.mode == "rational" and mean.mode == "rational"
-    acc = Fraction(0) if exact else 0.0
-    for a, (i, j) in enumerate(nonfixed_positions(n)):
-        acc += summary.cov[a, a] if exact else float(summary.cov[a, a])
-        diff = summary.mean[a] - mean.M[i - 1, j - 1]
-        if not exact:
-            diff = float(diff)
-        acc += diff * diff
-    return acc

@@ -1,4 +1,4 @@
-"""F-matrix representation: path bijection, the split record, distance, balance.
+"""F-matrix representation: path decoding, the split record, distance, balance.
 
 Column j of an F-matrix is the chain state at step n-1-j; the diagonal
 F_jj = j+1 and subdiagonal F_{j+1,j} = j are fixed, and the non-fixed
@@ -170,29 +170,37 @@ def path_to_fmatrix(space, path):
     """F-matrix whose column n-1-t is the state at step t of the path."""
     from .kingman import validate_path
 
-    return paths_to_fmatrices(space, [validate_path(space, path)])[0]
+    return paths_to_fmatrices(space.n, [validate_path(space, path)])[0]
 
 
-def paths_to_fmatrices(space, paths):
-    """F-matrices of a (count, n-1) array of 1-based index paths.
+def paths_to_fmatrices(n, paths):
+    """F-matrices of a (count, n-1) array of 1-based index paths of X_n,
+    each state decoded from its key, with no state space.
 
-    The paths are not checked: pass only paths that ``validate_path``
-    accepts, such as those ``kingman.sample_paths`` draws.
+    Step t of a path must index a tier-t state, as in every path that
+    ``validate_path`` accepts or ``kingman.sample_paths`` draws. The steps
+    are checked with one ``merges`` call over all paths, and the first that
+    is not one coalescence is refused, naming it.
     """
-    grid = space.states[np.asarray(paths, dtype=np.int64) - 1]
-    # grid[m, t] is the state at step t; F's column n-1-t is that state
-    entries = grid[:, ::-1, :].transpose(0, 2, 1)
-    return [FMatrix(space.n, arr) for arr in entries]
+    from .statespace import _tier_offsets, _unrank, keys_to_states
 
-
-def fmatrix_to_path(space, fmat):
-    """Inverse of path_to_fmatrix; names the failing column on rejection
-    (see ``FMatrix.validate_static``)."""
-    n = space.n
-    if fmat.n != n:
-        raise ValidationError(f"F-matrix n = {fmat.n} does not match space n = {n}")
-    fmat.validate_static()
-    return tuple(space.index_of(fmat.entries[:, j - 1]) for j in range(n - 1, 0, -1))
+    index = np.asarray(paths, dtype=np.int64).reshape(-1, n - 1)
+    offsets = _tier_offsets(n)
+    # states[p, t] is the state at step t of path p; entries are at most n,
+    # so int32 holds them, on which ``merges`` runs faster
+    states = np.empty((len(index), n - 1, n - 1), dtype=np.int32)
+    for t in range(n - 1):
+        keys_to_states(_unrank(n, t, index[:, t] - 1 - offsets[t]), n, t, states[:, t])
+    # the merge from each path's last state to the next path's first is ignored
+    infeasible = np.zeros((len(index), n - 1), dtype=bool)
+    infeasible.flat[:-1] = merges(states.reshape(-1, n - 1))[:, 0] == 0
+    bad = np.argwhere(infeasible[:, :-1])
+    if len(bad):
+        p, t = (int(v) for v in bad[0])
+        raise ValidationError(
+            f"infeasible transition {index[p, t]} -> {index[p, t + 1]} at step {t}")
+    # F's column n-1-t is the state at step t
+    return [FMatrix(n, run[::-1].T) for run in states]
 
 
 def _split_counts(ranks):

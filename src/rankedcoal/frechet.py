@@ -28,9 +28,9 @@ from itertools import accumulate
 import numpy as np
 
 from ._common import CapacityError, ValidationError
-from .fmatrix import FMatrix, corpus_sums, merges
+from .fmatrix import corpus_sums
 from .kingman import _out_degrees, tier_edges
-from .statespace import KEY_MAX_N, _tier_offsets, _unrank, keys_to_states
+from .statespace import _tier_offsets, _unrank, check_n
 
 DEFAULT_PATH_CAP = 10 ** 6
 # A state has fewer than n^2 < 2^12 in-edges (n <= 58), and every count
@@ -333,16 +333,6 @@ def _cost_source(n, mean, costs):
             lambda best: Fraction(int(best), key_costs.scale) + const)
 
 
-def check_n(n):
-    """Refuse an n the pass cannot run: below 3, or past KEY_MAX_N, whose
-    keys leave int64."""
-    if n < 3:
-        raise ValidationError(f"n must be >= 3, got {n}")
-    if n > KEY_MAX_N:
-        raise CapacityError(f"n = {n} exceeds the cap {KEY_MAX_N}: packed keys of X_{n} "
-                            "do not fit an int64")
-
-
 def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     """All cheapest chain paths under the squared deviation from ``mean``.
 
@@ -397,23 +387,3 @@ def vitreebi(space, mean, path_cap=DEFAULT_PATH_CAP, costs=None):
     paths = np.column_stack([ranks[paths[:, t]] + offsets[t] + 1
                              for t, ranks in enumerate(frontier)])
     return true_cost(best), [tuple(p) for p in paths.tolist()]
-
-
-def path_fmatrices(n, paths):
-    """The F-matrices of 1-based index paths of X_n, each state decoded from
-    its key, without a state space; a step that is not one coalescence is
-    refused, naming it."""
-    index = np.array(paths, np.int64).reshape(-1, n - 1)
-    offsets = _tier_offsets(n)
-    # states[p, t] is the state at step t of path p
-    states = np.empty((len(index), n - 1, n - 1), np.int8)
-    for t in range(n - 1):
-        keys_to_states(_unrank(n, t, index[:, t] - 1 - offsets[t]), n, t, states[:, t])
-    out = []
-    for path, run in zip(index.tolist(), states):
-        bad = np.flatnonzero(merges(run)[:, 0] == 0)
-        if len(bad):
-            t = int(bad[0])
-            raise ValidationError(f"infeasible transition {path[t]} -> {path[t + 1]} at step {t}")
-        out.append(FMatrix(n, run[::-1].T))
-    return out

@@ -5,6 +5,11 @@ integer denominator C(n-t, 2) per tier, so rational and float views are
 both exact materializations of the same data. ``tier_blocks`` is the one
 builder of whole blocks: it builds them once per state space, read-only,
 and every consumer that needs the whole kernel asks it for them.
+
+The rows of a tier come from packed keys alone (``_tier_rows``), so the
+path sampler builds no state space: it keeps each draw's local index,
+unranks the distinct indices of a tier to keys (``statespace._unrank``)
+and builds only their rows, which reaches n = 58 (``statespace.check_n``).
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,7 @@ import numpy as np
 
 from ._common import CapacityError, ValidationError, binom2, to_fractions, zeros
 from .fmatrix import merges
-from .statespace import RankedState, _rank_table, diff_encoding
+from .statespace import RankedState, _rank_table, _tier_offsets, _unrank, check_n, diff_encoding
 
 PATH_ENUM_MAX_N = 12
 # Source rows per chunk of the successor kernel ``_successors``.
@@ -164,17 +169,16 @@ def _out_degrees(n, t, keys):
     return d * (d - 1) // 2 + d * (c >= 1) + (c >= 2)
 
 
-def _tier_rows(space, t, rows=None):
-    """Out-edges of the tier-t states ``rows`` (canonical local indices; all if None).
+def _tier_rows(n, t, keys):
+    """Out-edges of the tier-t states of X_n with packed ``keys``.
 
-    Returns (indptr, cols, numer) over ``rows`` in the given order, each row
+    Returns (indptr, cols, numer) over ``keys`` in the given order, each row
     ordered by target column (canonical local index in tier t+1).
     """
-    keys = space._tier_keys[t] if rows is None else space._tier_keys[t][rows]
-    indptr = np.concatenate(([0], np.cumsum(_out_degrees(space.n, t, keys))))
+    indptr = np.concatenate(([0], np.cumsum(_out_degrees(n, t, keys))))
     cols = np.empty(indptr[-1], np.int64)
     numer = np.empty(indptr[-1], np.int64)
-    for src, succ, num in _successors(space.n, t, keys):
+    for src, succ, num in _successors(n, t, keys):
         order = np.argsort(succ.T, axis=1)
         at = indptr[src, None] + np.arange(len(num))
         cols[at] = np.take_along_axis(succ.T, order, axis=1)
@@ -202,7 +206,7 @@ def tier_blocks(space):
         n = space.n
         blocks = []
         for t in range(n - 2):
-            indptr, cols, numer = _tier_rows(space, t)
+            indptr, cols, numer = _tier_rows(n, t, space._tier_keys[t])
             for arr in (indptr, cols, numer):
                 arr.flags.writeable = False
             blocks.append(TierBlock(
@@ -300,34 +304,36 @@ def enumerate_paths(space):
     return results
 
 
-def _walk_paths(space, uniforms):
-    """Chain paths driven by ``uniforms``, one row of n-2 values per path.
+def _walk_paths(n, uniforms):
+    """Chain paths of X_n driven by ``uniforms``, one row of n-2 values per path.
 
     A step from a tier-t state takes the first out-edge whose running
     numerator exceeds floor(u * C(n-t, 2)), or the row's last edge. Only
-    the rows of the states some path stands on are built. Returns
-    (count, n-1) 1-based state indices.
+    the rows of the states some path stands on are built, from their keys:
+    ascending local indices unrank to ascending keys, so the rows come in
+    canonical order. Returns (count, n-1) 1-based state indices.
     """
-    n = space.n
     count = uniforms.shape[0]
+    offsets = _tier_offsets(n)
     out = np.ones((count, n - 1), np.int64)
     cur = np.zeros(count, np.int64)
     for t in range(n - 2):
         rows, inv = np.unique(cur, return_inverse=True)
-        indptr, cols, numer = _tier_rows(space, t, rows)
+        indptr, cols, numer = _tier_rows(n, t, _unrank(n, t, rows))
         cum = np.cumsum(numer)
         before = np.concatenate(([0], cum))[indptr[inv]]
         thr = np.floor(uniforms[:, t] * binom2(n - t)).astype(np.int64)
         e = np.searchsorted(cum, before + thr, side="right")
         cur = cols[np.minimum(e, indptr[inv + 1] - 1)]
-        out[:, t + 1] = cur + space.tier_offsets[t + 1] + 1
+        out[:, t + 1] = cur + offsets[t + 1] + 1
     return out
 
 
-def sample_paths(space, count, seed):
-    """Draw ``count`` paths with the Kingman kernel; deterministic given seed,
-    an int or a ``numpy.random.Generator`` to draw from."""
+def sample_paths(n, count, seed):
+    """Draw ``count`` paths of X_n with the Kingman kernel; deterministic
+    given seed, an int or a ``numpy.random.Generator`` to draw from."""
+    check_n(n)
     if seed is None:
         raise ValidationError("an explicit seed is required")
     rng = np.random.default_rng(seed)
-    return _walk_paths(space, rng.random((count, space.n - 2)))
+    return _walk_paths(n, rng.random((count, n - 2)))

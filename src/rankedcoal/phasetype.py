@@ -10,7 +10,6 @@ pmf stepping walks the row view; float stepping is ``w @ T`` on the numpy
 or scipy T. Moment formulas are vector chains, never U-products.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -140,26 +139,6 @@ def dph_pmf_range(d, upto):
             break
         w = d.step(w)
     return out
-
-
-def dph_factorial_moment(d, k):
-    """k-th factorial moment k! * pi T^{k-1} U^k e."""
-    if k < 1:
-        raise ValidationError(f"moment order must be >= 1, got {k}")
-    w = d.pi
-    for _ in range(k - 1):
-        w = d.step(w)
-    v = np.full(d.order, _one(d.mode))
-    for _ in range(k):
-        v = _solve(d.rows, v)
-    return math.factorial(k) * w.dot(v)
-
-
-def dph_mean_var(d):
-    """Mean and variance of the absorption time."""
-    mean = dph_factorial_moment(d, 1)
-    second = dph_factorial_moment(d, 2)
-    return mean, second + mean - mean * mean
 
 
 def reward_moments(d, r):

@@ -17,7 +17,9 @@ Shifted down by 7, a key holds mask bit b at sub position b-1; the ranks
 of a key's successors in the next tier (``kingman._successors``) are sums
 over these positions, so no target key is built or looked up. Tier sizes
 and offsets have a closed form (``_tier_offsets``), and ``_unrank`` turns
-local indices back into keys, so a walk over keys needs no enumeration.
+local indices back into keys, so a walk over keys needs no enumeration:
+``frechet``, the path sampler and the path decoder run on keys alone, and
+``check_n`` is their one refusal of an n.
 """
 
 import functools
@@ -27,6 +29,8 @@ import numpy as np
 
 from ._common import CapacityError, ValidationError, fib
 
+# The count cap of ``enumerate_states``, which only the ``statespace``,
+# ``kernel`` and ``moments`` commands call
 DEFAULT_MAX_N = 30
 # A packed key holds the decremental mask in bits 1..n-2 above a 6-bit
 # external count, so bit n+4 is its top bit and n = 58 the last n whose
@@ -35,6 +39,16 @@ KEY_MAX_N = 58
 # A state takes n + 9 bytes: n-1 int8 entries, an int16 tier and an int64
 # key (within 6% of the peak measured at n = 30 and 32). Refuses n >= 35.
 STATES_MAX_BYTES = 512 << 20
+
+
+def check_n(n):
+    """Refuse an n that a walk over packed keys cannot run: below 3, or past
+    KEY_MAX_N, whose keys leave int64."""
+    if n < 3:
+        raise ValidationError(f"n must be >= 3, got {n}")
+    if n > KEY_MAX_N:
+        raise CapacityError(f"n = {n} exceeds the cap {KEY_MAX_N}: packed keys of X_{n} "
+                            "do not fit an int64")
 
 
 def diff_encoding(x):

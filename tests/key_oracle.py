@@ -1,8 +1,11 @@
-"""Key-level reference for the Kingman successors: every successor of a
-tier's packed keys is built as a packed key, to be ranked by binary search
-in the next tier's sorted keys."""
+"""Key-level references: every Kingman successor of a tier's packed keys
+built as a packed key, to be ranked by binary search in the next tier's
+sorted keys, and the path of an F-matrix looked up state by state in the
+enumerated state space."""
 
 import numpy as np
+
+from rankedcoal import ValidationError
 
 
 def expand_tier(keys, n, t):
@@ -46,3 +49,14 @@ def expand_tier(keys, n, t):
         dst[pos] = ((m[sel] | nubit) << 6) | (cr[sel] - 2)
         numer[pos] = cr[sel] * (cr[sel] - 1) // 2
     return src, dst, numer
+
+
+def fmatrix_to_path(space, fmat):
+    """The index path whose F-matrix is ``fmat``: column j is the state at
+    step n-1-j, looked up by its key (``StateSpace.index_of``); names the
+    failing column on rejection (see ``FMatrix.validate_static``)."""
+    n = space.n
+    if fmat.n != n:
+        raise ValidationError(f"F-matrix n = {fmat.n} does not match space n = {n}")
+    fmat.validate_static()
+    return tuple(space.index_of(fmat.entries[:, j - 1]) for j in range(n - 1, 0, -1))

@@ -10,17 +10,17 @@ import pytest
 from rankedcoal.bcp import (
     BcpState,
     bcp_chain,
-    bcp_dph,
     bcp_E_distribution,
     bcp_states,
     partition_count,
 )
 from rankedcoal.phasetype import (
     coalescent_dph,
-    dph_mean_var,
+    dph_from_blocks,
     dph_pmf,
     dph_pmf_range,
     reward_E,
+    reward_moments,
     reward_transform,
 )
 from rankedcoal.kingman import tier_blocks
@@ -159,7 +159,8 @@ def test_e_distribution_enumerates_the_states_once(monkeypatch):
 
 
 def test_n5_external_moments():
-    assert dph_mean_var(bcp_E_distribution(5)) == (10, F(2, 3))
+    e5 = bcp_E_distribution(5)
+    assert reward_moments(e5, [1] * e5.order) == (10, F(2, 3))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -169,7 +170,7 @@ def test_external_pmf_matches_ranked_coalescent(n):
     bcp = bcp_E_distribution(n)
     upper = n * (n + 1) // 2 - 1
     assert dph_pmf_range(ranked, upper) == dph_pmf_range(bcp, upper)
-    assert dph_mean_var(ranked) == dph_mean_var(bcp)
+    assert reward_moments(ranked, [1] * ranked.order) == reward_moments(bcp, [1] * bcp.order)
 
 
 def test_n25_float_mass():
@@ -186,8 +187,9 @@ def test_strictly_coarser_than_ranked_space():
 
 
 def test_dph_modes_agree():
-    exact = bcp_dph(6)
-    approx = bcp_dph(6, mode="float")
+    blocks = bcp_chain(6).blocks
+    exact = dph_from_blocks(blocks, mode="rational")
+    approx = dph_from_blocks(blocks, mode="float")
     np.testing.assert_allclose(
         approx.T, np.array([[float(v) for v in row] for row in exact.T]),
         rtol=0, atol=1e-15)

@@ -7,6 +7,7 @@ from math import lgamma
 
 import numpy as np
 import pytest
+from key_oracle import fmatrix_to_path
 from scipy import stats as sps
 
 from rankedcoal._common import ValidationError
@@ -21,7 +22,6 @@ from rankedcoal.fmatrix import (
     _node_sizes,
     balance_E,
     balance_S,
-    fmatrix_to_path,
     nonfixed_vector,
     path_to_fmatrix,
     split_record,

@@ -142,7 +142,7 @@ def test_sample_matches_library(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert len(lines) == 5
     space = enumerate_states(6)
-    expected = sample_paths(space, 5, seed=3)
+    expected = sample_paths(6, 5, seed=3)
     for line, row in zip(lines, expected):
         path = tuple(json.loads(line)["path"])
         assert path == tuple(int(v) for v in row)
@@ -180,10 +180,31 @@ def test_simulate_writes_each_tree_as_json_dumps_does(model, tmp_path, capsys):
     if model == "beta":
         mats = sample_beta_fmatrices(BetaConfig(beta=-0.5, n=n, seed=seed), count, rng=rng)
     else:
-        space = enumerate_states(n)
-        mats = paths_to_fmatrices(space, sample_paths(space, count, seed=rng))
+        mats = paths_to_fmatrices(n, sample_paths(n, count, seed=rng))
     want = "".join(json.dumps({"n": f.n, "tri": f.tri()}) + "\n" for f in mats)
     assert target.read_bytes() == want.encode("ascii")
+
+
+def test_simulate_kingman_runs_past_the_count_cap_of_the_state_space(tmp_path, capsys):
+    """The Kingman sampler walks packed keys, so it builds no state space,
+    and every tree it writes at n = 50 passes the corpus reader's checks."""
+    corpus = tmp_path / "n50.jsonl"
+    assert main(["simulate", "--model", "kingman", "--n", "50", "--count", "100",
+                 "--seed", "1", "--out", str(corpus)]) == 0
+    mats = list(iter_jsonl(str(corpus)))
+    assert len(mats) == 100 and all(f.n == 50 for f in mats)
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["simulate", "--model", "kingman"]])
+def test_path_sampling_refuses_n_past_the_key_cap_before_any_draw(argv, capsys, monkeypatch):
+    from rankedcoal import kingman
+
+    monkeypatch.setattr(kingman, "_walk_paths", lambda *args: pytest.fail("a path was drawn"))
+    assert main(argv + ["--n", "59", "--count", "3", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("capacity: n = 59 exceeds the cap 58: packed keys of X_59 "
+                            "do not fit an int64\n")
 
 
 def test_simulate_kingman_and_balance(tmp_path, capsys):
@@ -491,9 +512,9 @@ def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
 
     built = []
 
-    def counted(space, t, rows=None):
+    def counted(n, t, keys):
         built.append(t)
-        return tier_rows(space, t, rows)
+        return tier_rows(n, t, keys)
 
     tier_rows = kingman._tier_rows
     monkeypatch.setattr(kingman, "_tier_rows", counted)

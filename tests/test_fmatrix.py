@@ -14,6 +14,7 @@ import sums_oracle
 import tree_oracle
 from hypothesis import given
 from hypothesis import strategies as st
+from key_oracle import fmatrix_to_path
 
 from rankedcoal import ValidationError
 from rankedcoal import fmatrix as fmatrix_module
@@ -34,7 +35,6 @@ from rankedcoal.fmatrix import (
     distance,
     distance_sq,
     fmatrix_entries,
-    fmatrix_to_path,
     iter_jsonl,
     jsonl_text,
     nonfixed_positions,
@@ -252,10 +252,50 @@ def test_split_record_gives_back_the_beta_samplers_record(beta):
             _assert_matches_tree_oracle([FMatrix(n, f) for f in stack[:40]])
 
 
+def _gathered(space, paths):
+    """F-matrices of index paths gathered from the enumerated state
+    vectors, as the decoder did before it read keys; kept as its oracle."""
+    grid = space.states[np.asarray(paths, dtype=np.int64) - 1]
+    return [FMatrix(space.n, arr) for arr in grid[:, ::-1, :].transpose(0, 2, 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_paths_to_fmatrices_equals_the_gather_on_every_shape(n):
+    space = enumerate_states(n)
+    paths = [path for path, _ in enumerate_paths(space)]
+    assert paths_to_fmatrices(n, paths) == _gathered(space, paths)
+
+
+def test_paths_to_fmatrices_equals_the_gather_on_kingman_paths():
+    paths = sample_paths(25, 500, seed=25)
+    assert paths_to_fmatrices(25, paths) == _gathered(enumerate_states(25), paths)
+
+
+def test_paths_to_fmatrices_refuses_the_first_infeasible_step_as_validate_path_does():
+    """In whichever path of the stack it falls; the merge from a path's
+    last state to the next path's first is no step."""
+    from rankedcoal.kingman import feasible, validate_path
+
+    space = enumerate_states(9)
+    paths = sample_paths(9, 20, seed=4)
+    assert paths_to_fmatrices(9, paths) == _gathered(space, paths)
+    # step 5 of path 7 becomes a tier-5 state that no merge reaches from its step 4
+    bad = paths.copy()
+    bad[7, 5] = next(i for i in range(space.tier_offsets[5] + 1, space.tier_offsets[6] + 1)
+                     if feasible(space.state(int(bad[7, 4])), space.state(i)) is None)
+    with pytest.raises(ValidationError) as oracle:
+        validate_path(space, bad[7])
+    assert str(oracle.value) == f"infeasible transition {bad[7, 4]} -> {bad[7, 5]} at step 4"
+    for stack in (bad, bad[7:8]):
+        with pytest.raises(ValidationError) as err:
+            paths_to_fmatrices(9, stack)
+        assert str(err.value) == str(oracle.value)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_split_record_inverts_fmatrix_entries_on_every_shape(n):
     space = enumerate_states(n)
-    fmats = paths_to_fmatrices(space, [path for path, _ in enumerate_paths(space)])
+    fmats = paths_to_fmatrices(n, [path for path, _ in enumerate_paths(space)])
     stack = np.stack([f.entries for f in fmats])
     assert np.array_equal(fmatrix_entries(split_record(stack)), stack)
     _assert_matches_tree_oracle(fmats)
@@ -263,8 +303,7 @@ def test_split_record_inverts_fmatrix_entries_on_every_shape(n):
 
 def test_split_record_inverts_fmatrix_entries_on_kingman_paths():
     for n in range(10, 26):
-        space = enumerate_states(n)
-        fmats = paths_to_fmatrices(space, sample_paths(space, 500, seed=n))
+        fmats = paths_to_fmatrices(n, sample_paths(n, 500, seed=n))
         stack = np.stack([f.entries for f in fmats])
         assert np.array_equal(fmatrix_entries(split_record(stack)), stack)
         _assert_matches_tree_oracle(fmats[:20])
@@ -566,8 +605,7 @@ def test_writer_spells_each_line_as_json_does(n):
     beta = sample_beta_fmatrices(BetaConfig(-1.0, n, n), 2 * fmatrix_module.WRITE_TREES + 3)
     kingman = []
     if n <= 30:
-        space = enumerate_states(n)
-        kingman = paths_to_fmatrices(space, sample_paths(space, 70, seed=np.random.default_rng(n)))
+        kingman = paths_to_fmatrices(n, sample_paths(n, 70, seed=np.random.default_rng(n)))
     for mats in (beta, kingman, beta[:1]):
         assert "".join(jsonl_text(mats)) == "".join(_line(f) + "\n" for f in mats)
         assert all(len(text.splitlines()) <= fmatrix_module.WRITE_TREES

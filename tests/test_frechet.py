@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankedcoal import CapacityError, ValidationError, kingman
-from rankedcoal.feedforward import frechet_variance
+from rankedcoal.feedforward import nonfixed_moments
 from rankedcoal.fmatrix import nonfixed_positions, path_to_fmatrix
 from rankedcoal.frechet import (
     DEFAULT_TIE_TOL,
@@ -21,7 +21,6 @@ from rankedcoal.frechet import (
     _KeyCosts,
     mean_matrix_exact,
     mean_matrix_sample,
-    path_fmatrices,
     state_costs,
     vitreebi,
 )
@@ -229,22 +228,27 @@ def test_path_cap_overflow(space6):
         vitreebi(space6, mean_matrix_exact(space6), path_cap=1)
 
 
-def test_variance_point_mass():
-    assert frechet_variance(enumerate_states(3)) == 0
+def _dispersion_by_moments(space):
+    """E ||F - M||^2 under Kingman about the exact mean M, by the moment
+    identity tr(Sigma) + ||E F - M||^2 over the non-fixed entries."""
+    mean, summary = mean_matrix_exact(space), nonfixed_moments(space)
+    return sum(summary.cov[a, a] + (summary.mean[a] - mean.M[i - 1, j - 1]) ** 2
+               for a, (i, j) in enumerate(nonfixed_positions(space.n)))
+
+
+def _dispersion_by_paths(space):
+    """The same dispersion summed over every chain path: a path's
+    ||F - M||^2 is the sum of its states' costs."""
+    costs = state_costs(space, mean_matrix_exact(space))
+    return sum(prob * costs[np.asarray(path) - 1].sum() for path, prob in enumerate_paths(space))
 
 
 def test_variance_n5_trace_identity(space5):
-    value = frechet_variance(space5)
-    assert value == F(2, 9) + F(1, 4) + F(1, 4) == F(13, 18)
-    assert frechet_variance(space5, engine="moments") == value
+    assert _dispersion_by_moments(space5) == F(2, 9) + F(1, 4) + F(1, 4) == F(13, 18)
 
 
 def test_variance_engines_agree(space6):
-    enum = frechet_variance(space6, engine="enumeration")
-    mom = frechet_variance(space6, engine="moments")
-    assert enum == mom
-    with pytest.raises(ValidationError):
-        frechet_variance(space6, engine="bogus")
+    assert _dispersion_by_paths(space6) == _dispersion_by_moments(space6)
 
 
 def loop_vitreebi(space, costs, tie_tol):
@@ -285,7 +289,7 @@ def loop_vitreebi(space, costs, tie_tol):
 def _tie_heavy_mean(space, seed, exact):
     """The mean of two sampled shapes: every entry where they differ sits
     halfway between two state values, so paths mixing the two tie."""
-    paths = sample_paths(space, 2, seed=seed)
+    paths = sample_paths(space.n, 2, seed=seed)
     mean = mean_matrix_sample([path_to_fmatrix(space, p) for p in paths])
     return mean if exact else MeanMatrix(n=space.n, M=mean.M.astype(float))
 
@@ -470,16 +474,3 @@ def test_tier_extremes_are_those_of_the_enumerated_costs(n):
         assert list(costs.low) == np.minimum.reduceat(every, starts).tolist()
         assert list(costs.high) == np.maximum.reduceat(every, starts).tolist()
         assert every.min() >= 0
-
-
-def test_path_fmatrices_decode_paths_from_keys():
-    space = _space(9)
-    paths = [tuple(p) for p in sample_paths(space, 20, seed=4).tolist()]
-    assert path_fmatrices(9, paths) == [path_to_fmatrix(space, p) for p in paths]
-    bad = list(paths[0])
-    bad[5] = space.tier_offsets[5] + 1 if bad[5] != space.tier_offsets[5] + 1 else bad[5] + 1
-    with pytest.raises(ValidationError) as oracle:
-        kingman.validate_path(space, bad)
-    with pytest.raises(ValidationError) as err:
-        path_fmatrices(9, [tuple(bad)])
-    assert str(err.value) == str(oracle.value)

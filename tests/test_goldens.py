@@ -85,6 +85,19 @@ def test_path_sampling_builds_only_the_rows_it_visits(name, capsys, monkeypatch)
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["sample_n10_seed5.jsonl", "simulate_kingman_n9_seed3.jsonl"])
+def test_path_sampling_enumerates_no_state_space(name, capsys, monkeypatch):
+    """The path sampler and the path decoder unrank the states they visit
+    from local indices, and build no tier of the state space."""
+    def tier(*args, **kwargs):
+        raise AssertionError("the sampler built a tier of states")
+
+    monkeypatch.setattr(statespace, "enumerate_states", tier)
+    monkeypatch.setattr(statespace, "_tier_keys", tier)
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_frechet_enumerates_no_state_space(capsys, monkeypatch):
     """ViTreebi streams the kernel in row chunks, never builds it whole, and
     builds no tier of the state space."""

@@ -187,7 +187,7 @@ def test_sample_paths_matches_loop_kernel(n):
     rng = np.random.default_rng(n)
     uniforms = _uniforms(rng, 400, n - 2)
     expected = loop_sample_paths(table.indptr, table.cols, table.numer, table.denom_state, n, uniforms)
-    assert np.array_equal(_walk_paths(space, uniforms), expected + 1)
+    assert np.array_equal(_walk_paths(n, uniforms), expected + 1)
 
 
 def test_sample_beta_stats_matches_loop_kernel_across_batches(monkeypatch):

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from key_oracle import expand_tier
+from key_oracle import expand_tier, fmatrix_to_path
 from rankedcoal import CapacityError, ValidationError, kingman
-from rankedcoal.fmatrix import fmatrix_to_path, paths_to_fmatrices
+from rankedcoal.fmatrix import paths_to_fmatrices
 from rankedcoal.kingman import (
     edge_table,
     enumerate_paths,
@@ -221,13 +221,13 @@ def test_validate_path_errors(space5):
 
 
 def test_sampling_is_deterministic(space5):
-    a = sample_paths(space5, 50, seed=123)
-    b = sample_paths(space5, 50, seed=123)
+    a = sample_paths(5, 50, seed=123)
+    b = sample_paths(5, 50, seed=123)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_paths(space5, 50, seed=124))
-    assert np.array_equal(sample_paths(space5, 1, seed=123)[0], a[0])
+    assert not np.array_equal(a, sample_paths(5, 50, seed=124))
+    assert np.array_equal(sample_paths(5, 1, seed=123)[0], a[0])
     with pytest.raises(ValidationError):
-        sample_paths(space5, 10, seed=None)
+        sample_paths(5, 10, seed=None)
 
 
 def test_sampled_paths_are_feasible():
@@ -235,22 +235,31 @@ def test_sampled_paths_are_feasible():
     gathered without re-validation; each must invert to its path."""
     for n in (5, 6, 10, 25):
         space = enumerate_states(n)
-        paths = sample_paths(space, 200, seed=5)
-        for row, fmat in zip(paths, paths_to_fmatrices(space, paths)):
+        paths = sample_paths(n, 200, seed=5)
+        for row, fmat in zip(paths, paths_to_fmatrices(n, paths)):
             path = validate_path(space, row)
             assert fmatrix_to_path(space, fmat) == path
+
+
+def test_sampled_paths_reach_the_key_cap():
+    """At n = 58, the last n whose keys fit an int64, every step of every
+    drawn path is one coalescence (``paths_to_fmatrices`` checks each)."""
+    paths = sample_paths(58, 50, seed=58)
+    assert paths.shape == (50, 57) and (paths[:, 0] == 1).all()
+    for fmat in paths_to_fmatrices(58, paths):
+        fmat.validate_static()
 
 
 def test_n4_cherry_frequency(space4):
     """The path through (2, 1, 1) carries probability 2/3."""
     idx = space4.index_of((2, 1, 1))
-    draws = sample_paths(space4, 20000, seed=11)
+    draws = sample_paths(4, 20000, seed=11)
     freq = float(np.mean(draws[:, 2] == idx))
     assert abs(freq - 2 / 3) < 0.015
 
 
 def test_n5_sampler_matches_enumeration(space5):
-    draws = sample_paths(space5, 20000, seed=7)
+    draws = sample_paths(5, 20000, seed=7)
     order = sorted(N5_PATHS)
     counts = {p: 0 for p in order}
     for row in draws:

@@ -11,9 +11,10 @@ import pytest
 import tree_oracle
 from hypothesis import given
 from hypothesis import strategies as st
+from key_oracle import fmatrix_to_path
 
 from rankedcoal import ValidationError
-from rankedcoal.fmatrix import _node_sizes, fmatrix_to_path, path_to_fmatrix, split_record
+from rankedcoal.fmatrix import _node_sizes, path_to_fmatrix, split_record
 from rankedcoal.kingman import feasible, merges, sample_paths
 from rankedcoal.statespace import diff_encoding, enumerate_states
 
@@ -47,7 +48,7 @@ def _space(n):
 
 def _paths(n, seed, count=5):
     space = _space(n)
-    return space, sample_paths(space, count, seed=seed)
+    return space, sample_paths(n, count, seed=seed)
 
 
 @given(st.integers(4, 20), st.integers(0, 2 ** 32 - 1))
