@@ -15,8 +15,7 @@ import os
 import sys
 import tempfile
 
-from ._common import RATIONAL_MAX_N, default_mode
-from ._common import CapacityError, ValidationError, fib, format_number
+from ._common import CapacityError, ValidationError, default_mode, fib, format_number
 
 # The most points a ``power --beta-grid`` range may expand to; each point
 # runs every replicate.
@@ -254,64 +253,59 @@ def _cmd_frechet(args):
     return 0
 
 
-def _moment_rows_se(space, summary, targets):
-    """The mean and variance rows of S and of E that ``targets`` names, and
-    their covariance row when it names both."""
-    from .feedforward import se_moments
+def _moment_rows(n, terms, targets, value):
+    """The rows of ``moments`` from ``terms = kingman_moment_terms(n)``, lazily:
+    the mean and variance of S and of E that ``targets`` names and their
+    covariance when it names both, then with F each non-fixed entry's mean and
+    each pair's covariance, row by row of the upper triangle. ``value`` prints
+    an exact numerator and denominator."""
+    from .fmatrix import kingman_se_moments, nonfixed_positions
 
-    mean, cov = se_moments(space, summary=summary)
-    rows = []
-    for k, name in enumerate(("S", "E")):
-        if name in targets:
-            rows += [[name, "mean", format_number(mean[k])],
-                     [name, "var", format_number(cov[k, k])]]
-    if "S" in targets and "E" in targets:
-        rows.append(["SE", "cov", format_number(cov[0, 1])])
-    return rows
-
-
-def _moment_rows_f(summary):
-    pos = summary.positions
-    rows = [[f"F({i},{j})", "mean", format_number(m)] for (i, j), m in zip(pos, summary.mean)]
-    rows += [[f"F{pa}:F{pb}".replace(" ", ""), "cov", format_number(summary.cov[a, b])]
-             for a, pa in enumerate(pos) for b, pb in enumerate(pos[a:], start=a)]
-    return rows
+    if {"S", "E"} & {*targets}:
+        s_mean, e_mean, var_s, cov_se, var_e = kingman_se_moments(n, terms)
+        se = [("S", "mean", s_mean), ("S", "var", var_s), ("E", "mean", e_mean),
+              ("E", "var", var_e), ("SE", "cov", cov_se)]
+        yield from ([name, stat, value(v.numerator, v.denominator)]
+                    for name, stat, v in se if {*name} <= {*targets})
+    if "F" in targets:
+        mean_num, mean_den, cov_num, cov_key, den_of_key = terms
+        labels = [f"F({i},{j})" for i, j in nonfixed_positions(n)]
+        yield from zip(labels, itertools.repeat("mean"),
+                       map(value, mean_num.tolist(), mean_den.tolist()))
+        for a, label in enumerate(labels):
+            covs = map(value, cov_num[a, a:].tolist(), den_of_key[cov_key[a, a:]].tolist())
+            yield from ([f"{label}:{other}", "cov", v] for other, v in zip(labels[a:], covs))
 
 
 def _cmd_moments(args):
-    from .feedforward import nonfixed_moments
-    from .statespace import enumerate_states
+    from fractions import Fraction
+
+    from .fmatrix import kingman_moment_terms
 
     targets = [t.strip().upper() for t in args.targets.split(",") if t.strip()]
     bad = [t for t in targets if t not in ("S", "E", "F")]
     if bad or not targets:
         raise ValidationError(f"targets must be a comma list from S, E, F, got {args.targets!r}")
-    n = args.n
-    mode = args.mode or default_mode(n)
-    if mode == "rational" and n > RATIONAL_MAX_N and "F" in targets:
-        raise ValidationError(
-            f"rational mode refuses n = {n} > {RATIONAL_MAX_N} for full-covariance jobs; "
-            "use --mode float"
-        )
-    space = enumerate_states(n)
-    # one non-fixed summary serves both the (S, E) rows and the F rows
-    summary = nonfixed_moments(space, mode=mode)
-    rows = []
-    if "S" in targets or "E" in targets:
-        rows.extend(_moment_rows_se(space, summary, targets))
-    if "F" in targets:
-        rows.extend(_moment_rows_f(summary))
-    text = _csv_text(rows, header=["target", "statistic", "value"])
-    _emit(args.out, text)
+    mode = args.mode or default_mode(args.n)
+    # every refusal comes before the first byte of output
+    terms = kingman_moment_terms(args.n)
     if args.emit_dph:
         from .phasetype import coalescent_dph
+        from .statespace import enumerate_states
 
-        dph = coalescent_dph(space, mode=mode)
-        payload = {
-            "pi": [format_number(v) for v in dph.pi],
-            "T": [[format_number(v) for v in row] for row in dph.T],
-            "exit": [format_number(v) for v in dph.exit],
-        }
+        dph = coalescent_dph(enumerate_states(args.n), mode=mode)
+
+    # the Fraction, or the correctly rounded quotient of two integers
+    def value(num, den):
+        return format_number(Fraction(num, den) if mode == "rational" else num / den)
+
+    rows = _moment_rows(args.n, terms, targets, value)
+    batches = iter(lambda: list(itertools.islice(rows, EMIT_ITEMS)), [])
+    _emit(args.out, itertools.chain(["target,statistic,value\n"], map(_csv_text, batches)))
+    if args.emit_dph:
+        payload = {"pi": list(map(format_number, dph.pi)),
+                   "T": [list(map(format_number, row)) for row in dph.T],
+                   "exit": list(map(format_number, dph.exit))}
         _atomic_write(args.emit_dph, json.dumps(payload, indent=1) + "\n")
     return 0
 

@@ -9,10 +9,18 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._common import ValidationError
+from ._common import CapacityError, ValidationError
+
+# Peak bytes per entry of the q x q covariance of the non-fixed entries:
+# at most seven 8-byte q x q arrays are alive while the Kingman null is
+# built and inverted (6.4 at n = 60). The budget first refuses n = 82;
+# below it the int64 sums of numerators, under q^2 n^4, fit int64.
+NULL_BYTES_PER_PAIR = 56
+NULL_MAX_BYTES = 512 << 20
 
 
 def merges(states):
@@ -32,7 +40,9 @@ def merges(states):
     if x.dtype != np.int32:
         x = x.astype(np.int64, copy=False)
     n = x.shape[1] + 1
-    code = np.concatenate([np.maximum(x[:, :-1] - x[:, 1:], 0), x[:, -1:]], axis=1)
+    code = np.empty_like(x)
+    np.maximum(np.subtract(x[:, :-1], x[:, 1:], out=code[:, :-1]), 0, out=code[:, :-1])
+    code[:, -1] = x[:, -1]
     diff = code[:-1] - code[1:]
     diff[np.arange(len(diff)), x[:-1].max(axis=1) - 3] += 1
     # two units on two indices, or both on the external index
@@ -322,6 +332,72 @@ def colless(fmat):
 def nonfixed_positions(n):
     """Non-fixed index pairs (i, j), row-wise: (3,1), (4,1), (4,2), ..."""
     return [(i, j) for i in range(3, n) for j in range(1, i - 1)]
+
+
+def kingman_moment_terms(n):
+    """E[F] and Cov(F, F) of the non-fixed entries under the Kingman law as
+    exact int64 fractions, once n < 4 and n over the byte budget are refused.
+
+    Forward in time, the split that takes row r to row r+1 (r+1 to r+2
+    lineages) removes one of the F_rj unsplit lineages of column j with
+    probability F_rj / (r+1), so E[F_ij] = j(j+1)/i, and for j <= k <= r,
+    r(r-1) E[F_rj F_rk] grows by j(j+1) from each row to the next, and
+    E[F_Mk | row e] = F_ek e/M for k <= e <= M. For positions (a, j),
+    (b, k) with j <= k this gives
+
+        Cov = j(j+1) x(x-1) / (e(e-1) M),  e = min(a, b), M = max(a, b),
+                                           x = max(e - k, 0).
+
+    Returns ``(mean_num, mean_den, cov_num, cov_key, den_of_key)`` in
+    ``nonfixed_positions`` order: the covariance denominator of a pair
+    is ``den_of_key[cov_key]``, with key e n + M. Numerators stay below
+    n^4 and denominators below n^3.
+    """
+    if n < 4:
+        raise ValidationError("non-fixed moments require n >= 4")
+    q = (n - 2) * (n - 3) // 2
+    if NULL_BYTES_PER_PAIR * q * q > NULL_MAX_BYTES:
+        raise CapacityError(
+            f"the Kingman moments at n = {n} need about {NULL_BYTES_PER_PAIR * q * q >> 20} MiB "
+            f"for their {q} x {q} covariance, over the budget of {NULL_MAX_BYTES >> 20} MiB")
+    i, j = np.array(nonfixed_positions(n), dtype=np.int64).T
+    e = np.minimum.outer(i, i)
+    x = e - np.maximum.outer(j, j)
+    np.maximum(x, 0, out=x)
+    x *= x - 1
+    lo = np.minimum.outer(j, j)
+    x *= lo * (lo + 1)
+    del lo
+    e *= n
+    e += np.maximum.outer(i, i)
+    rows = np.arange(n, dtype=np.int64)
+    den_of_key = (rows * (rows - 1))[:, None] * rows[None, :]
+    return j * (j + 1), i, x, e, den_of_key.ravel()
+
+
+def _exact_sum(num, key, den_of_key):
+    """sum num / den_of_key[key] as a Fraction: numerators are added per
+    key in int64, then the few distinct fractions in Python ints."""
+    acc = np.zeros(len(den_of_key), dtype=np.int64)
+    np.add.at(acc, key.ravel(), num.ravel())
+    return sum((Fraction(int(a), int(den_of_key[k])) for k, a in enumerate(acc) if a),
+               Fraction(0))
+
+
+def kingman_se_moments(n, terms):
+    """(E[S], E[E], Var S, Cov(S, E), Var E) under the Kingman law as exact
+    Fractions, summed from ``terms = kingman_moment_terms(n)``: S is the sum
+    of the non-fixed entries, and E adds the fixed last-row entries n and
+    n-2 to the last row's non-fixed part."""
+    mean_num, mean_den, cov_num, cov_key, den_of_key = terms
+    last = slice(len(mean_num) - (n - 3), None)
+    # a mean's denominator is its row i, which also serves as its key
+    row_den = np.arange(n, dtype=np.int64)
+    return (_exact_sum(mean_num, mean_den, row_den),
+            _exact_sum(mean_num[last], mean_den[last], row_den) + 2 * n - 2,
+            _exact_sum(cov_num, cov_key, den_of_key),
+            _exact_sum(cov_num[:, last], cov_key[:, last], den_of_key),
+            _exact_sum(cov_num[last, last], cov_key[last, last], den_of_key))
 
 
 @functools.lru_cache(maxsize=64)

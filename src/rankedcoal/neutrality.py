@@ -5,13 +5,12 @@ All statistics depend on a sample only through its means and E-counts,
 so the harness never materializes F-matrices. The Kingman null they are
 tested against is built from closed forms, with no state space, kernel
 or block-counting chain: the first two moments of the non-fixed entries
-as int64 fractions, the (S, E) moments as exact sums of those, and the
-exact law of E from ``bcp.e_law``. The tier engine of ``feedforward`` and
-the BCP stay the oracles for these in the tests.
+as int64 fractions and the (S, E) moments as exact sums of those, both
+from ``fmatrix``, and the exact law of E from ``bcp.e_law``. The tier
+engine of ``feedforward`` and the BCP stay the oracles for these in the tests.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import erfc, isfinite, isqrt, lgamma, log, log1p, pi, sqrt
 
@@ -19,18 +18,12 @@ import numpy as np
 
 from ._common import CapacityError, ValidationError
 from .betasplit import BetaConfig, check_beta, sample_beta_stats
-from .fmatrix import _nonfixed_index, corpus_sums, nonfixed_positions
+from .fmatrix import (NULL_MAX_BYTES, _nonfixed_index, corpus_sums, kingman_moment_terms,
+                      kingman_se_moments)
 
 DEFAULT_K = 10
 MIN_EXPECTED = 5.0
 EIG_FLOOR = 1e-12
-# Peak bytes per entry of the q x q covariance while the null is built and
-# inverted: at most seven 8-byte q x q arrays are alive at once (at n = 60,
-# computing the inverse root peaked at 6.4 of them). The budget first
-# refuses n = 82; below it the int64 sums of covariance numerators, under
-# q^2 n^4, stay far inside int64.
-NULL_BYTES_PER_PAIR = 56
-NULL_MAX_BYTES = 512 << 20
 
 
 @dataclass
@@ -364,17 +357,6 @@ class KingmanNull:
         return sym_inv_sqrt(self.sigma_se)
 
 
-def _check_null_capacity(n):
-    """Refuse a null whose q x q covariance arrays would exceed the byte budget."""
-    q = (n - 2) * (n - 3) // 2
-    need = NULL_BYTES_PER_PAIR * q * q
-    if need > NULL_MAX_BYTES:
-        raise CapacityError(
-            f"the Kingman null at n = {n} needs about {need >> 20} MiB for its "
-            f"{q} x {q} covariance, over the budget of {NULL_MAX_BYTES >> 20} MiB"
-        )
-
-
 def _check_sample_capacity(n, m):
     """Refuse a replicate of ``m`` trees whose arrays would exceed the byte
     budget: its 2(n-1) float64 uniforms, int32 non-fixed entries and int64
@@ -388,67 +370,14 @@ def _check_sample_capacity(n, m):
         )
 
 
-def kingman_moment_terms(n):
-    """E[F] and Cov(F, F) of the non-fixed entries as exact int64 fractions.
-
-    Forward in time, the split that takes row r to row r+1 (r+1 to r+2
-    lineages) removes one of the F_rj unsplit lineages of column j with
-    probability F_rj / (r+1), so E[F_ij] = j(j+1)/i, and for j <= k <= r,
-    r(r-1) E[F_rj F_rk] grows by j(j+1) from each row to the next, and
-    E[F_Mk | row e] = F_ek e/M for k <= e <= M. For positions (a, j),
-    (b, k) with j <= k this gives
-
-        Cov = j(j+1) x(x-1) / (e(e-1) M),  e = min(a, b), M = max(a, b),
-                                           x = max(e - k, 0).
-
-    Returns ``(mean_num, mean_den, cov_num, cov_key, den_of_key)`` in
-    ``nonfixed_positions`` order: the covariance denominator of a pair
-    is ``den_of_key[cov_key]``, with key e n + M. Numerators stay below
-    n^4 and denominators below n^3.
-    """
-    i, j = np.array(nonfixed_positions(n), dtype=np.int64).T
-    e = np.minimum.outer(i, i)
-    x = e - np.maximum.outer(j, j)
-    np.maximum(x, 0, out=x)
-    x *= x - 1
-    lo = np.minimum.outer(j, j)
-    x *= lo * (lo + 1)
-    del lo
-    e *= n
-    e += np.maximum.outer(i, i)
-    rows = np.arange(n, dtype=np.int64)
-    den_of_key = (rows * (rows - 1))[:, None] * rows[None, :]
-    return j * (j + 1), i, x, e, den_of_key.ravel()
-
-
-def _exact_sum(num, key, den_of_key):
-    """sum num / den_of_key[key] as a Fraction: numerators are added per
-    key in int64, then the few distinct fractions in Python ints."""
-    acc = np.zeros(len(den_of_key), dtype=np.int64)
-    np.add.at(acc, key.ravel(), num.ravel())
-    return sum((Fraction(int(a), int(den_of_key[k])) for k, a in enumerate(acc) if a),
-               Fraction(0))
-
-
 def kingman_null(n):
     """The Kingman null from closed forms: the moments of
-    ``kingman_moment_terms``, the (S, E) moments as exact sums of them
-    (E adds the fixed last-row entries n and n-2 to the last row's
-    non-fixed part), and the exact law of E."""
+    ``fmatrix.kingman_moment_terms``, the (S, E) moments of
+    ``fmatrix.kingman_se_moments``, and the exact law of E."""
     from .bcp import e_law
 
-    if n < 4:
-        raise ValidationError("non-fixed moments require n >= 4")
-    _check_null_capacity(n)
-    mean_num, mean_den, cov_num, cov_key, den_of_key = kingman_moment_terms(n)
-    last = slice(len(mean_num) - (n - 3), None)
-    # a mean's denominator is its row i, which also serves as its key
-    row_den = np.arange(n, dtype=np.int64)
-    s_mean = _exact_sum(mean_num, mean_den, row_den)
-    e_mean = _exact_sum(mean_num[last], mean_den[last], row_den) + 2 * n - 2
-    var_s = _exact_sum(cov_num, cov_key, den_of_key)
-    cov_se = _exact_sum(cov_num[:, last], cov_key[:, last], den_of_key)
-    var_e = _exact_sum(cov_num[last, last], cov_key[last, last], den_of_key)
+    mean_num, mean_den, cov_num, cov_key, den_of_key = terms = kingman_moment_terms(n)
+    s_mean, e_mean, var_s, cov_se, var_e = kingman_se_moments(n, terms)
     return KingmanNull(
         n=n,
         mean=mean_num / mean_den,

@@ -478,10 +478,117 @@ def test_moments_engines_agree(capsys):
     assert values[("F(4,1):F(4,2)", "cov")] == "1/12"
 
 
+def _sweep_rows(n, targets="S,E,F"):
+    """The rows of ``moments`` at n from the rational tier sweep."""
+    from rankedcoal.feedforward import nonfixed_moments, se_moments
+
+    space = enumerate_states(n)
+    summary = nonfixed_moments(space, mode="rational")
+    mean, cov = se_moments(space, summary=summary)
+    rows = [["target", "statistic", "value"]]
+    for k, name in enumerate("SE"):
+        if name in targets:
+            rows += [[name, "mean", format_number(mean[k])], [name, "var", format_number(cov[k, k])]]
+    if "S" in targets and "E" in targets:
+        rows.append(["SE", "cov", format_number(cov[0, 1])])
+    if "F" in targets:
+        pos = summary.positions
+        rows += [[f"F({i},{j})", "mean", format_number(m)] for (i, j), m in zip(pos, summary.mean)]
+        rows += [[f"F({ia},{ja}):F({ib},{jb})", "cov", format_number(summary.cov[a, b])]
+                 for a, (ia, ja) in enumerate(pos) for b, (ib, jb) in enumerate(pos[a:], start=a)]
+    return rows
+
+
+def _moment_rows(capsys, n, *args):
+    assert main(["moments", "--targets", "S,E,F", "--n", str(n), *args]) == 0
+    return _rows(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_rational_moments_equal_the_sweep(n, capsys):
+    """Every rational row is the Fraction of the tier sweep's
+    ``nonfixed_moments`` and ``se_moments``, also past n = 12."""
+    assert _moment_rows(capsys, n, "--mode", "rational") == _sweep_rows(n)
+
+
+@pytest.mark.parametrize("n", range(4, 26))
+def test_float_moments_are_the_rounded_rational_ones(n, capsys):
+    """Every float row is float() of its rational row: each value is
+    correctly rounded, and an exact zero prints as 0.0."""
+    exact = _moment_rows(capsys, n, "--mode", "rational")
+    rounded = _moment_rows(capsys, n, "--mode", "float")
+    assert [row[:2] for row in rounded] == [row[:2] for row in exact]
+    assert [float(row[2]) for row in rounded[1:]] == [float(Fraction(row[2])) for row in exact[1:]]
+    assert [repr(float(row[2])) for row in rounded[1:]] == [row[2] for row in rounded[1:]]
+
+
+def test_float_moments_do_not_depend_on_the_blas_thread_count():
+    import subprocess
+    import sys
+
+    import rankedcoal
+
+    src = os.path.dirname(os.path.dirname(rankedcoal.__file__))
+    argv = ["moments", "--targets", "S,E,F", "--mode", "float", "--n", "25"]
+    outs = [
+        subprocess.run([sys.executable, "-m", "rankedcoal.cli", *argv],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    assert [res.returncode for res in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+
+
+def test_moments_refuse_past_the_byte_budget_before_any_output(tmp_path, capsys, monkeypatch):
+    """n = 82 is the first n over the budget of the q x q covariance, for
+    every target list; the refusal allocates and writes nothing."""
+    from rankedcoal import fmatrix
+
+    def allocate(n):
+        raise MemoryError("allocated")
+
+    monkeypatch.setattr(fmatrix, "nonfixed_positions", allocate)
+    # at n = 81 the terms go on to allocate
+    with pytest.raises(MemoryError):
+        fmatrix.kingman_moment_terms(81)
+    for targets in ("S", "F", "S,E,F"):
+        assert main(["moments", "--targets", targets, "--n", "82"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("capacity: the Kingman moments at n = 82 ")
+    out = tmp_path / "moments.csv"
+    assert main(["moments", "--n", "82", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_moments_run_past_the_state_space_cap(capsys):
+    """No count caps ``moments``: n = 31, above the state space's cap, runs."""
+    rows = _moment_rows(capsys, 31)
+    q = 29 * 28 // 2
+    assert len(rows) == 1 + 5 + q + q * (q + 1) // 2
+    assert rows[1] == ["S", "mean", repr(float(sum(Fraction(j * (j + 1), i)
+                                                   for i in range(3, 31) for j in range(1, i - 1))))]
+
+
+def test_moments_dph_refusal_leaves_no_output(tmp_path, capsys):
+    """The DPH is built before the CSV is written, so its refusal leaves
+    neither stdout nor a file."""
+    out, dph = tmp_path / "moments.csv", tmp_path / "dph.json"
+    assert main(["moments", "--n", "19", "--emit-dph", str(dph)]) == 3
+    assert main(["moments", "--n", "19", "--out", str(out), "--emit-dph", str(dph)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("capacity: dense DPH of order 6764 ") == 2
+    assert os.listdir(tmp_path) == []
+
+
 def test_moments_rational_refusal(capsys):
-    assert main(["moments", "--n", "13", "--targets", "F",
-                 "--mode", "rational"]) == 2
-    assert "rational" in capsys.readouterr().err
+    """Rational F moments past n = 12 run, and equal the sweep; a target
+    list must name S, E or F only, and at least one of them."""
+    assert main(["moments", "--n", "13", "--targets", "F", "--mode", "rational"]) == 0
+    assert _rows(capsys.readouterr().out) == _sweep_rows(13, "F")
     assert main(["moments", "--n", "5", "--targets", "S,Q"]) == 2
     capsys.readouterr()
     # every target list names at least one target
@@ -506,8 +613,8 @@ def test_moments_emit_dph(tmp_path, capsys):
 
 
 def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
-    """The moment summary and the emitted DPH read one set of blocks:
-    every tier's rows are built once."""
+    """The moments come from closed forms and build no tier; with
+    --emit-dph the DPH builds every tier's rows once."""
     from rankedcoal import kingman
 
     built = []
@@ -519,6 +626,8 @@ def test_moments_build_each_tier_once(tmp_path, capsys, monkeypatch):
     tier_rows = kingman._tier_rows
     monkeypatch.setattr(kingman, "_tier_rows", counted)
     n = 6
+    assert main(["moments", "--targets", "S,E,F", "--n", str(n)]) == 0
+    assert built == []
     assert main(["moments", "--targets", "S,E,F", "--n", str(n),
                  "--emit-dph", str(tmp_path / "dph.json")]) == 0
     capsys.readouterr()
@@ -1000,8 +1109,8 @@ def test_unwritable_output_names_its_target(tmp_path, capsys, monkeypatch):
 
 def test_rational_calls_do_not_import_scipy():
     """scipy is imported only where a call's work needs it: importing the
-    CLI, enumerating states, exact moments and Frechet means load none of
-    it, nor numpy.ma."""
+    CLI, enumerating states, exact and float moments and Frechet means
+    load none of it, nor numpy.ma."""
     import subprocess
     import sys
 
@@ -1016,6 +1125,7 @@ def test_rational_calls_do_not_import_scipy():
         "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "print(loaded())\n"
         "for argv in (['statespace', '--n', '3'], ['moments', '--targets', 'S,E,F', '--n', '8'],\n"
+        "             ['moments', '--targets', 'S,E,F', '--mode', 'float', '--n', '25'],\n"
         "             ['frechet', '--n', '12'], ['frechet', '--n', '25']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
@@ -1024,7 +1134,7 @@ def test_rational_calls_do_not_import_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n[]\n[]\n[]\n[]\n"
+    assert res.stdout == "[]\n" * 6
 
 
 def test_power_loads_no_scipy():
@@ -1103,10 +1213,14 @@ def _modules_run(argv, tmp_path):
 
 def test_each_call_runs_only_the_modules_its_command_needs(tmp_path):
     """The package runs a submodule on first use: ``statespace`` runs two
-    modules, ``frechet`` none of the simulation, BCP or test modules, and
-    ``test`` and ``power`` neither the chain, the moment sweep, the Frechet
-    pass nor phasetype."""
+    modules, ``moments`` without --emit-dph only ``fmatrix`` beside
+    ``_common``, ``frechet`` none of the simulation, BCP or test modules,
+    and ``test`` and ``power`` neither the chain, the moment sweep, the
+    Frechet pass nor phasetype."""
     assert _modules_run(["statespace", "--n", "3"], tmp_path) == {"_common", "statespace"}
+    for mode in ("rational", "float"):
+        argv = ["moments", "--targets", "S,E,F", "--mode", mode, "--n", "12"]
+        assert _modules_run(argv, tmp_path) == {"_common", "fmatrix"}
     ran = _modules_run(["frechet", "--n", "8"], tmp_path)
     assert ran & {"bcp", "betasplit", "feedforward", "neutrality", "phasetype"} == set()
     corpus = tmp_path / "corpus.jsonl"

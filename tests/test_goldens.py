@@ -4,10 +4,12 @@ Frechet minimum and mean paths at n = 25, 30, 32 and 33 (the last two
 recorded in process on ``enumerate_states(n, max_n=n)``), and the exact
 moments of S, E and the F-matrix at n = 12, recorded while the moment
 engine still multiplied Fractions edge by edge, and their float values at
-n = 14, recorded while the engine still kept every right product of every
-column, and the balance indices of the two simulate goldens, recorded
+n = 14, recorded from the closed form and checked to be the correctly
+rounded exact values, and the balance indices of the two simulate goldens, recorded
 while each tree was still built as Python nodes and walked."""
 
+import csv
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,29 @@ def test_frechet_enumerates_no_state_space(capsys, monkeypatch):
     name = "frechet_n25.txt"
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_moments_build_no_chain(capsys, monkeypatch):
+    """The exact moments come from closed forms alone."""
+    def chain(*args, **kwargs):
+        raise AssertionError("moments built a tier of states or of the kernel")
+
+    monkeypatch.setattr(statespace, "enumerate_states", chain)
+    monkeypatch.setattr(kingman, "_tier_rows", chain)
+    name = "moments_n12.csv"
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_float_moments_golden_is_correctly_rounded(capsys):
+    """Every value of the float golden at n = 14 is float() of the exact
+    value, which the rational rows at n = 14 print."""
+    assert main(["moments", "--targets", "S,E,F", "--mode", "rational", "--n", "14"]) == 0
+    exact = list(csv.reader(capsys.readouterr().out.splitlines()))
+    with open(GOLDEN_DIR / "moments_float_n14.csv", newline="") as fh:
+        rounded = list(csv.reader(fh))
+    assert [row[:2] for row in rounded] == [row[:2] for row in exact]
+    assert [row[2] for row in rounded[1:]] == [repr(float(Fraction(row[2]))) for row in exact[1:]]
 
 
 def test_power_null_builds_no_chain(capsys, monkeypatch):

@@ -15,15 +15,14 @@ from rankedcoal import bcp, feedforward, kingman, statespace
 from rankedcoal._common import CapacityError, ValidationError
 from rankedcoal.betasplit import BetaConfig, sample_beta_fmatrices, sample_beta_stats
 from rankedcoal.cli import main
+from rankedcoal.fmatrix import _exact_sum, kingman_moment_terms
 from rankedcoal.neutrality import (
     ALL_TESTS,
     SampleStats,
-    _exact_sum,
     _ht_statistic,
     _wf_statistic,
     _wse_statistic,
     e_boxes,
-    kingman_moment_terms,
     kingman_null,
     power_curve,
     replicate_statistics,
