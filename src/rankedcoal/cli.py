@@ -465,7 +465,7 @@ def build_parser():
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=_cmd_frechet)
 
-    p = sub.add_parser("moments", help="exact or feed-forward moments of S, E, F")
+    p = sub.add_parser("moments", help="Kingman moments of S, E, F, exact or correctly rounded")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", default="S,E", help="comma list from S,E,F")
     p.add_argument("--mode", choices=["rational", "float"])

@@ -488,7 +488,8 @@ def _sweep_rows(n, targets="S,E,F"):
     rows = [["target", "statistic", "value"]]
     for k, name in enumerate("SE"):
         if name in targets:
-            rows += [[name, "mean", format_number(mean[k])], [name, "var", format_number(cov[k, k])]]
+            rows += [[name, "mean", format_number(mean[k])],
+                     [name, "var", format_number(cov[k, k])]]
     if "S" in targets and "E" in targets:
         rows.append(["SE", "cov", format_number(cov[0, 1])])
     if "F" in targets:
@@ -568,8 +569,8 @@ def test_moments_run_past_the_state_space_cap(capsys):
     rows = _moment_rows(capsys, 31)
     q = 29 * 28 // 2
     assert len(rows) == 1 + 5 + q + q * (q + 1) // 2
-    assert rows[1] == ["S", "mean", repr(float(sum(Fraction(j * (j + 1), i)
-                                                   for i in range(3, 31) for j in range(1, i - 1))))]
+    s_mean = sum(Fraction(j * (j + 1), i) for i in range(3, 31) for j in range(1, i - 1))
+    assert rows[1] == ["S", "mean", repr(float(s_mean))]
 
 
 def test_moments_dph_refusal_leaves_no_output(tmp_path, capsys):
