@@ -1,7 +1,8 @@
 """CLI outputs, byte for byte, against recorded files: seeded runs recorded
 before the samplers and the phase-type PMF were vectorised, the exact
-Frechet minimum and mean paths at n = 25, 30, 32 and 33 (the last two
-recorded in process on ``enumerate_states(n, max_n=n)``), and the exact
+Frechet minimum and mean paths at n = 25, 30 and 32-37 (n = 32 and 33
+recorded in process on ``enumerate_states(n, max_n=n)``, n = 34-37 by the
+pass bounded by a greedy path), and the exact
 moments of S, E and the F-matrix at n = 12, recorded while the moment
 engine still multiplied Fractions edge by edge, and their float values at
 n = 14, recorded from the closed form and checked to be the correctly
@@ -36,6 +37,10 @@ GOLDENS = {
     "frechet_n30.txt": ["frechet", "--n", "30"],
     "frechet_n32.txt": ["frechet", "--n", "32"],
     "frechet_n33.txt": ["frechet", "--n", "33"],
+    "frechet_n34.txt": ["frechet", "--n", "34"],
+    "frechet_n35.txt": ["frechet", "--n", "35"],
+    "frechet_n36.txt": ["frechet", "--n", "36"],
+    "frechet_n37.txt": ["frechet", "--n", "37"],
     "moments_n12.csv": ["moments", "--targets", "S,E,F", "--n", "12"],
     "moments_float_n14.csv": ["moments", "--targets", "S,E,F", "--mode", "float", "--n", "14"],
 }
