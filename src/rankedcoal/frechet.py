@@ -11,12 +11,13 @@ The forward pass builds neither the state space nor the kernel. It is a
 branch and bound on the reached frontier: per tier it holds the sorted
 local indices, packed keys and cheapest prefixes of the states whose
 cheapest prefix, plus the later tiers' least state costs, is within the
-cost of one greedy path, which keeps every state of every optimal path and
-every tie. Under the Kingman mean at n = 25 it reaches 16,251 of the
-121,392 states and expands 3,034 of them. It streams the expanded states'
-edges from ``kingman.tier_edges``, costs the states they reach from their
-keys, takes each tier's least cost from a DP over positions, and keeps per
-tier only the edges that end up optimal, sorted by source and target, from
+cost of the beam path, the best of a first run that keeps the BEAM
+cheapest states per tier; so it keeps every state of every optimal path
+and every tie. Under the Kingman mean at n = 25 it reaches 9,987 of the
+121,392 states and expands 1,552. It streams the expanded states' edges
+from ``kingman.tier_edges``, costs the states they reach from their keys,
+takes each tier's least cost from a DP over positions, and keeps per tier
+only the edges that end up optimal, sorted by source and target, from
 which the backtrack and the path count work.
 """
 
@@ -45,6 +46,10 @@ EDGE_BYTES = 64
 STATE_BYTES = 64
 # Edges per block of the pass's tie test
 TIE_BLOCK = 1 << 18
+# States per tier of the run that bounds the pass. At n = 25 a beam of 1 ends at
+# 23.78e9 scaled units, above a greedy path's 20.90e9, and the pass keeps 4,223
+# states; 8 keep 2,005; 64 reach the minimum's 1,554 in 11 ms, 512 in 22 ms.
+BEAM = 64
 
 
 @dataclass
@@ -182,7 +187,7 @@ def _ties(lhs, rhs):
     return lhs <= rhs + DEFAULT_TIE_TOL if lhs.dtype.kind == "f" else lhs == rhs
 
 
-def _forward(n, cost_of, low, big):
+def _forward(n, cost_of, low, big, beam=None):
     """Cheapest cost of a path from state 1 to each state the pass keeps,
     one tier at a time, on the reached frontier only.
 
@@ -190,24 +195,25 @@ def _forward(n, cost_of, low, big):
     local indices ``ranks`` and packed ``keys``, ``low`` the least state
     cost of each tier, and ``big`` is None for exact costs and, for float
     costs, the sum over the tiers of the largest |cost| plus
-    DEFAULT_TIE_TOL. Returns, per tier, the sorted local indices of the
-    states kept and their cheapest prefixes, and per pair of tiers the
-    edges (src, dst) on a path optimal to dst, as positions in those
-    frontiers, sorted by source, then target.
+    DEFAULT_TIE_TOL. With ``beam`` the run has no bound and keeps per tier
+    the ``beam`` cheapest states, ties included. Returns, per tier, the
+    sorted local indices of the states kept and their cheapest prefixes,
+    and per pair of tiers the edges (src, dst) on a path optimal to dst, as
+    positions in those frontiers, sorted by source, then target.
 
     Branch and bound (Land & Doig 1960; the A* bound of Hart, Nilsson &
     Raphael 1968). A path takes one state per tier, so to_go[t], the sum of
     the later tiers' least state costs, is a lower bound on what any path
-    adds after tier t; and ub, the cost of the greedy path that steps to the
-    cheapest successor at each tier, is an upper bound on the minimum. A
-    state x on an optimal path has c[x] + to_go[t] <= min <= ub, and its
-    optimal antecedents lie on optimal paths too. So the pass keeps only
-    the reached states with c + to_go[t] <= ub, and expands all it keeps:
-    by induction over the tiers every state on an optimal path keeps its
-    exact c and all its optimal in-edges, which are all the backtrack
-    reads, while any other c can only come out higher. A state that is not
-    kept takes part in no later sum, in no final minimum and in no
-    backtrack.
+    adds after tier t; and ub, the least final prefix of a first run with a
+    beam of BEAM (beam search, Lowerre 1976), is the cost of a path, the
+    beam path, so an upper bound on the minimum. A state x on an optimal
+    path has c[x] + to_go[t] <= min <= ub, and its optimal antecedents lie
+    on optimal paths too. So the pass keeps only the reached states with
+    c + to_go[t] <= ub, and expands all it keeps: by induction over the
+    tiers every state on an optimal path keeps its exact c and all its
+    optimal in-edges, which are all the backtrack reads, while any other c
+    can only come out higher. A state that is not kept takes part in no
+    later sum, in no final minimum and in no backtrack.
 
     Integer costs (int64 or Python ints) run the test exactly, so every tie
     stays. It compares c with ub - to_go[t], summed in Python ints and
@@ -227,10 +233,10 @@ def _forward(n, cost_of, low, big):
     higher-order terms. The tier minima add no rounding of their own: with
     given costs they are minima of those costs, and from a mean, the DP of
     ``_extremes`` sums each state's terms in the order its cost does, so
-    they are the least float costs bit for bit. Rounding is
-    monotone, so float c too only comes out higher off the returned paths,
-    the greedy path's c stays at or below ub bit for bit, and every state on
-    a returned path keeps its bits.
+    they are the least float costs bit for bit. Rounding is monotone, so
+    float c too only comes out higher off the returned paths, the beam
+    path's c stays at or below ub bit for bit, and every state on a
+    returned path keeps its bits.
 
     min_s (c[s] + cost[d]) is cost[d] + min_s c[s]: rounding is monotone,
     so this holds bit for bit in float64 as well as in exact arithmetic.
@@ -242,19 +248,10 @@ def _forward(n, cost_of, low, big):
     edge, and a tier that would take the pass past PASS_MAX_BYTES is
     refused.
     """
+    ub = math.inf if beam else min(_forward(n, cost_of, low, big, BEAM)[1][-1].tolist())
     to_go = list(accumulate(reversed(low[1:]), initial=0))[::-1]
     ranks, keys = np.zeros(1, np.int64), np.array([n], np.int64)
     c = cost_of(0, ranks, keys)
-    # the greedy path, one state per tier
-    step, path = keys, [c]
-    for t in range(n - 2):
-        _, d = next(tier_edges(n, t, step))
-        cand = _unrank(n, t + 1, d)
-        cost = cost_of(t + 1, d, cand)
-        pick = int(np.argmin(cost))
-        step = cand[pick:pick + 1]
-        path.append(cost[pick:pick + 1])
-    ub = sum(np.concatenate(path).tolist())
     margin = 0
     if big is not None:
         steps = n - 2
@@ -295,6 +292,8 @@ def _forward(n, cost_of, low, big):
         cost = cost_of(t + 1, ranks, keys)
         here, c = c, cost + np.minimum.reduceat(c[s], starts)
         live = c <= bound(t + 1)
+        if beam and len(c) > beam:
+            live &= c <= np.partition(c, beam - 1)[beam - 1]
         # one block of edges at a time, so that the test's temporaries stay small
         keep = np.concatenate([
             live[d[i:i + TIE_BLOCK]]

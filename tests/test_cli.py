@@ -712,15 +712,23 @@ def test_frechet_refuses_n_past_the_key_cap_before_any_work(capsys, monkeypatch)
                             "do not fit an int64\n")
 
 
-def test_frechet_n36_runs_or_is_refused_by_bytes(capsys):
-    """Past the count cap of the state space, the pass is refused only by
-    the bytes it would hold."""
-    code = main(["frechet", "--n", "36"])
-    captured = capsys.readouterr()
-    if code == 3:
-        assert captured.out == "" and "MiB, over the budget of" in captured.err
-    else:
-        assert code == 0 and captured.out.startswith("70880129605168799/1083026646702000\n")
+def test_frechet_n38_runs_under_the_byte_budget(tmp_path, capsys):
+    """Bounded by the beam path, n = 38 runs inside the byte budget, and its
+    minimum is the exact cost of every F-matrix it writes."""
+    from rankedcoal.frechet import mean_matrix_exact
+
+    target = tmp_path / "frechet.json"
+    assert main(["frechet", "--n", "38", "--out", str(target)]) == 0
+    minimum = capsys.readouterr().out.splitlines()[0]
+    payload = json.loads(target.read_text())
+    assert payload["min_cost"] == minimum
+    assert len(payload["fmatrices"]) == len(payload["paths"]) > 0
+    mean = mean_matrix_exact(38).M
+    for fmat in payload["fmatrices"]:
+        F = np.zeros(mean.shape, dtype=object)
+        for i, row in enumerate(fmat["tri"]):
+            F[i, :i + 1] = row
+        assert format_number(sum(((F - mean) ** 2).ravel(), Fraction(0))) == minimum
 
 
 def test_frechet_refuses_a_tier_over_the_byte_budget(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankedcoal import CapacityError, ValidationError, kingman
+from rankedcoal import CapacityError, ValidationError, frechet, kingman
 from rankedcoal.feedforward import nonfixed_moments
 from rankedcoal.fmatrix import nonfixed_positions, path_to_fmatrix
 from rankedcoal.frechet import (
@@ -298,7 +298,8 @@ def _tie_heavy_mean(space, seed, exact):
 @pytest.mark.parametrize("n", range(6, 13))
 def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
     """Also in chunks of 1 and 3 rows, where tied edges into one state fall
-    into different chunks of the streamed kernel."""
+    into different chunks of the streamed kernel, and under beams from one
+    state per tier, the loosest bound, to more states than any tier holds."""
     space = enumerate_states(n)
     for seed in range(3):
         mean = _tie_heavy_mean(space, seed, exact)
@@ -306,6 +307,10 @@ def test_per_tier_walk_matches_loop_oracle(n, exact, monkeypatch):
         best, paths, c, preds = loop_vitreebi(space, costs, DEFAULT_TIE_TOL)
         for chunk in (1, 3, ROW_CHUNK):
             monkeypatch.setattr(kingman, "ROW_CHUNK", chunk)
+            assert vitreebi(space, mean) == (best, paths)
+            assert_forward_on_optimal_paths(space, mean, paths, c, preds)
+        for beam in (1, 2, 64, 10 ** 9):
+            monkeypatch.setattr(frechet, "BEAM", beam)
             assert vitreebi(space, mean) == (best, paths)
             assert_forward_on_optimal_paths(space, mean, paths, c, preds)
         vitreebi(space, mean, path_cap=len(paths))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rankedcoal import betasplit, bcp, feedforward, kingman, statespace
+from rankedcoal import betasplit, bcp, feedforward, frechet, kingman, statespace
 from rankedcoal.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -115,6 +115,15 @@ def test_frechet_enumerates_no_state_space(capsys, monkeypatch):
     monkeypatch.setattr(kingman, "edge_table", whole)
     monkeypatch.setattr(statespace, "enumerate_states", whole)
     monkeypatch.setattr(statespace, "_tier_keys", whole)
+    name = "frechet_n25.txt"
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_frechet_golden_under_a_one_state_beam(capsys, monkeypatch):
+    """A beam of one state per tier bounds the pass more loosely than the
+    default, and the output stays the same."""
+    monkeypatch.setattr(frechet, "BEAM", 1)
     name = "frechet_n25.txt"
     assert main(GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
